@@ -20,6 +20,7 @@ from .hilbert import (
     TensorLayout,
     embed_operator,
     partial_trace,
+    permute_subsystems,
 )
 from .tolerances import TOL
 
@@ -172,43 +173,38 @@ def noisy_cnot(rho: DensityOperator, control: str, target: str, f: float) -> Den
         raise InvariantViolation("control and target must differ")
     _check_unit_interval(f, "f")
     ideal = apply_gate(rho, CNOT, [control, target])
-    if f == 1.0:
-        return ideal
-    # Replacement branch: the rest keeps the (CNOT-invariant) marginal, the
-    # acted pair is reset to I/4.
-    replaced = _replace_subsystems(ideal, [control, target],
-                                   np.eye(4, dtype=np.complex128) / 4.0)
-    return DensityOperator(rho.layout, f * ideal.matrix + (1.0 - f) * replaced.matrix)
+    return depolarize_subsystems(ideal, [control, target], f, 1.0 - f)
+
+
+def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
+                          keep: float, noise: float) -> DensityOperator:
+    """keep * rho + noise * (rho with the listed subsystems replaced by I/d).
+
+    The replacement keeps the marginal of the other subsystems and the trace.
+    Callers pass both weights in the form they hold them, so 1 - (1 - f) is
+    never formed; a 0/1 weight (a sampled coin) skips the unused term.
+    """
+    if noise == 0:
+        return rho
+    d = rho.layout.subset(labels).total_dim
+    replaced = _replace_subsystems(rho, labels, np.eye(d, dtype=np.complex128) / d)
+    if keep == 0:
+        return DensityOperator(rho.layout, replaced)
+    return DensityOperator(rho.layout, keep * rho.matrix + noise * replaced)
 
 
 def _replace_subsystems(rho: DensityOperator, labels: Sequence[str],
-                        replacement_matrix: np.ndarray) -> DensityOperator:
+                        replacement_matrix: np.ndarray) -> np.ndarray:
     """Discard the listed subsystems and install ``replacement_matrix`` there."""
     labels = list(labels)
     keep = [lab for lab in rho.layout.labels if lab not in labels]
-    sub_layout = rho.layout.subset(labels)
     replacement = np.asarray(replacement_matrix, dtype=np.complex128)
     if not keep:
-        scaled = replacement * rho.trace
-        return DensityOperator(rho.layout, _reorder_to(rho.layout, sub_layout, scaled))
+        return replacement * rho.trace
     kept = partial_trace(rho, keep)
-    prod = np.kron(kept.matrix, replacement)
-    prod_layout = TensorLayout(kept.layout.subsystems + sub_layout.subsystems)
-    return DensityOperator(rho.layout, _reorder_to(rho.layout, prod_layout, prod))
-
-
-def _reorder_to(target_layout: TensorLayout, current_layout: TensorLayout,
-                matrix: np.ndarray) -> np.ndarray:
-    """Permute subsystem axes of ``matrix`` from current order to target order."""
-    if current_layout.labels == target_layout.labels:
-        return matrix
-    dims = list(current_layout.dims)
-    n = len(dims)
-    perm = [current_layout.axis_of(lab) for lab in target_layout.labels]
-    tensor = matrix.reshape(dims + dims)
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    d = target_layout.total_dim
-    return np.ascontiguousarray(tensor.reshape(d, d))
+    prod_layout = TensorLayout(kept.layout.subsystems + rho.layout.subset(labels).subsystems)
+    return permute_subsystems(np.kron(kept.matrix, replacement), prod_layout,
+                              rho.layout.labels)
 
 
 def average_gate_fidelity(f: float) -> float:
@@ -223,18 +219,14 @@ def depolarize_local(rho: DensityOperator, p: float,
     _check_unit_interval(p, "p")
     out = rho
     for label in targets:
-        d = out.layout.dim_of(label)
-        replaced = _replace_subsystems(out, [label], np.eye(d, dtype=np.complex128) / d)
-        out = DensityOperator(out.layout, (1.0 - p) * out.matrix + p * replaced.matrix)
+        out = depolarize_subsystems(out, [label], 1.0 - p, p)
     return out
 
 
 def mix_with_noise(rho: DensityOperator, p: float) -> DensityOperator:
     """Mix with the maximally mixed state: (1-p) rho + p I/total_dim."""
     _check_unit_interval(p, "p")
-    d = rho.layout.total_dim
-    noisy = np.eye(d, dtype=np.complex128) / d * rho.trace
-    return DensityOperator(rho.layout, (1.0 - p) * rho.matrix + p * noisy)
+    return depolarize_subsystems(rho, rho.layout.labels, 1.0 - p, p)
 
 
 def point_channel(rho: DensityOperator, discard: Iterable[str],
@@ -256,4 +248,5 @@ def point_channel(rho: DensityOperator, discard: Iterable[str],
             f"replacement layout {replacement.layout.labels} != discarded "
             f"subsystems {expected.labels}"
         )
-    return _replace_subsystems(rho, discard, replacement.matrix)
+    return DensityOperator(rho.layout,
+                           _replace_subsystems(rho, discard, replacement.matrix))

@@ -72,7 +72,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = sweep_from_dict(data, seed_override=args.seed)
     rows = []
     reports = []
-    for p, fragment, config in spec.configs():
+    for p, fragment, config in spec.points:
         report = run_witness(config)
         rows.append(report_to_sweep_row(p, fragment, report))
         reports.append(report)

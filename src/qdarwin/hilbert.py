@@ -209,11 +209,27 @@ def embed_operator(layout: TensorLayout, op: np.ndarray, targets: Sequence[str])
 
     full = np.kron(op, np.eye(_prod(dims_r), dtype=np.complex128))
     # Axes currently ordered (targets..., rest...); permute to canonical order.
-    scrambled = targets + rest
-    perm = [scrambled.index(lab) for lab in layout.labels]
+    scrambled = TensorLayout(list(zip(targets + rest, dims_t + dims_r)))
+    return permute_subsystems(full, scrambled, layout.labels)
+
+
+def permute_subsystems(matrix: np.ndarray, layout: TensorLayout,
+                       order: Sequence[str]) -> np.ndarray:
+    """Reorder the subsystem axes of an operator on ``layout`` into ``order``.
+
+    ``order`` must list every label of ``layout`` once.  The result is a
+    pure transpose, so every entry is carried over exactly.
+    """
+    order = tuple(order)
+    if order == layout.labels:
+        return matrix
+    if sorted(order) != sorted(layout.labels):
+        raise InvariantViolation(f"order {list(order)} is not a permutation of "
+                                 f"{list(layout.labels)}")
+    perm = [layout.axis_of(lab) for lab in order]
     n = len(layout)
-    tensor = full.reshape(dims_t + dims_r + dims_t + dims_r)
-    tensor = tensor.transpose(perm + [n + p for p in perm])
+    dims = list(layout.dims)
+    tensor = matrix.reshape(dims + dims).transpose(perm + [n + p for p in perm])
     d = layout.total_dim
     return np.ascontiguousarray(tensor.reshape(d, d))
 

@@ -17,6 +17,7 @@ from .hilbert import (
     DensityOperator,
     InvariantViolation,
     partial_trace,
+    permute_subsystems,
 )
 from .objectivity import ObjectiveSubspaceSpec
 from .tolerances import TOL
@@ -104,19 +105,9 @@ def mutual_information(rho: DensityOperator, part_a: Iterable[str],
 
 def _system_first(rho: DensityOperator, system: str) -> np.ndarray:
     """State tensor reshaped to (d_S, d_E, d_S, d_E) with the system leading."""
-    layout = rho.layout
-    if layout.labels[0] != system:
-        order = [system] + [lab for lab in layout.labels if lab != system]
-        dims = list(layout.dims)
-        n = len(dims)
-        perm = [layout.axis_of(lab) for lab in order]
-        tensor = rho.matrix.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-        d = layout.total_dim
-        matrix = tensor.reshape(d, d)
-        d_s = layout.dim_of(system)
-    else:
-        matrix = rho.matrix
-        d_s = layout.dims[0]
+    order = [system] + [lab for lab in rho.layout.labels if lab != system]
+    matrix = permute_subsystems(rho.matrix, rho.layout, order)
+    d_s = rho.layout.dim_of(system)
     d_e = rho.layout.total_dim // d_s
     return matrix.reshape(d_s, d_e, d_s, d_e)
 
@@ -244,13 +235,7 @@ def _conditional_blocks(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     frag_layout = rho.layout.subset(fragment_labels)
     d_f = frag_layout.total_dim
 
-    order = [sys_label] + fragment_labels
-    layout = rho.layout
-    dims = list(layout.dims)
-    n = len(dims)
-    perm = [layout.axis_of(lab) for lab in order]
-    tensor = rho.matrix.reshape(dims + dims).transpose(perm + [n + p for p in perm])
-    mat = tensor.reshape(layout.total_dim, layout.total_dim)
+    mat = permute_subsystems(rho.matrix, rho.layout, [sys_label] + fragment_labels)
     basis = spec.system_basis
     # Rotate the system into the preferred basis, then read off blocks.
     rot = np.kron(basis.conj().T, np.eye(d_f))

@@ -233,23 +233,22 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
 
 
 def objectivity_operation_isbs(rho: DensityOperator, basis: np.ndarray | None,
-                               fragment: Iterable[str]) -> DensityOperator:
-    """Project onto correlated rank-1 subspaces |i...i><i...i| over S and F.
+                               labels: Iterable[str]) -> DensityOperator:
+    """Project onto correlated rank-1 subspaces |i...i><i...i| over ``labels``.
 
+    ``labels`` names the system and every fragment subsystem; the projector
+    is symmetric under their exchange, so their order does not matter.
     ``basis`` holds the shared local kets as columns (computational when
-    None); every fragment subsystem must have the same local dimension as the
-    system.  Built directly from assembled product kets, independently of the
+    None); every listed subsystem must have the basis dimension.  Built
+    directly from assembled product kets, independently of the
     subspace-projector route.
     """
-    fragment = set(fragment)
-    unknown = fragment - set(rho.layout.labels)
+    wanted = set(labels)
+    unknown = wanted - set(rho.layout.labels)
     if unknown:
-        raise InvariantViolation(f"unknown fragment labels {sorted(unknown)}")
-    system_label = rho.layout.labels[0]  # canonical order puts the system first
-    labels = [system_label] + [
-        lab for lab in rho.layout.labels[1:] if lab in fragment
-    ]
-    d = rho.layout.dim_of(system_label)
+        raise InvariantViolation(f"unknown labels {sorted(unknown)}")
+    labels = [lab for lab in rho.layout.labels if lab in wanted]
+    d = rho.layout.dim_of(labels[0])
     kets = np.eye(d, dtype=np.complex128) if basis is None else np.asarray(basis, dtype=np.complex128)
     dev = float(np.max(np.abs(kets.conj().T @ kets - np.eye(d))))
     if dev > TOL.projector:
@@ -257,7 +256,7 @@ def objectivity_operation_isbs(rho: DensityOperator, basis: np.ndarray | None,
     for lab in labels:
         if rho.layout.dim_of(lab) != d:
             raise InvariantViolation(
-                f"subsystem {lab!r} dimension differs from the system's"
+                f"subsystem {lab!r} dimension differs from {labels[0]!r}'s"
             )
     out = np.zeros_like(rho.matrix)
     for i in range(d):
@@ -268,16 +267,6 @@ def objectivity_operation_isbs(rho: DensityOperator, basis: np.ndarray | None,
         p_full = embed_operator(rho.layout, proj, labels)
         out += p_full @ rho.matrix @ p_full
     return DensityOperator(rho.layout, out)
-
-
-def _rank1_ket(projector: np.ndarray) -> np.ndarray:
-    """Extract the defining ket of a rank-1 projector."""
-    col = int(np.argmax(np.linalg.norm(projector, axis=0)))
-    v = projector[:, col]
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise InvariantViolation("projector is numerically zero")
-    return v / norm
 
 
 def isbs_basis_from_spec(spec: ObjectiveSubspaceSpec) -> np.ndarray:
@@ -293,12 +282,12 @@ def isbs_basis_from_spec(spec: ObjectiveSubspaceSpec) -> np.ndarray:
                 raise InvariantViolation(
                     f"environment {name!r} dimension differs from the system's"
                 )
-            if abs(float(np.trace(p).real) - 1.0) > 1e-9:
+            if abs(float(np.trace(p).real) - 1.0) > TOL.isbs_projector:
                 raise InvariantViolation(
                     f"projector {name!r}[{i}] is not rank-1; not a basis-style spec"
                 )
             want = np.outer(spec.system_ket(i), spec.system_ket(i).conj())
-            if float(np.max(np.abs(p - want))) > 1e-9:
+            if float(np.max(np.abs(p - want))) > TOL.isbs_projector:
                 raise InvariantViolation(
                     f"projector {name!r}[{i}] is not aligned with the system basis"
                 )
@@ -319,9 +308,9 @@ def nonobjectivity_measure(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
     if framework == FRAMEWORK_SQD:
         gamma = objectivity_operation_sqd(rho_sf, spec, fragment=None)
     elif framework == FRAMEWORK_ISBS:
-        basis = isbs_basis_from_spec(spec)
         fragment = [lab for lab in rho_sf.layout.labels if lab != spec.system_label]
-        gamma = objectivity_operation_isbs(rho_sf, basis, fragment)
+        gamma = objectivity_operation_isbs(rho_sf, isbs_basis_from_spec(spec),
+                                           [spec.system_label, *fragment])
     else:
         raise InvariantViolation(f"unknown framework {framework!r}")
     return trace_norm_distance(rho_sf, gamma)

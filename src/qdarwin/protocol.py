@@ -7,18 +7,22 @@ in the computational basis.  The witness is built from the per-outcome
 probability differences of the two branches; the subset maximization over
 outcomes never needs extra measurement settings.
 
-Monte Carlo mode realizes the noise stochastically run by run (global mixing
-as a coin flip, local depolarization as independent photon replacements,
-depolarizing CNOTs as per-gate coins) and post-selects on parity-check
-hardware success.  Per-run randomness comes from counter-style stream
-splitting, so results are bit-reproducible for a given seed regardless of
-evaluation order.
+Both modes run one pipeline, ``_prepare`` followed by ``_branch``.  Every
+noise event in it replaces some photons by I/d with a weight: global mixing
+or local depolarization of strength p, depolarizing preparation CNOTs that
+keep their output with weight f, and parity checks whose two depolarizing
+CNOTs scramble the checked environment with weight 1 - f^2.  Monte Carlo
+mode realizes these events run by run as 0/1 coins and post-selects on
+parity-check hardware success; exact mode passes the probabilities, so it is
+the expectation of the run-by-run statistics.  Per-run randomness comes from
+counter-style stream splitting, so results are bit-reproducible for a given
+seed regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +32,7 @@ from .channels import (
     HADAMARD,
     NoiseConfig,
     apply_gate,
-    depolarize_local,
-    mix_with_noise,
-    noisy_cnot,
+    depolarize_subsystems,
     point_channel,
 )
 from .hilbert import (
@@ -39,7 +41,6 @@ from .hilbert import (
     PureState,
     TensorLayout,
     computational_ket,
-    maximally_mixed,
     partial_trace,
 )
 from .objectivity import (
@@ -139,12 +140,27 @@ class ProtocolConfig:
             a, b = self.branch_shots
             if a < 1 or b < 1:
                 raise InvariantViolation("branch_shots entries must be positive")
+        if self.framework == FRAMEWORK_ISBS and self.cnot_model != CNOT_IDEAL:
+            raise InvariantViolation(
+                f"cnot_model {self.cnot_model!r} needs the SQD framework: "
+                "the ISBS GHZ state is prepared without CNOTs")
+        if self.framework == FRAMEWORK_ISBS and self.noise.p_cnot < 1.0:
+            raise InvariantViolation(
+                f"p_cnot {self.noise.p_cnot} < 1 needs the SQD framework: "
+                "ISBS runs no parity-check CNOTs")
         spec = self.subspace if self.subspace is not None else default_spec(self.framework)
         unknown = set(self.fragment) - set(spec.environment_names)
         if unknown:
             raise InvariantViolation(
                 f"fragment environments {sorted(unknown)} not in the subspace spec"
             )
+        if self.subspace is not None:
+            labels = {spec.system_label, *spec.members_of(spec.environment_names)}
+            outside = labels - set(default_layout(self.framework).labels)
+            if outside:
+                raise InvariantViolation(
+                    f"subspace labels {sorted(outside)} are not in the "
+                    f"{self.framework} layout")
 
     def split_shots(self) -> tuple[int, int]:
         if self.branch_shots is not None:
@@ -345,7 +361,54 @@ def _sqd_base_state() -> DensityOperator:
     return PureState(layout, amps).to_density()
 
 
+def _isbs_base_state() -> DensityOperator:
+    """Five-photon GHZ state."""
+    amps = np.zeros(32, dtype=np.complex128)
+    amps[0] = 1.0 / math.sqrt(2.0)
+    amps[-1] = 1.0 / math.sqrt(2.0)
+    return PureState(isbs_layout(), amps).to_density()
+
+
 _SQD_PREP_CNOTS = (("S", "E1_1"), ("S", "E2_1"))
+
+
+def _noise_sites(mode: str, layout: TensorLayout) -> list[tuple[str, ...]]:
+    """Subsystem groups the added noise replaces: all at once, or one by one."""
+    if mode == "mix_global":
+        return [layout.labels]
+    return [(label,) for label in layout.labels]
+
+
+def _prepare(framework: str, mode: str, cnot_keep: Sequence[float],
+             noise_weights: Sequence[float]) -> DensityOperator:
+    """Initial state as a mixture over the noise events of the preparation.
+
+    Each SQD preparation CNOT keeps its ideal output with weight
+    ``cnot_keep[k]`` and otherwise replaces its two qubits by I/4; then each
+    noise site (see ``_noise_sites``) is replaced by I/d with weight
+    ``noise_weights[k]``.  Exact mode passes the probabilities f and p, a
+    Monte Carlo realization its 0/1 coins.  The ISBS GHZ state is prepared
+    without CNOTs, so ``cnot_keep`` only applies to SQD.
+    """
+    if framework == FRAMEWORK_SQD:
+        rho = _sqd_base_state()
+        for (control, target), keep in zip(_SQD_PREP_CNOTS, cnot_keep, strict=True):
+            if keep != 0:  # a fully replaced pair keeps no trace of the gate
+                rho = apply_gate(rho, CNOT, [control, target])
+            rho = depolarize_subsystems(rho, [control, target], keep, 1.0 - keep)
+    else:
+        rho = _isbs_base_state()
+    sites = _noise_sites(mode, rho.layout)
+    for labels, weight in zip(sites, noise_weights, strict=True):
+        rho = depolarize_subsystems(rho, labels, 1.0 - weight, weight)
+    return rho
+
+
+def _prepare_exact(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
+    f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
+    n_sites = len(_noise_sites(noise.mode, default_layout(framework)))
+    return _prepare(framework, noise.mode, (f,) * len(_SQD_PREP_CNOTS),
+                    (noise.p,) * n_sites)
 
 
 def prepare_initial_sqd(noise: NoiseConfig,
@@ -357,32 +420,16 @@ def prepare_initial_sqd(noise: NoiseConfig,
     the system with the environment parities.  The configured noise (global
     mixing or local depolarization of strength p) is applied afterwards.
     """
-    rho = _sqd_base_state()
-    for control, target in _SQD_PREP_CNOTS:
-        if cnot_model == CNOT_IDEAL:
-            rho = apply_gate(rho, CNOT, [control, target])
-        else:
-            rho = noisy_cnot(rho, control, target, noise.f)
-    return _apply_noise(rho, noise)
+    return _prepare_exact(FRAMEWORK_SQD, noise, cnot_model)
 
 
 def prepare_initial_isbs(noise: NoiseConfig,
                          cnot_model: str = CNOT_IDEAL) -> DensityOperator:
-    """Five-photon GHZ state followed by the configured noise."""
-    layout = isbs_layout()
-    amps = np.zeros(32, dtype=np.complex128)
-    amps[0] = 1.0 / math.sqrt(2.0)
-    amps[-1] = 1.0 / math.sqrt(2.0)
-    rho = PureState(layout, amps).to_density()
-    return _apply_noise(rho, noise)
+    """Five-photon GHZ state followed by the configured noise.
 
-
-def _apply_noise(rho: DensityOperator, noise: NoiseConfig) -> DensityOperator:
-    if noise.p == 0.0:
-        return rho
-    if noise.mode == "mix_global":
-        return mix_with_noise(rho, noise.p)
-    return depolarize_local(rho, noise.p, rho.layout.labels)
+    The GHZ state is prepared without CNOTs, so ``cnot_model`` has no effect.
+    """
+    return _prepare_exact(FRAMEWORK_ISBS, noise, cnot_model)
 
 
 def prepare_initial(config: ProtocolConfig) -> DensityOperator:
@@ -398,58 +445,43 @@ def prepare_initial(config: ProtocolConfig) -> DensityOperator:
 def _apply_gamma(rho: DensityOperator, ctx: _Context) -> DensityOperator:
     if ctx.config.framework == FRAMEWORK_SQD:
         return objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
-    return objectivity_operation_isbs(rho, ctx.isbs_basis, ctx.fragment_members)
+    return objectivity_operation_isbs(rho, ctx.isbs_basis,
+                                      [ctx.spec.system_label, *ctx.fragment_members])
 
 
-def _parity_scramble(rho: DensityOperator, ctx: _Context,
-                     weight: float) -> DensityOperator:
-    """Depolarize each fragment environment pair with the given weight.
+def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
+            scramble_weights: Sequence[float]) -> np.ndarray:
+    """Computational-basis outcome probabilities over the full register.
 
-    Models imperfect parity-check CNOTs inside the objectivity operation:
-    each check is built from two depolarizing CNOTs, so the acted pair is
-    scrambled to the maximally mixed state with weight 1 - f^2.
+    Applies the point channel on the unaccessed environments and, in the
+    projected branch, scrambles each fragment environment to I/d with weight
+    ``scramble_weights[k]`` (its parity check's two depolarizing CNOTs, so
+    1 - f^2 in exact mode) before the objectivity operation; then the final
+    unitary.  A null projected state yields the all-zero vector.
     """
-    out = rho
-    for name in ctx.fragment:
-        members = ctx.spec.members_of([name])
-        d = np.prod([out.layout.dim_of(m) for m in members])
-        scrambled = point_channel(
-            out, members,
-            DensityOperator(out.layout.subset(members),
-                            np.eye(int(d), dtype=np.complex128) / float(d)),
-        )
-        out = DensityOperator(out.layout,
-                              weight * scrambled.matrix + (1.0 - weight) * out.matrix)
-    return out
-
-
-def _branch_state(rho_t: DensityOperator, ctx: _Context,
-                  apply_gamma: bool, scramble_weight: float = 0.0) -> DensityOperator:
-    rho = rho_t
     if ctx.ef_members:
         rho = point_channel(rho, ctx.ef_members, ctx.replacement)
     if apply_gamma:
-        if scramble_weight > 0.0:
-            rho = _parity_scramble(rho, ctx, scramble_weight)
+        for name, weight in zip(ctx.fragment, scramble_weights):
+            rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
+                                        1.0 - weight, weight)
         rho = _apply_gamma(rho, ctx)
-    return apply_gate(rho, ctx.unitary, list(rho.layout.labels))
+    final = apply_gate(rho, ctx.unitary, list(rho.layout.labels))
+    return np.clip(np.diag(final.matrix).real, 0.0, None)
+
+
+def _exact_scramble(ctx: _Context) -> tuple[float, ...]:
+    if ctx.config.cnot_model != CNOT_NOISY_PREP_PARITY:
+        return ()
+    return (1.0 - ctx.config.noise.f ** 2,) * len(ctx.fragment)
 
 
 def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
                apply_gamma: bool) -> np.ndarray:
-    """Computational-basis outcome probabilities over the full register.
-
-    Applies the point channel on the unaccessed environments, optionally the
-    objectivity operation on the system-fragment, then the final unitary.  A
-    null projected state yields the all-zero vector.
-    """
+    """Exact outcome probabilities of one branch over the full register (see
+    ``_branch``), with the context resolved on ``rho_t``'s layout."""
     ctx = _resolve_context(config, rho_t.layout)
-    scramble = 0.0
-    if apply_gamma and config.framework == FRAMEWORK_SQD \
-            and config.cnot_model == CNOT_NOISY_PREP_PARITY:
-        scramble = 1.0 - config.noise.f ** 2
-    final = _branch_state(rho_t, ctx, apply_gamma, scramble)
-    return np.clip(np.diag(final.matrix).real, 0.0, None)
+    return _branch(rho_t, ctx, apply_gamma, _exact_scramble(ctx))
 
 
 def _marginalize_to_sf(vector: np.ndarray, layout: TensorLayout,
@@ -483,38 +515,14 @@ def _max_subset(differences: np.ndarray) -> float:
     return max(positive, -negative)
 
 
-# ---------------------------------------------------------------------------
-# Exact mode
-# ---------------------------------------------------------------------------
-
-def witness_exact(config: ProtocolConfig) -> WitnessReport:
-    """Evaluate the witness from exact branch probability vectors.
-
-    The accompanying non-objectivity measure is computed on the post-noise,
-    pre-point-channel reduced system-fragment state.  The lower-bound
-    invariant (witness <= measure) is asserted whenever the objectivity
-    operation itself is noiseless.
-    """
-    if config.shots != 0:
-        raise InvariantViolation("exact mode requires shots = 0")
-    ctx = _resolve_context(config)
-    rho_t = prepare_initial(config)
-
+def _report(ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray, p_g: np.ndarray,
+            stderr: float | None, successful_runs: int) -> WitnessReport:
+    """Report of either mode.  The accompanying non-objectivity measure is
+    computed on the system-fragment marginal of the prepared state ``rho_t``
+    (post-noise, pre-point-channel)."""
+    config = ctx.config
     rho_sf = partial_trace(rho_t, set(ctx.sf_labels))
-    measure = nonobjectivity_measure(rho_sf, ctx.spec, config.framework)
-
-    v_id = run_branch(rho_t, config, apply_gamma=False)
-    v_g = run_branch(rho_t, config, apply_gamma=True)
-    p_id = _marginalize_to_sf(v_id, ctx.layout, ctx.sf_labels)
-    p_g = _marginalize_to_sf(v_g, ctx.layout, ctx.sf_labels)
-
     diffs = p_id - p_g
-    witness = _max_subset(diffs)
-    if config.cnot_model != CNOT_NOISY_PREP_PARITY:
-        if witness > measure + TOL.witness_bound_slack:
-            raise InvariantViolation(
-                f"witness {witness} exceeds measure {measure} beyond tolerance"
-            )
     return WitnessReport(
         framework=config.framework,
         fragment=ctx.fragment,
@@ -522,90 +530,66 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
         p_identity=p_id,
         p_gamma=p_g,
         witness_single=np.abs(diffs),
-        witness_max_subset=witness,
-        measure=measure,
-        stderr_max_subset=None,
-        successful_runs=0,
-        shots=0,
+        witness_max_subset=_max_subset(diffs),
+        measure=nonobjectivity_measure(rho_sf, ctx.spec, config.framework),
+        stderr_max_subset=stderr,
+        successful_runs=successful_runs,
+        shots=config.shots,
         seed=config.seed,
-        mode="exact",
+        mode="exact" if config.shots == 0 else "monte_carlo",
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact mode
+# ---------------------------------------------------------------------------
+
+def witness_exact(config: ProtocolConfig) -> WitnessReport:
+    """Evaluate the witness from exact branch probability vectors.
+
+    The lower-bound invariant (witness <= measure) is asserted whenever the
+    objectivity operation itself is noiseless.
+    """
+    if config.shots != 0:
+        raise InvariantViolation("exact mode requires shots = 0")
+    ctx = _resolve_context(config)
+    rho_t = prepare_initial(config)
+    v_id = _branch(rho_t, ctx, apply_gamma=False, scramble_weights=())
+    v_g = _branch(rho_t, ctx, apply_gamma=True, scramble_weights=_exact_scramble(ctx))
+    report = _report(ctx, rho_t, _marginalize_to_sf(v_id, ctx.layout, ctx.sf_labels),
+                     _marginalize_to_sf(v_g, ctx.layout, ctx.sf_labels), None, 0)
+    witness, measure = report.witness_max_subset, report.measure
+    if config.cnot_model != CNOT_NOISY_PREP_PARITY \
+            and witness > measure + TOL.witness_bound_slack:
+        raise InvariantViolation(
+            f"witness {witness} exceeds measure {measure} beyond tolerance"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo mode
 # ---------------------------------------------------------------------------
 
-def _realization_state(ctx: _Context, noise_bits: tuple[int, ...],
-                       prep_bits: tuple[int, ...]) -> DensityOperator:
-    """Exact state of one stochastic realization of preparation and noise."""
-    config = ctx.config
-    if config.framework == FRAMEWORK_SQD:
-        rho = _sqd_base_state()
-        for (control, target), bit in zip(_SQD_PREP_CNOTS, prep_bits or (0, 0)):
-            if bit:
-                # Depolarized gate realization: the acted pair is replaced by
-                # the maximally mixed pair (the marginal is CNOT-invariant).
-                pair = rho.layout.subset([control, target])
-                rho = point_channel(rho, [control, target],
-                                    DensityOperator(pair, np.eye(4) / 4.0))
-            else:
-                rho = apply_gate(rho, CNOT, [control, target])
-    else:
-        rho = prepare_initial_isbs(NoiseConfig(p=0.0), CNOT_IDEAL)
+def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int],
+                     prep_bits: Sequence[int], parity_bits: Sequence[int]) -> np.ndarray:
+    """Outcome pmf of one realization over the system-fragment register,
+    with the null mass appended.
 
-    if config.noise.mode == "mix_global":
-        if noise_bits and noise_bits[0]:
-            rho = maximally_mixed(rho.layout)
-    else:
-        for label, bit in zip(rho.layout.labels, noise_bits):
-            if bit:
-                d = rho.layout.dim_of(label)
-                rho = point_channel(rho, [label],
-                                    DensityOperator(rho.layout.subset([label]),
-                                                    np.eye(d) / d))
-    return rho
-
-
-def _realization_distribution(ctx: _Context, apply_gamma: bool,
-                              noise_bits: tuple[int, ...],
-                              prep_bits: tuple[int, ...],
-                              parity_bits: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Outcome pmf over the system-fragment register plus the null mass.
-
-    The objectivity operation's measurement cascade (system measurement plus
+    The realization runs the exact pipeline with its coins as weights.  The
+    objectivity operation's measurement cascade (system measurement plus
     per-environment parity checks, mismatches recorded as the null outcome)
     is aggregated analytically: conditioned on the realization, the sampled
     outcome distribution equals the projected state's outcome distribution
     with the missing trace as the null mass.
     """
-    rho = _realization_state(ctx, noise_bits, prep_bits)
-    scramble_envs = ()
-    if apply_gamma and parity_bits:
-        scramble_envs = tuple(
-            name for name, bits in zip(ctx.fragment, _pairs(parity_bits))
-            if any(bits)
-        )
-    out = rho
-    if ctx.ef_members:
-        out = point_channel(out, ctx.ef_members, ctx.replacement)
-    if apply_gamma:
-        for name in scramble_envs:
-            members = ctx.spec.members_of([name])
-            d = int(np.prod([out.layout.dim_of(m) for m in members]))
-            out = point_channel(out, members,
-                                DensityOperator(out.layout.subset(members),
-                                                np.eye(d) / d))
-        out = _apply_gamma(out, ctx)
-    final = apply_gate(out, ctx.unitary, list(out.layout.labels))
-    vector = np.clip(np.diag(final.matrix).real, 0.0, None)
-    pmf = _marginalize_to_sf(vector, ctx.layout, ctx.sf_labels)
-    null_mass = max(0.0, 1.0 - float(pmf.sum()))
-    return pmf, null_mass
-
-
-def _pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(bits[2 * k], bits[2 * k + 1]) for k in range(len(bits) // 2)]
+    cnot_keep = [1 - bit for bit in prep_bits] or [1] * len(_SQD_PREP_CNOTS)
+    rho = _prepare(ctx.config.framework, ctx.config.noise.mode, cnot_keep, noise_bits)
+    # A parity check scrambles its environment when either of its CNOTs fails.
+    scramble = [a | b for a, b in zip(parity_bits[0::2], parity_bits[1::2])]
+    pmf = _marginalize_to_sf(_branch(rho, ctx, apply_gamma, scramble),
+                             ctx.layout, ctx.sf_labels)
+    return np.append(pmf, max(0.0, 1.0 - float(pmf.sum())))
 
 
 @dataclass
@@ -625,21 +609,14 @@ class _BranchPlan:
 
 def _branch_plan(ctx: _Context, apply_gamma: bool) -> _BranchPlan:
     config = ctx.config
-    n_noise = 1 if config.noise.mode == "mix_global" else len(ctx.layout)
-    n_prep = 0
-    n_parity = 0
-    use_hw = False
-    hw_success = 1.0
-    if config.framework == FRAMEWORK_SQD:
-        if config.cnot_model in (CNOT_NOISY_PREP, CNOT_NOISY_PREP_PARITY):
-            n_prep = len(_SQD_PREP_CNOTS)
-        if apply_gamma:
-            if config.cnot_model == CNOT_NOISY_PREP_PARITY:
-                n_parity = 2 * len(ctx.fragment)
-            if config.noise.p_cnot < 1.0:
-                use_hw = True
-                hw_success = config.noise.p_cnot ** (2 * len(ctx.fragment))
-    return _BranchPlan(n_noise, n_prep, n_parity, use_hw, hw_success)
+    n_checks = 2 * len(ctx.fragment)  # two CNOTs per parity check
+    return _BranchPlan(
+        n_noise=len(_noise_sites(config.noise.mode, ctx.layout)),
+        n_prep=0 if config.cnot_model == CNOT_IDEAL else len(_SQD_PREP_CNOTS),
+        n_parity=n_checks if apply_gamma and config.cnot_model == CNOT_NOISY_PREP_PARITY else 0,
+        use_hardware=apply_gamma and config.noise.p_cnot < 1.0,
+        hardware_success=config.noise.p_cnot ** n_checks,
+    )
 
 
 def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int,
@@ -705,9 +682,7 @@ def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int,
             key = keys[r]
             cdf = cache.get(key)
             if cdf is None:
-                pmf, null_mass = _realization_distribution(
-                    ctx, apply_gamma, key[0], key[1], key[2])
-                cdf = np.cumsum(np.append(pmf, null_mass))
+                cdf = np.cumsum(_realization_pmf(ctx, apply_gamma, *key))
                 total = cdf[-1]
                 if total > 0:
                     cdf = cdf / total
@@ -758,31 +733,9 @@ def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
     counts_id, _, _ = _sample_branch(ctx, apply_gamma=False, wanted=n_id, branch_tag=0)
     counts_g, null_g, _ = _sample_branch(ctx, apply_gamma=True, wanted=n_g, branch_tag=1)
 
-    p_id = counts_id / n_id
-    p_g = counts_g / n_g
-    diffs = p_id - p_g
-    witness = _max_subset(diffs)
     stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
-
-    rho_t = prepare_initial(config)
-    rho_sf = partial_trace(rho_t, set(ctx.sf_labels))
-    measure = nonobjectivity_measure(rho_sf, ctx.spec, config.framework)
-
-    return WitnessReport(
-        framework=config.framework,
-        fragment=ctx.fragment,
-        outcome_labels=_outcome_labels(ctx.layout, ctx.sf_labels),
-        p_identity=p_id,
-        p_gamma=p_g,
-        witness_single=np.abs(diffs),
-        witness_max_subset=witness,
-        measure=measure,
-        stderr_max_subset=stderr,
-        successful_runs=n_id + n_g,
-        shots=config.shots,
-        seed=config.seed,
-        mode="monte_carlo",
-    )
+    return _report(ctx, prepare_initial(config), counts_id / n_id, counts_g / n_g,
+                   stderr, n_id + n_g)
 
 
 def run_witness(config: ProtocolConfig) -> WitnessReport:

@@ -8,7 +8,7 @@ Config parsing reports the offending field by name on any malformed input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -217,7 +217,11 @@ def config_from_dict(data: Mapping[str, Any],
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep over noise strengths and fragment choices."""
+    """One sweep over noise strengths and fragment choices.
+
+    Every point's config is built (and so validated) at construction and
+    kept in ``points`` as (p, fragment, config) in run order.
+    """
 
     framework: str
     noise_mode: str
@@ -230,6 +234,8 @@ class SweepSpec:
     p_cnot: float = 1.0
     cnot_model: str = CNOT_IDEAL
     subspace: Any = None
+    points: tuple[tuple[float, tuple[str, ...], ProtocolConfig], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.p_values:
@@ -238,23 +244,19 @@ class SweepSpec:
             raise ConfigError("field 'p_values': must be sorted ascending")
         if not self.fragments:
             raise ConfigError("field 'fragments': must be nonempty")
-
-    def configs(self) -> list[tuple[float, tuple[str, ...], ProtocolConfig]]:
-        out = []
-        for fragment in self.fragments:
-            for p in self.p_values:
-                config = ProtocolConfig(
-                    framework=self.framework,
-                    fragment=fragment,
-                    noise=NoiseConfig(p=p, mode=self.noise_mode, f=self.f,
-                                      p_cnot=self.p_cnot),
-                    shots=self.shots,
-                    seed=self.seed,
-                    cnot_model=self.cnot_model,
-                    subspace=self.subspace,
-                )
-                out.append((p, fragment, config))
-        return out
+        object.__setattr__(self, "points", tuple(
+            (p, fragment, ProtocolConfig(
+                framework=self.framework,
+                fragment=fragment,
+                noise=NoiseConfig(p=p, mode=self.noise_mode, f=self.f,
+                                  p_cnot=self.p_cnot),
+                shots=self.shots,
+                seed=self.seed,
+                cnot_model=self.cnot_model,
+                subspace=self.subspace,
+            ))
+            for fragment in self.fragments for p in self.p_values
+        ))
 
 
 def sweep_from_dict(data: Mapping[str, Any],

@@ -22,6 +22,7 @@ class Tolerances:
     pure_norm: float = 1e-12            # |norm^2 - 1| for state vectors
     unitarity: float = 1e-10            # max |U^dag U - I| entry
     projector: float = 1e-10            # idempotence / orthogonality of projectors
+    isbs_projector: float = 1e-9        # rank-1 trace and basis alignment of ISBS specs
 
     # Measurement
     povm_completeness: float = 1e-8     # sum of effects vs identity

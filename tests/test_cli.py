@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qdarwin import NoiseConfig, maximally_mixed, prepare_initial_isbs, prepare_initial_sqd, sqd_layout
 from qdarwin.cli import main
@@ -214,6 +215,32 @@ def test_sweep_unwritable_path(tmp_path, capsys):
                            "--out", str(tmp_path / "missing" / "out.csv"))
     assert code == 2
     assert "cannot write" in err
+
+
+_E1_KETS = [[[[1, 0], [0, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("witness", {"framework": "ISBS", "fragment": ["E1"], "cnot_model": "noisy_prep",
+                 "noise": {"p": 0.1, "f": 0.9}}, "cnot_model"),
+    ("witness", {"framework": "ISBS", "fragment": ["E1"], "shots": 100,
+                 "noise": {"p": 0.1, "p_cnot": 0.01}}, "p_cnot"),
+    ("sweep", {"framework": "SQD", "cnot_model": "bogus", "p_values": [0.1],
+               "fragments": [["E1"]]}, "cnot_model"),
+    ("sweep", {"framework": "SQD", "noise_mode": "bogus", "p_values": [0.1],
+               "fragments": [["E1"]]}, "noise mode"),
+    ("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["X1", "X2"]}, "basis_vectors": {"E1": _E1_KETS}}},
+     "subspace"),
+])
+def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
+    # Configs the pipeline would silently mis-run, or only reject mid-run,
+    # are refused while parsing.
+    cfg = write_config(tmp_path, "c.json", payload)
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_sweep_isbs_families(tmp_path, capsys):

@@ -1,0 +1,128 @@
+"""Byte-for-byte golden outputs of the CLI for fixed-seed configs.
+
+The cases cover exact and Monte Carlo witness runs on both frameworks, every
+noise mode and CNOT model, an explicit branch split, the Monte Carlo abort
+message, the shipped sweeps and the structure checks of the shipped states.
+Any refactor of the pipeline or the sampler must keep these bytes.
+
+Regenerate the data file (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qdarwin.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_reports.json"
+
+WITNESS_CASES = {
+    "sqd_exact_mix_e1": {
+        "framework": "SQD", "fragment": ["E1"], "noise": {"p": 0.4}},
+    "sqd_exact_local_e1e2": {
+        "framework": "SQD", "fragment": ["E1", "E2"],
+        "noise": {"p": 0.3, "mode": "depolarize_local"}},
+    "sqd_exact_noisy_prep": {
+        "framework": "SQD", "fragment": ["E1", "E2"], "cnot_model": "noisy_prep",
+        "noise": {"p": 0.25, "mode": "depolarize_local", "f": 0.8}},
+    "sqd_exact_noisy_parity_mix": {
+        "framework": "SQD", "fragment": ["E1", "E2"], "cnot_model": "noisy_prep_parity",
+        "noise": {"p": 0.2, "f": 0.85, "p_cnot": 0.7}},
+    "sqd_exact_noisy_parity_local_e2": {
+        "framework": "SQD", "fragment": ["E2"], "cnot_model": "noisy_prep_parity",
+        "unitary": "all_hadamards",
+        "noise": {"p": 0.15, "mode": "depolarize_local", "f": 0.9}},
+    "isbs_exact_mix_e1e2": {
+        "framework": "ISBS", "fragment": ["E1", "E2"], "noise": {"p": 0.3}},
+    "isbs_exact_local_e1e2e3": {
+        "framework": "ISBS", "fragment": ["E1", "E2", "E3"],
+        "noise": {"p": 0.2, "mode": "depolarize_local"}},
+    "sqd_mc_shipped_noisy_prep": "configs/witness_mc_noisy.json",
+    "sqd_mc_mix_e1": {
+        "framework": "SQD", "fragment": ["E1"], "noise": {"p": 0.3},
+        "shots": 4000, "seed": 11},
+    "sqd_mc_noisy_parity_local": {
+        "framework": "SQD", "fragment": ["E1", "E2"], "cnot_model": "noisy_prep_parity",
+        "noise": {"p": 0.2, "mode": "depolarize_local", "f": 0.75, "p_cnot": 0.7},
+        "shots": 3000, "seed": 5},
+    "sqd_mc_branch_shots": {
+        "framework": "SQD", "fragment": ["E1", "E2"], "noise": {"p": 0.5},
+        "shots": 4000, "branch_shots": [1500, 2500], "seed": 3},
+    "isbs_mc_mix_all": {
+        "framework": "ISBS", "fragment": ["E1", "E2", "E3", "E4"], "noise": {"p": 0.4},
+        "shots": 4000, "seed": 17},
+    "isbs_mc_local_e1": {
+        "framework": "ISBS", "fragment": ["E1"],
+        "noise": {"p": 0.3, "mode": "depolarize_local"}, "shots": 3000, "seed": 23},
+    "sqd_mc_nonterminating": {
+        "framework": "SQD", "fragment": ["E1", "E2"], "noise": {"p_cnot": 0.005},
+        "shots": 50, "seed": 2},
+}
+
+CLI_CASES = {
+    "sweep_sqd_exact": ["sweep", "--config", "configs/sweep_sqd_exact.json"],
+    "sweep_isbs_exact": ["sweep", "--config", "configs/sweep_isbs_exact.json"],
+    "check_sqd_initial": ["check", "--state", "states/sqd_initial.json",
+                          "--subspace", "parity2"],
+    "check_ghz5": ["check", "--state", "states/ghz5.json", "--subspace", "computational"],
+    "check_maximally_mixed_sqd": ["check", "--state", "states/maximally_mixed_sqd.json",
+                                  "--subspace", "parity2"],
+}
+
+
+def _run(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI call, paths relative to the repo."""
+    argv = [str(REPO_ROOT / a) if a.startswith(("configs/", "states/")) else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _run_case(name: str) -> dict:
+    if name in CLI_CASES:
+        return _run(CLI_CASES[name])
+    config = WITNESS_CASES[name]
+    if isinstance(config, str):
+        return _run(["witness", "--config", config])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(config))
+        return _run(["witness", "--config", str(path)])
+
+
+ALL_CASES = sorted([*WITNESS_CASES, *CLI_CASES])
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == ALL_CASES
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_golden_output(golden, name):
+    assert _run_case(name) == golden[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    data = {name: _run_case(name) for name in ALL_CASES}
+    GOLDEN_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} cases to {GOLDEN_PATH}")

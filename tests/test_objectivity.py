@@ -130,8 +130,8 @@ def test_gamma_idempotent_both_frameworks(rng):
     lay_i = qubits("S", "E1", "E2")
     for _ in range(10):
         rho = random_density(lay_i, rng)
-        once = objectivity_operation_isbs(rho, None, ["E1", "E2"])
-        twice = objectivity_operation_isbs(once, None, ["E1", "E2"])
+        once = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
+        twice = objectivity_operation_isbs(once, None, ["S", "E1", "E2"])
         assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
 
 
@@ -154,7 +154,7 @@ def test_gamma_never_increases_trace_and_output_is_objective(rng):
 
 def test_isbs_gamma_on_ghz():
     ghz = prepare_initial_isbs(NoiseConfig())
-    out = objectivity_operation_isbs(ghz, None, ["E1", "E2", "E3", "E4"])
+    out = objectivity_operation_isbs(ghz, None, ["S", "E1", "E2", "E3", "E4"])
     expected = np.zeros((32, 32), complex)
     expected[0, 0] = 0.5
     expected[31, 31] = 0.5
@@ -163,8 +163,8 @@ def test_isbs_gamma_on_ghz():
 
 def test_isbs_gamma_fixed_point():
     ghz = prepare_initial_isbs(NoiseConfig())
-    dephased = objectivity_operation_isbs(ghz, None, ["E1", "E2", "E3", "E4"])
-    again = objectivity_operation_isbs(dephased, None, ["E1", "E2", "E3", "E4"])
+    dephased = objectivity_operation_isbs(ghz, None, ["S", "E1", "E2", "E3", "E4"])
+    again = objectivity_operation_isbs(dephased, None, ["S", "E1", "E2", "E3", "E4"])
     assert np.max(np.abs(again.matrix - dephased.matrix)) < 1e-12
 
 
@@ -172,7 +172,7 @@ def test_isbs_gamma_on_plus_product():
     lay = qubits("S", "E1", "E2")
     amps = np.full(8, 1 / np.sqrt(8), dtype=complex)
     rho = PureState(lay, amps).to_density()
-    out = objectivity_operation_isbs(rho, None, ["E1", "E2"])
+    out = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
     expected = np.zeros((8, 8), complex)
     expected[0, 0] = 1 / 8
     expected[7, 7] = 1 / 8
@@ -188,7 +188,7 @@ def test_isbs_gamma_equals_subspace_gamma_for_rank1_specs(rng):
     for _ in range(10):
         rho = random_density(lay, rng)
         via_subspace = objectivity_operation_sqd(rho, spec, ["E1", "E2"])
-        via_basis = objectivity_operation_isbs(rho, None, ["E1", "E2"])
+        via_basis = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
         assert np.max(np.abs(via_subspace.matrix - via_basis.matrix)) < 1e-12
 
 

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdarwin import (
     CNOT,
@@ -12,6 +13,7 @@ from qdarwin import (
     InvariantViolation,
     NoiseConfig,
     NonterminatingSampling,
+    ObjectiveSubspaceSpec,
     ProtocolConfig,
     PureState,
     WitnessReport,
@@ -29,7 +31,13 @@ from qdarwin import (
     witness_exact,
     witness_monte_carlo,
 )
-from qdarwin.protocol import _marginalize_to_sf, _max_subset, _resolve_context
+from qdarwin.protocol import (
+    _branch_plan,
+    _marginalize_to_sf,
+    _max_subset,
+    _realization_pmf,
+    _resolve_context,
+)
 
 from conftest import qubits, random_density, random_subspace_spec, random_unitary
 
@@ -398,6 +406,68 @@ def test_monte_carlo_nontermination_abort():
         noise=NoiseConfig(p_cnot=0.005), shots=100, seed=3)
     with pytest.raises(NonterminatingSampling):
         witness_monte_carlo(config)
+
+
+def test_isbs_gamma_picks_the_system_by_label():
+    # A computational spec naming E4 the system and S an environment describes
+    # the same symmetric GHZ experiment with the two photons' roles swapped.
+    rank1 = tuple(np.outer(k, k) for k in np.eye(2))
+    envs = {"E1": ("E1",), "E2": ("E2",), "E3": ("E3",), "S": ("S",)}
+    relabelled = ObjectiveSubspaceSpec("E4", np.eye(2), envs, {n: rank1 for n in envs})
+    for p, fragment in itertools.product((0.0, 0.3), (("E1",), ("E1", "E2"))):
+        noise = NoiseConfig(p=p)
+        default = witness_exact(ProtocolConfig(
+            framework="ISBS", fragment=fragment, noise=noise))
+        swapped = witness_exact(ProtocolConfig(
+            framework="ISBS", fragment=fragment, noise=noise, subspace=relabelled))
+        assert abs(swapped.measure - default.measure) < 1e-12
+        assert abs(swapped.witness_max_subset - default.witness_max_subset) < 1e-12
+        assert (default.measure > 0.1) == (p > 0.0)
+
+
+@st.composite
+def _small_noisy_configs(draw):
+    """Configs whose projected branch has at most 64 coin realizations."""
+    cnot_model = draw(st.sampled_from(["ideal", "noisy_prep", "noisy_prep_parity"]))
+    if cnot_model == "ideal":
+        framework = draw(st.sampled_from(["SQD", "ISBS"]))
+        mode = draw(st.sampled_from(["mix_global", "depolarize_local"]))
+    else:  # noisy CNOTs exist in SQD only; local noise would add five coins
+        framework, mode = "SQD", "mix_global"
+    envs = ["E1", "E2"] if framework == "SQD" else ["E1", "E2", "E3", "E4"]
+    max_size = 1 if cnot_model == "noisy_prep_parity" else len(envs)
+    fragment = draw(st.lists(st.sampled_from(envs), min_size=1, max_size=max_size,
+                             unique=True))
+    # Interior strengths give every realization a nonzero weight, so a wrong
+    # weight or coin rule shows; the 0/1 edges are pinned by test_golden.py.
+    strength = st.floats(0.05, 0.95)
+    noise = NoiseConfig(p=draw(strength), mode=mode, f=draw(strength))
+    return ProtocolConfig(framework=framework, fragment=tuple(fragment), noise=noise,
+                          cnot_model=cnot_model)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(config=_small_noisy_configs())
+def test_exact_mode_is_the_expectation_of_the_realizations(config):
+    # Each Monte Carlo realization fixes every noise coin; weighting the
+    # realization pmfs by the coins' probabilities gives exact mode.
+    ctx = _resolve_context(config)
+    exact = witness_exact(config)
+    p, gate_noise = config.noise.p, 1.0 - config.noise.f
+    for apply_gamma, expected in ((False, exact.p_identity), (True, exact.p_gamma)):
+        plan = _branch_plan(ctx, apply_gamma)
+        n_coins = plan.n_noise + plan.n_prep + plan.n_parity
+        assert 2 ** n_coins <= 64
+        total = np.zeros_like(expected)
+        for coins in itertools.product((0, 1), repeat=n_coins):
+            noise_bits = coins[:plan.n_noise]
+            gate_bits = coins[plan.n_noise:]
+            weight = np.prod([p if b else 1.0 - p for b in noise_bits]) * np.prod(
+                [gate_noise if b else config.noise.f for b in gate_bits])
+            pmf = _realization_pmf(ctx, apply_gamma, noise_bits,
+                                   gate_bits[:plan.n_prep], gate_bits[plan.n_prep:])
+            total += weight * pmf[:-1]
+        assert np.max(np.abs(total - expected)) < 1e-12
 
 
 def test_run_witness_dispatch():
