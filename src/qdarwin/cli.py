@@ -97,12 +97,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         spec = spec_from_dict(_read_json(args.subspace))
     if args.fragment:
         fragment = [f.strip() for f in args.fragment.split(",") if f.strip()]
+        try:
+            spec.select(fragment)
+        except InvariantViolation as exc:
+            raise ConfigError(f"field 'fragment': {exc}") from exc
     else:
-        present = set(rho.layout.labels)
-        fragment = [
-            name for name in spec.environment_names
-            if all(m in present for m in spec.members_of([name]))
-        ]
+        fragment = list(spec.environments_in(rho.layout.labels))
     if not fragment:
         raise ConfigError("field 'fragment': no spec environment is present in the state")
     verdict = check_structure(rho, spec, fragment)

@@ -271,10 +271,7 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     explicit bipartite block structure, and the pure product-conditional
     refinement.
     """
-    names = [n for n in spec.environment_names if n in set(fragment)]
-    missing = set(fragment) - set(names)
-    if missing:
-        raise InvariantViolation(f"environments {sorted(missing)} not in spec")
+    names = list(spec.select(fragment))
     members = spec.members_of(names)
     sys_label = spec.system_label
     rho_sf = partial_trace(rho, {sys_label, *members})

@@ -1,10 +1,11 @@
-"""Preferred objective subspaces, the projection-sum objectivity operations,
-and the trace-norm non-objectivity measures.
+"""Preferred objective subspaces, the projection-sum objectivity operation,
+and the trace-norm non-objectivity measure.
 
-Two operation variants exist: the subspace version, which pins a preferred
-system basis and a disjoint subspace partition of each environment, and the
-basis version, which pins a single correlated local basis across the system
-and every fragment environment (rank-1 conditional projectors).
+One operation serves both frameworks: a spec pins a preferred system basis
+and a disjoint subspace partition of each environment.  The basis framework
+is the same operation on a rank-1, basis-aligned spec, where every
+environment projector is the projector onto the system's matching basis ket
+(see ``require_basis_spec``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .hilbert import (
     trace_norm_distance,
 )
 from .tolerances import TOL
-
-FRAMEWORK_SQD = "SQD"
-FRAMEWORK_ISBS = "ISBS"
-
 
 # ---------------------------------------------------------------------------
 # Subspace specification
@@ -112,17 +109,26 @@ class ObjectiveSubspaceSpec:
     def environment_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.environments)
 
+    def select(self, fragment: Iterable[str]) -> tuple[str, ...]:
+        """The named environments in spec order; raises on unknown names."""
+        wanted = set(fragment)
+        missing = wanted - set(self.environment_names)
+        if missing:
+            raise InvariantViolation(
+                f"fragment environments {sorted(missing)} not in spec")
+        return tuple(name for name in self.environment_names if name in wanted)
+
+    def environments_in(self, labels: Iterable[str]) -> tuple[str, ...]:
+        """Environments whose subsystems are all among ``labels``, in spec order."""
+        present = set(labels)
+        return tuple(name for name, members in self.environments
+                     if present.issuperset(members))
+
     def members_of(self, names: Iterable[str]) -> list[str]:
         """Subsystem labels of the given environments, in spec order."""
-        wanted = set(names)
-        unknown = wanted - set(self.environment_names)
-        if unknown:
-            raise InvariantViolation(f"unknown environments {sorted(unknown)}")
-        out: list[str] = []
-        for name, members in self.environments:
-            if name in wanted:
-                out.extend(members)
-        return out
+        wanted = self.select(names)
+        return [m for name, members in self.environments if name in wanted
+                for m in members]
 
     def system_ket(self, i: int) -> np.ndarray:
         return self.system_basis[:, i]
@@ -176,10 +182,7 @@ def spec_from_basis_vectors(
 def fragment_projector(spec: ObjectiveSubspaceSpec, fragment: Iterable[str],
                        i: int) -> np.ndarray:
     """Tensor product of the index-i projectors of the fragment environments."""
-    names = [name for name in spec.environment_names if name in set(fragment)]
-    missing = set(fragment) - set(names)
-    if missing:
-        raise InvariantViolation(f"environments {sorted(missing)} not in spec")
+    names = spec.select(fragment)
     if not 0 <= i < spec.system_dim:
         raise InvariantViolation(f"index {i} out of range")
     out = np.array([[1.0 + 0.0j]])
@@ -188,41 +191,23 @@ def fragment_projector(spec: ObjectiveSubspaceSpec, fragment: Iterable[str],
     return out
 
 
-def _fragment_names(spec: ObjectiveSubspaceSpec, rho: DensityOperator,
-                    fragment: Iterable[str] | None) -> list[str]:
-    """Resolve the fragment environment names present in a state's layout."""
-    present = set(rho.layout.labels)
-    if fragment is None:
-        names = [
-            name for name, members in spec.environments
-            if all(m in present for m in members)
-        ]
-    else:
-        names = [name for name in spec.environment_names if name in set(fragment)]
-        missing = set(fragment) - set(names)
-        if missing:
-            raise InvariantViolation(f"environments {sorted(missing)} not in spec")
-    for name in names:
-        for member in spec.members_of([name]):
-            if member not in present:
-                raise InvariantViolation(
-                    f"state lacks subsystem {member!r} of environment {name!r}"
-                )
-    if spec.system_label not in present:
-        raise InvariantViolation(f"state lacks system {spec.system_label!r}")
-    return names
-
-
 def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
                               fragment: Iterable[str] | None = None) -> DensityOperator:
     """Project onto the preferred objective subspaces (possibly subnormalizing).
 
     Applies sum_i P_i rho P_i with P_i the system ket |i><i| tensored with the
     fragment projector of index i; identity acts on any further subsystems
-    carried by ``rho``.  A null output is legal.
+    carried by ``rho``.  A null output is legal.  The fragment defaults to
+    every environment the state carries in full.  This is the objectivity
+    operation of both frameworks: on a basis spec (``require_basis_spec``)
+    P_i is the correlated rank-1 projector |i...i><i...i|.
     """
-    names = _fragment_names(spec, rho, fragment)
+    present = rho.layout.labels
+    names = spec.environments_in(present) if fragment is None else spec.select(fragment)
     members = spec.members_of(names)
+    missing = [lab for lab in (spec.system_label, *members) if lab not in present]
+    if missing:
+        raise InvariantViolation(f"state lacks subsystems {missing}")
     out = np.zeros_like(rho.matrix)
     for i in range(spec.system_dim):
         ket = spec.system_ket(i)
@@ -232,70 +217,32 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     return DensityOperator(rho.layout, out)
 
 
-def objectivity_operation_isbs(rho: DensityOperator, basis: np.ndarray | None,
-                               labels: Iterable[str]) -> DensityOperator:
-    """Project onto correlated rank-1 subspaces |i...i><i...i| over ``labels``.
+def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:
+    """Check that a spec is a basis (ISBS) spec; raise otherwise.
 
-    ``labels`` names the system and every fragment subsystem; the projector
-    is symmetric under their exchange, so their order does not matter.
-    ``basis`` holds the shared local kets as columns (computational when
-    None); every listed subsystem must have the basis dimension.  Built
-    directly from assembled product kets, independently of the
-    subspace-projector route.
-    """
-    wanted = set(labels)
-    unknown = wanted - set(rho.layout.labels)
-    if unknown:
-        raise InvariantViolation(f"unknown labels {sorted(unknown)}")
-    labels = [lab for lab in rho.layout.labels if lab in wanted]
-    d = rho.layout.dim_of(labels[0])
-    kets = np.eye(d, dtype=np.complex128) if basis is None else np.asarray(basis, dtype=np.complex128)
-    dev = float(np.max(np.abs(kets.conj().T @ kets - np.eye(d))))
-    if dev > TOL.projector:
-        raise InvariantViolation("basis kets are not orthonormal")
-    for lab in labels:
-        if rho.layout.dim_of(lab) != d:
-            raise InvariantViolation(
-                f"subsystem {lab!r} dimension differs from {labels[0]!r}'s"
-            )
-    out = np.zeros_like(rho.matrix)
-    for i in range(d):
-        ket = np.array([1.0 + 0.0j])
-        for _ in labels:
-            ket = np.kron(ket, kets[:, i])
-        proj = np.outer(ket, ket.conj())
-        p_full = embed_operator(rho.layout, proj, labels)
-        out += p_full @ rho.matrix @ p_full
-    return DensityOperator(rho.layout, out)
-
-
-def isbs_basis_from_spec(spec: ObjectiveSubspaceSpec) -> np.ndarray:
-    """Shared local basis of a spec whose projectors are all rank-1.
-
-    Requires every environment to use the same rank-1 kets as the system
-    basis up to phase; raises otherwise.
+    Every environment projector must be rank-1 on a space of the system's
+    dimension and equal, up to phase, the projector onto the system basis
+    ket of the same index.
     """
     d = spec.system_dim
     for name in spec.environment_names:
         for i, p in enumerate(spec.projectors[name]):
             if p.shape != (d, d):
                 raise InvariantViolation(
-                    f"environment {name!r} dimension differs from the system's"
+                    f"subspace environment {name!r} dimension differs from the system's"
                 )
             if abs(float(np.trace(p).real) - 1.0) > TOL.isbs_projector:
                 raise InvariantViolation(
-                    f"projector {name!r}[{i}] is not rank-1; not a basis-style spec"
+                    f"subspace projector {name!r}[{i}] is not rank-1; not a basis-style spec"
                 )
             want = np.outer(spec.system_ket(i), spec.system_ket(i).conj())
             if float(np.max(np.abs(p - want))) > TOL.isbs_projector:
                 raise InvariantViolation(
-                    f"projector {name!r}[{i}] is not aligned with the system basis"
+                    f"subspace projector {name!r}[{i}] is not aligned with the system basis"
                 )
-    return spec.system_basis
 
 
-def nonobjectivity_measure(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
-                           framework: str = FRAMEWORK_SQD) -> float:
+def nonobjectivity_measure(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec) -> float:
     """Trace-norm distance between a system-fragment state and its projection.
 
     ``rho_sf`` must live on the system and fragment only.  The measure
@@ -305,12 +252,4 @@ def nonobjectivity_measure(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
     superposing a matched subspace with an unmatched one reaches sqrt(5)/2
     (see the property suite), so callers must not normalize by it.
     """
-    if framework == FRAMEWORK_SQD:
-        gamma = objectivity_operation_sqd(rho_sf, spec, fragment=None)
-    elif framework == FRAMEWORK_ISBS:
-        fragment = [lab for lab in rho_sf.layout.labels if lab != spec.system_label]
-        gamma = objectivity_operation_isbs(rho_sf, isbs_basis_from_spec(spec),
-                                           [spec.system_label, *fragment])
-    else:
-        raise InvariantViolation(f"unknown framework {framework!r}")
-    return trace_norm_distance(rho_sf, gamma)
+    return trace_norm_distance(rho_sf, objectivity_operation_sqd(rho_sf, spec))

@@ -44,19 +44,19 @@ from .hilbert import (
     partial_trace,
 )
 from .objectivity import (
-    FRAMEWORK_ISBS,
-    FRAMEWORK_SQD,
     ObjectiveSubspaceSpec,
     computational_spec,
-    isbs_basis_from_spec,
     nonobjectivity_measure,
-    objectivity_operation_isbs,
     objectivity_operation_sqd,
     parity_spec,
+    require_basis_spec,
 )
 from .tolerances import TOL
 
 DEFAULT_SEED = 123456789
+
+FRAMEWORK_SQD = "SQD"
+FRAMEWORK_ISBS = "ISBS"
 
 CNOT_IDEAL = "ideal"
 CNOT_NOISY_PREP = "noisy_prep"
@@ -149,11 +149,9 @@ class ProtocolConfig:
                 f"p_cnot {self.noise.p_cnot} < 1 needs the SQD framework: "
                 "ISBS runs no parity-check CNOTs")
         spec = self.subspace if self.subspace is not None else default_spec(self.framework)
-        unknown = set(self.fragment) - set(spec.environment_names)
-        if unknown:
-            raise InvariantViolation(
-                f"fragment environments {sorted(unknown)} not in the subspace spec"
-            )
+        spec.select(self.fragment)
+        if self.framework == FRAMEWORK_ISBS:
+            require_basis_spec(spec)
         if self.subspace is not None:
             labels = {spec.system_label, *spec.members_of(spec.environment_names)}
             outside = labels - set(default_layout(self.framework).labels)
@@ -275,7 +273,6 @@ class _Context:
     ef_members: tuple[str, ...]
     replacement: DensityOperator | None
     unitary: np.ndarray
-    isbs_basis: np.ndarray | None
 
 
 def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout,
@@ -314,7 +311,7 @@ def _resolve_context(config: ProtocolConfig,
                      layout: TensorLayout | None = None) -> _Context:
     layout = layout if layout is not None else default_layout(config.framework)
     spec = config.subspace if config.subspace is not None else default_spec(config.framework)
-    fragment = tuple(n for n in spec.environment_names if n in set(config.fragment))
+    fragment = spec.select(config.fragment)
     fragment_members = tuple(spec.members_of(fragment))
     sf_labels = tuple(
         lab for lab in layout.labels
@@ -333,15 +330,11 @@ def _resolve_context(config: ProtocolConfig,
             replacement = config.replacement
             if isinstance(replacement, PureState):
                 replacement = replacement.to_density()
-    isbs_basis = None
-    if config.framework == FRAMEWORK_ISBS:
-        isbs_basis = isbs_basis_from_spec(spec)
     unitary = _resolve_unitary(config, layout, spec)
     return _Context(
         config=config, layout=layout, spec=spec, fragment=fragment,
         fragment_members=fragment_members, sf_labels=sf_labels,
         ef_members=ef_members, replacement=replacement, unitary=unitary,
-        isbs_basis=isbs_basis,
     )
 
 
@@ -442,13 +435,6 @@ def prepare_initial(config: ProtocolConfig) -> DensityOperator:
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _apply_gamma(rho: DensityOperator, ctx: _Context) -> DensityOperator:
-    if ctx.config.framework == FRAMEWORK_SQD:
-        return objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
-    return objectivity_operation_isbs(rho, ctx.isbs_basis,
-                                      [ctx.spec.system_label, *ctx.fragment_members])
-
-
 def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
             scramble_weights: Sequence[float]) -> np.ndarray:
     """Computational-basis outcome probabilities over the full register.
@@ -465,7 +451,7 @@ def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
         for name, weight in zip(ctx.fragment, scramble_weights):
             rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
                                         1.0 - weight, weight)
-        rho = _apply_gamma(rho, ctx)
+        rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
     final = apply_gate(rho, ctx.unitary, list(rho.layout.labels))
     return np.clip(np.diag(final.matrix).real, 0.0, None)
 
@@ -531,7 +517,7 @@ def _report(ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray, p_g: np.nda
         p_gamma=p_g,
         witness_single=np.abs(diffs),
         witness_max_subset=_max_subset(diffs),
-        measure=nonobjectivity_measure(rho_sf, ctx.spec, config.framework),
+        measure=nonobjectivity_measure(rho_sf, ctx.spec),
         stderr_max_subset=stderr,
         successful_runs=successful_runs,
         shots=config.shots,

@@ -108,9 +108,9 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
         else:
             dim = len(next(iter(vectors.values())))
             system_basis = np.eye(dim, dtype=np.complex128)
+        return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'subspace': {exc}") from exc
-    return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
 
 
 def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec | None:
@@ -126,16 +126,6 @@ def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec | None:
 # ---------------------------------------------------------------------------
 # Protocol configs
 # ---------------------------------------------------------------------------
-
-def _require(data: Mapping[str, Any], key: str, kind, path: str):
-    if key not in data:
-        raise ConfigError(f"field '{path}{key}': missing")
-    value = data[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{path}{key}': {exc}") from exc
-
 
 def _optional(data: Mapping[str, Any], key: str, kind, default, path: str):
     if key not in data or data[key] is None:

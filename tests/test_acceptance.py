@@ -120,7 +120,7 @@ def test_criterion_4_witness_bounded_by_measure(rng):
                 run_branch(rho, config, True), lay, ctx.sf_labels)
             diffs = v_id - v_g
             measure = nonobjectivity_measure(
-                partial_trace(rho, set(ctx.sf_labels)), spec, "SQD")
+                partial_trace(rho, set(ctx.sf_labels)), spec)
             subset = rng.random(diffs.shape) < 0.5
             if _max_subset(diffs) > measure + 1e-9:
                 violations += 1

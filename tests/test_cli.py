@@ -218,6 +218,13 @@ def test_sweep_unwritable_path(tmp_path, capsys):
 
 
 _E1_KETS = [[[[1, 0], [0, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]
+# Valid spec, but its environment kets |+>, |-> are not the system's basis.
+_PLUS_MINUS_SPEC = {"environments": {"E1": ["E1"]}, "basis_vectors": {"E1": [
+    [[[2 ** -0.5, 0], [2 ** -0.5, 0]]], [[[2 ** -0.5, 0], [-(2 ** -0.5), 0]]]]}}
+# Index 0 spans |00>, |01> and index 1 spans |01>, |11>: not disjoint.
+_OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": [
+    [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]]],
+    [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]]}}
 
 
 @pytest.mark.parametrize("command, payload, field", [
@@ -232,12 +239,36 @@ _E1_KETS = [[[[1, 0], [0, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0], [0, 0]
     ("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
         "environments": {"E1": ["X1", "X2"]}, "basis_vectors": {"E1": _E1_KETS}}},
      "subspace"),
+    ("witness", {"framework": "ISBS", "fragment": ["E1"], "subspace": _PLUS_MINUS_SPEC},
+     "subspace"),
+    ("sweep", {"framework": "ISBS", "p_values": [0.1], "fragments": [["E1"]],
+               "subspace": _PLUS_MINUS_SPEC}, "subspace"),
+    ("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": _OVERLAPPING_SPEC},
+     "subspace"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
     # are refused while parsing.
     cfg = write_config(tmp_path, "c.json", payload)
     code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize("subspace, fragment, field", [
+    ("parity2", "E9", "fragment"),
+    (_OVERLAPPING_SPEC, None, "subspace"),
+])
+def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, subspace, fragment,
+                                                  field):
+    if not isinstance(subspace, str):
+        subspace = write_config(tmp_path, "spec.json", subspace)
+    argv = ["check", "--state", str(REPO_ROOT / "states" / "sqd_initial.json"),
+            "--subspace", subspace]
+    if fragment is not None:
+        argv += ["--fragment", fragment]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert field in err

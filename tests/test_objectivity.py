@@ -15,7 +15,6 @@ from qdarwin import (
     maximally_mixed,
     mix_with_noise,
     nonobjectivity_measure,
-    objectivity_operation_isbs,
     objectivity_operation_sqd,
     parity_spec,
     partial_trace,
@@ -50,6 +49,18 @@ def sqd_projector_oracle(layout, spec, fragment_names):
     return projs
 
 
+def basis_projector_oracle(kets, n_subsystems):
+    """Correlated rank-1 projectors |i...i><i...i| over a whole register of
+    ``n_subsystems`` equal subsystems, assembled from product kets."""
+    projs = []
+    for i in range(kets.shape[1]):
+        ket = np.array([1.0 + 0.0j])
+        for _ in range(n_subsystems):
+            ket = np.kron(ket, kets[:, i])
+        projs.append(np.outer(ket, ket.conj()))
+    return projs
+
+
 # ---------------------------------------------------------------------------
 # Specs and fragment projectors
 # ---------------------------------------------------------------------------
@@ -67,6 +78,14 @@ def test_fragment_projector_rank_multiplies():
     assert abs(np.trace(p1).real - 4.0) < 1e-12
     p0 = fragment_projector(spec, ["E1", "E2"], 0)
     assert np.max(np.abs(p0 @ p1)) < 1e-12
+
+
+def test_select_orders_by_spec_and_rejects_unknown_environments():
+    spec = computational_spec(4)
+    assert spec.select(["E3", "E1", "E3"]) == ("E1", "E3")
+    assert spec.members_of(["E4", "E2"]) == ["E2", "E4"]
+    with pytest.raises(InvariantViolation, match=r"\['E9'\] not in spec"):
+        spec.select(["E1", "E9"])
 
 
 def test_fragment_projector_rejects_unknown_environment():
@@ -130,8 +149,8 @@ def test_gamma_idempotent_both_frameworks(rng):
     lay_i = qubits("S", "E1", "E2")
     for _ in range(10):
         rho = random_density(lay_i, rng)
-        once = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
-        twice = objectivity_operation_isbs(once, None, ["S", "E1", "E2"])
+        once = objectivity_operation_sqd(rho, computational_spec(2), ["E1", "E2"])
+        twice = objectivity_operation_sqd(once, computational_spec(2), ["E1", "E2"])
         assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
 
 
@@ -154,7 +173,7 @@ def test_gamma_never_increases_trace_and_output_is_objective(rng):
 
 def test_isbs_gamma_on_ghz():
     ghz = prepare_initial_isbs(NoiseConfig())
-    out = objectivity_operation_isbs(ghz, None, ["S", "E1", "E2", "E3", "E4"])
+    out = objectivity_operation_sqd(ghz, computational_spec(4), ["E1", "E2", "E3", "E4"])
     expected = np.zeros((32, 32), complex)
     expected[0, 0] = 0.5
     expected[31, 31] = 0.5
@@ -163,8 +182,9 @@ def test_isbs_gamma_on_ghz():
 
 def test_isbs_gamma_fixed_point():
     ghz = prepare_initial_isbs(NoiseConfig())
-    dephased = objectivity_operation_isbs(ghz, None, ["S", "E1", "E2", "E3", "E4"])
-    again = objectivity_operation_isbs(dephased, None, ["S", "E1", "E2", "E3", "E4"])
+    all_envs = ["E1", "E2", "E3", "E4"]
+    dephased = objectivity_operation_sqd(ghz, computational_spec(4), all_envs)
+    again = objectivity_operation_sqd(dephased, computational_spec(4), all_envs)
     assert np.max(np.abs(again.matrix - dephased.matrix)) < 1e-12
 
 
@@ -172,7 +192,7 @@ def test_isbs_gamma_on_plus_product():
     lay = qubits("S", "E1", "E2")
     amps = np.full(8, 1 / np.sqrt(8), dtype=complex)
     rho = PureState(lay, amps).to_density()
-    out = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
+    out = objectivity_operation_sqd(rho, computational_spec(2), ["E1", "E2"])
     expected = np.zeros((8, 8), complex)
     expected[0, 0] = 1 / 8
     expected[7, 7] = 1 / 8
@@ -181,15 +201,21 @@ def test_isbs_gamma_on_plus_product():
 
 
 def test_isbs_gamma_equals_subspace_gamma_for_rank1_specs(rng):
-    # Consistency of the two construction routes when every environment
-    # projector is a rank-1 basis projector.
+    # The basis framework's operation is the subspace operation on a rank-1
+    # spec: it equals the sum over correlated product-ket projectors, for the
+    # computational basis and for a shared non-computational one.
     lay = qubits("S", "E1", "E2")
-    spec = computational_spec(2)
-    for _ in range(10):
-        rho = random_density(lay, rng)
-        via_subspace = objectivity_operation_sqd(rho, spec, ["E1", "E2"])
-        via_basis = objectivity_operation_isbs(rho, None, ["S", "E1", "E2"])
-        assert np.max(np.abs(via_subspace.matrix - via_basis.matrix)) < 1e-12
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    for kets in (np.eye(2, dtype=complex), hadamard):
+        rank1 = tuple(np.outer(kets[:, i], kets[:, i].conj()) for i in range(2))
+        spec = ObjectiveSubspaceSpec("S", kets, {"E1": ("E1",), "E2": ("E2",)},
+                                     {"E1": rank1, "E2": rank1})
+        projs = basis_projector_oracle(kets, 3)
+        for _ in range(10):
+            rho = random_density(lay, rng)
+            via_subspace = objectivity_operation_sqd(rho, spec, ["E1", "E2"])
+            via_basis = sum(p @ rho.matrix @ p for p in projs)
+            assert np.max(np.abs(via_subspace.matrix - via_basis)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +224,12 @@ def test_isbs_gamma_equals_subspace_gamma_for_rank1_specs(rng):
 
 def test_measure_zero_on_objective_state():
     rho_sf = partial_trace(branching_state(), {"S", "E1_1", "E1_2"})
-    assert nonobjectivity_measure(rho_sf, parity_spec(2), "SQD") < 1e-12
+    assert nonobjectivity_measure(rho_sf, parity_spec(2)) < 1e-12
 
 
 def test_measure_one_on_full_fragment_pure_state():
     rho = branching_state()
-    m = nonobjectivity_measure(rho, parity_spec(2), "SQD")
+    m = nonobjectivity_measure(rho, parity_spec(2))
     assert abs(m - 1.0) < 1e-9
     # Oracle: the residual is an off-diagonal block pair with singular
     # values 1/2 and 1/2.
@@ -221,7 +247,7 @@ def test_measure_noise_law(rng):
     for p in (0.1, 0.35, 0.8):
         rho = mix_with_noise(branching_state(), p)
         rho_sf = partial_trace(rho, {"S", "E1_1", "E1_2"})
-        m = nonobjectivity_measure(rho_sf, spec, "SQD")
+        m = nonobjectivity_measure(rho_sf, spec)
         assert abs(m - p / 2) < 1e-12
 
 
@@ -230,7 +256,7 @@ def test_measure_nonnegative_on_random_states(rng):
     spec = parity_spec(1)
     for _ in range(200):
         rho = random_density(lay, rng)
-        assert nonobjectivity_measure(rho, spec, "SQD") >= 0.0
+        assert nonobjectivity_measure(rho, spec) >= 0.0
 
 
 def test_measure_unit_bound_on_protocol_state_family():
@@ -242,7 +268,7 @@ def test_measure_unit_bound_on_protocol_state_family():
             rho = prepare_initial_sqd(NoiseConfig(p=float(p), mode=mode))
             for keep in ({"S", "E1_1", "E1_2"}, set(rho.layout.labels)):
                 rho_sf = partial_trace(rho, keep)
-                assert nonobjectivity_measure(rho_sf, spec, "SQD") <= 1.0 + 1e-9
+                assert nonobjectivity_measure(rho_sf, spec) <= 1.0 + 1e-9
 
 
 def test_measure_exceeds_nominal_bound_on_matched_unmatched_superposition():
@@ -253,7 +279,7 @@ def test_measure_exceeds_nominal_bound_on_matched_unmatched_superposition():
     amps = np.zeros(8, complex)
     amps[0b000] = amps[0b001] = 1 / np.sqrt(2)
     rho = PureState(lay, amps).to_density()
-    m = nonobjectivity_measure(rho, parity_spec(1), "SQD")
+    m = nonobjectivity_measure(rho, parity_spec(1))
     assert abs(m - np.sqrt(5) / 2) < 1e-12
     assert m > 1.0
 
@@ -269,7 +295,7 @@ def test_measure_zero_iff_structure_check_passes(rng):
             # Project into the objective subspaces, then renormalize.
             g = objectivity_operation_sqd(rho, spec, ["E1"])
             rho = DensityOperator(lay, g.matrix / g.trace)
-        m = nonobjectivity_measure(rho, spec, "SQD")
+        m = nonobjectivity_measure(rho, spec)
         verdict = check_structure(rho, spec, ["E1"])
         if m < 1e-8:
             passing += 1
@@ -290,11 +316,11 @@ def test_measure_random_spec_agreement_with_oracle(rng):
         projs = sqd_projector_oracle(lay, spec, ["E1"])
         residual = rho.matrix - sum(p @ rho.matrix @ p for p in projs)
         oracle = float(np.sum(np.abs(np.linalg.eigvalsh(residual))))
-        m = nonobjectivity_measure(rho, spec, "SQD")
+        m = nonobjectivity_measure(rho, spec)
         assert abs(m - oracle) < 1e-10
 
 
 def test_isbs_measure_ghz_endpoint():
     ghz = prepare_initial_isbs(NoiseConfig())
-    m = nonobjectivity_measure(ghz, computational_spec(4), "ISBS")
+    m = nonobjectivity_measure(ghz, computational_spec(4))
     assert abs(m - 1.0) < 1e-9

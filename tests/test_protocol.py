@@ -193,9 +193,9 @@ def test_report_fields_invariant_to_unaccessed_environment_noise(rng):
         b_sf = _marginalize_to_sf(b, ctx.layout, ctx.sf_labels)
         assert np.max(np.abs(a_sf - b_sf)) < 1e-10
     m_a = nonobjectivity_measure(
-        partial_trace(rho, set(ctx.sf_labels)), ctx.spec, "SQD")
+        partial_trace(rho, set(ctx.sf_labels)), ctx.spec)
     m_b = nonobjectivity_measure(
-        partial_trace(noisy_ef, set(ctx.sf_labels)), ctx.spec, "SQD")
+        partial_trace(noisy_ef, set(ctx.sf_labels)), ctx.spec)
     assert abs(m_a - m_b) < 1e-10
 
 
@@ -273,7 +273,7 @@ def test_witness_bounded_by_measure_on_random_instances(rng):
         v_g = _marginalize_to_sf(run_branch(rho, config, True), lay, ctx.sf_labels)
         diffs = v_id - v_g
         measure = nonobjectivity_measure(
-            partial_trace(rho, set(ctx.sf_labels)), spec, "SQD")
+            partial_trace(rho, set(ctx.sf_labels)), spec)
         assert _max_subset(diffs) <= measure + 1e-9
         subset = rng.random(diffs.shape) < 0.5
         assert abs(float(diffs[subset].sum())) <= measure + 1e-9
