@@ -98,7 +98,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.fragment:
         fragment = [f.strip() for f in args.fragment.split(",") if f.strip()]
         try:
-            spec.select(fragment)
+            rho.layout.subset(spec.members_of(fragment))
         except InvariantViolation as exc:
             raise ConfigError(f"field 'fragment': {exc}") from exc
     else:

@@ -35,6 +35,8 @@ class ObjectiveSubspaceSpec:
     labels it is made of; ``projectors`` maps the same names to one projector
     per system-basis index, acting on the environment's combined space.
     Disjointness and idempotence are validated eagerly at construction.
+    The instance memoizes the embedded projectors of its objectivity
+    operation per (fragment, layout); the spec itself never changes.
     """
 
     system_label: str
@@ -100,6 +102,7 @@ class ObjectiveSubspaceSpec:
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "environments", env_items)
         object.__setattr__(self, "projectors", checked)
+        object.__setattr__(self, "_embedded", {})
 
     @property
     def system_dim(self) -> int:
@@ -204,15 +207,23 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     """
     present = rho.layout.labels
     names = spec.environments_in(present) if fragment is None else spec.select(fragment)
-    members = spec.members_of(names)
-    missing = [lab for lab in (spec.system_label, *members) if lab not in present]
-    if missing:
-        raise InvariantViolation(f"state lacks subsystems {missing}")
+    key = (names, rho.layout)
+    projectors = spec._embedded.get(key)
+    if projectors is None:
+        members = spec.members_of(names)
+        missing = [lab for lab in (spec.system_label, *members) if lab not in present]
+        if missing:
+            raise InvariantViolation(f"state lacks subsystems {missing}")
+        projectors = tuple(
+            embed_operator(rho.layout, np.kron(np.outer(ket, ket.conj()),
+                                               fragment_projector(spec, names, i)),
+                           [spec.system_label] + members)
+            for i, ket in enumerate(spec.system_basis.T))
+        for p_full in projectors:
+            p_full.flags.writeable = False
+        spec._embedded[key] = projectors
     out = np.zeros_like(rho.matrix)
-    for i in range(spec.system_dim):
-        ket = spec.system_ket(i)
-        block = np.kron(np.outer(ket, ket.conj()), fragment_projector(spec, names, i))
-        p_full = embed_operator(rho.layout, block, [spec.system_label] + members)
+    for p_full in projectors:
         out += p_full @ rho.matrix @ p_full
     return DensityOperator(rho.layout, out)
 

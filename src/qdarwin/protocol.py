@@ -16,7 +16,9 @@ mode realizes these events run by run as 0/1 coins and post-selects on
 parity-check hardware success; exact mode passes the probabilities, so it is
 the expectation of the run-by-run statistics.  Per-run randomness comes from
 counter-style stream splitting, so results are bit-reproducible for a given
-seed regardless of evaluation order.
+seed regardless of evaluation order.  The sampler works a block of runs at a
+time and evaluates each distinct realization once per branch; both branches
+of one call share the prepared states.
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ class ProtocolConfig:
     ``shots`` = 0 selects exact mode.  In Monte Carlo mode the successful
     runs are split evenly between the two branches unless ``branch_shots``
     overrides the split.  ``unitary`` may be a preset name or an explicit
-    matrix over the whole register; ``subspace`` defaults to the parity
-    preset (subspace framework) or the computational basis (basis framework).
+    unitary matrix over the whole register; ``subspace`` defaults to the
+    parity preset (subspace framework) or the computational basis (basis
+    framework).  Construction rejects every field value the pipeline would
+    fail on or silently mis-run.
     """
 
     framework: str = FRAMEWORK_SQD
@@ -152,13 +156,26 @@ class ProtocolConfig:
         spec.select(self.fragment)
         if self.framework == FRAMEWORK_ISBS:
             require_basis_spec(spec)
-        if self.subspace is not None:
-            labels = {spec.system_label, *spec.members_of(spec.environment_names)}
-            outside = labels - set(default_layout(self.framework).labels)
-            if outside:
+        layout = default_layout(self.framework)
+        labels = {spec.system_label, *spec.members_of(spec.environment_names)}
+        outside = labels - set(layout.labels)
+        if outside:
+            raise InvariantViolation(
+                f"subspace labels {sorted(outside)} are not in the "
+                f"{self.framework} layout")
+        if isinstance(self.unitary, str):
+            if self.unitary not in (UNITARY_ALTERNATING, UNITARY_ALL):
+                raise InvariantViolation(f"unknown unitary preset {self.unitary!r}")
+        elif self.unitary is not None:
+            u = np.asarray(self.unitary, dtype=np.complex128)
+            # The framework's register, or only the spec's (see run_branch).
+            dims = sorted({layout.total_dim, layout.subset(labels).total_dim})
+            if u.shape not in [(d, d) for d in dims]:
                 raise InvariantViolation(
-                    f"subspace labels {sorted(outside)} are not in the "
-                    f"{self.framework} layout")
+                    f"custom unitary shape {u.shape} != (d, d) for d in {dims}")
+            dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+            if not dev <= TOL.unitarity:  # NaN entries fail too
+                raise InvariantViolation(f"custom unitary is not unitary (max dev {dev:.3e})")
 
     def split_shots(self) -> tuple[int, int]:
         if self.branch_shots is not None:
@@ -280,9 +297,7 @@ def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout,
     choice = config.unitary
     if choice is None:
         choice = UNITARY_ALTERNATING if config.framework == FRAMEWORK_SQD else UNITARY_ALL
-    if isinstance(choice, str):
-        if choice not in (UNITARY_ALTERNATING, UNITARY_ALL):
-            raise InvariantViolation(f"unknown unitary preset {choice!r}")
+    if isinstance(choice, str):  # a preset name, checked by ProtocolConfig
         env_members: dict[str, tuple[str, ...]] = dict(spec.environments)
         hadamard_labels: set[str] = {spec.system_label}
         if choice == UNITARY_ALL:
@@ -558,7 +573,8 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
 # ---------------------------------------------------------------------------
 
 def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int],
-                     prep_bits: Sequence[int], parity_bits: Sequence[int]) -> np.ndarray:
+                     prep_bits: Sequence[int], parity_bits: Sequence[int],
+                     prepared: dict | None = None) -> np.ndarray:
     """Outcome pmf of one realization over the system-fragment register,
     with the null mass appended.
 
@@ -567,13 +583,19 @@ def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int]
     per-environment parity checks, mismatches recorded as the null outcome)
     is aggregated analytically: conditioned on the realization, the sampled
     outcome distribution equals the projected state's outcome distribution
-    with the missing trace as the null mass.
+    with the missing trace as the null mass.  ``prepared`` maps the
+    (noise, prep) coins to prepared states; a caller that passes the same
+    dict for every realization of one config prepares each state once.
     """
-    cnot_keep = [1 - bit for bit in prep_bits] or [1] * len(_SQD_PREP_CNOTS)
-    rho = _prepare(ctx.config.framework, ctx.config.noise.mode, cnot_keep, noise_bits)
+    prepared = {} if prepared is None else prepared
+    key = (tuple(noise_bits), tuple(prep_bits))
+    if key not in prepared:
+        cnot_keep = [1 - bit for bit in prep_bits] or [1] * len(_SQD_PREP_CNOTS)
+        prepared[key] = _prepare(ctx.config.framework, ctx.config.noise.mode,
+                                 cnot_keep, noise_bits)
     # A parity check scrambles its environment when either of its CNOTs fails.
     scramble = [a | b for a, b in zip(parity_bits[0::2], parity_bits[1::2])]
-    pmf = _marginalize_to_sf(_branch(rho, ctx, apply_gamma, scramble),
+    pmf = _marginalize_to_sf(_branch(prepared[key], ctx, apply_gamma, scramble),
                              ctx.layout, ctx.sf_labels)
     return np.append(pmf, max(0.0, 1.0 - float(pmf.sum())))
 
@@ -605,83 +627,67 @@ def _branch_plan(ctx: _Context, apply_gamma: bool) -> _BranchPlan:
     )
 
 
-def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int,
-                   branch_tag: int) -> tuple[np.ndarray, int, int]:
+def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int, branch_tag: int,
+                   prepared: dict) -> tuple[np.ndarray, int, int]:
     """Sample one branch until ``wanted`` successful runs are collected.
 
     Returns (outcome counts over SF outcomes, null-run count, attempts).
     Runs discarded by parity-check hardware failure do not count; runs whose
     objectivity projection misses are recorded as the null outcome and do
-    count as successful.
+    count as successful.  Attempts are drawn and evaluated a block at a time:
+    each run's coins are packed into an integer key, each distinct key's
+    outcome CDF is built once per call, with its prepared state taken from or
+    added to ``prepared``, and a run's outcome is the CDF bin its uniform
+    falls in.  The results equal a run-by-run loop over the same draws.
     """
     config = ctx.config
     plan = _branch_plan(ctx, apply_gamma)
     n_outcomes = int(np.prod([ctx.layout.dim_of(lab) for lab in ctx.sf_labels]))
-    counts = np.zeros(n_outcomes, dtype=np.int64)
-    null_count = 0
-    collected = 0
-    attempts = 0
-    attempts_since_success = 0
-    cache: dict[tuple, np.ndarray] = {}
-
-    noise_p = config.noise.p
-    gate_noise = 1.0 - config.noise.f
+    n_coins = plan.n_noise + plan.n_prep + plan.n_parity
+    thresholds = np.array([config.noise.p] * plan.n_noise
+                          + [1.0 - config.noise.f] * (n_coins - plan.n_noise))
+    tally = np.zeros(n_outcomes + 1, dtype=np.int64)  # the null outcome last
+    cdfs: dict[int, np.ndarray] = {}
+    collected = attempts = failures = 0  # failures: hardware failures in a row
 
     block_index = 0
     while collected < wanted:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(config.seed, branch_tag, block_index)))
         u = rng.random((_MC_BLOCK, plan.columns))
-        col = 0
-        noise_bits = (u[:, col:col + plan.n_noise] < noise_p).astype(np.int8)
-        col += plan.n_noise
-        prep_bits = (u[:, col:col + plan.n_prep] < gate_noise).astype(np.int8)
-        col += plan.n_prep
-        parity_bits = (u[:, col:col + plan.n_parity] < gate_noise).astype(np.int8)
-        col += plan.n_parity
-        if plan.use_hardware:
-            hardware_ok = u[:, col] < plan.hardware_success
-            col += 1
-        else:
-            hardware_ok = np.ones(_MC_BLOCK, dtype=bool)
-        u_outcome = u[:, col]
+        ok = (u[:, n_coins] < plan.hardware_success if plan.use_hardware
+              else np.ones(_MC_BLOCK, dtype=bool))
+        # Rows after the one that completes ``wanted`` are not attempted.
+        n = min(_MC_BLOCK, int(np.searchsorted(np.cumsum(ok), wanted - collected)) + 1)
+        ok, rows = ok[:n], np.arange(n)
+        run = rows - np.maximum.accumulate(np.where(ok, rows, -1 - failures))
+        aborted = np.flatnonzero(~ok & (run >= TOL.mc_abort_window))
+        if aborted.size:
+            raise NonterminatingSampling(
+                f"no successful run in {int(run[aborted[0]])} attempts; "
+                f"estimated success probability below 1e-6 "
+                f"(p_cnot = {config.noise.p_cnot}, "
+                f"fragment size {len(ctx.fragment)})"
+            )
+        failures, attempts = int(run[-1]), attempts + n
 
-        keys = [
-            (tuple(noise_bits[r]), tuple(prep_bits[r]), tuple(parity_bits[r]))
-            for r in range(_MC_BLOCK)
-        ]
-        for r in range(_MC_BLOCK):
-            if collected >= wanted:
-                break
-            attempts += 1
-            if not hardware_ok[r]:
-                attempts_since_success += 1
-                if attempts_since_success >= TOL.mc_abort_window:
-                    raise NonterminatingSampling(
-                        f"no successful run in {attempts_since_success} attempts; "
-                        f"estimated success probability below 1e-6 "
-                        f"(p_cnot = {config.noise.p_cnot}, "
-                        f"fragment size {len(ctx.fragment)})"
-                    )
-                continue
-            attempts_since_success = 0
-            key = keys[r]
-            cdf = cache.get(key)
-            if cdf is None:
-                cdf = np.cumsum(_realization_pmf(ctx, apply_gamma, *key))
-                total = cdf[-1]
-                if total > 0:
-                    cdf = cdf / total
-                cache[key] = cdf
-            idx = int(np.searchsorted(cdf, u_outcome[r], side="right"))
-            idx = min(idx, n_outcomes)
-            if idx == n_outcomes:
-                null_count += 1
-            else:
-                counts[idx] += 1
-            collected += 1
+        good = u[:n][ok]  # the successful runs
+        coins = (good[:, :n_coins] < thresholds).astype(np.int8)
+        keys, first, inverse = np.unique(coins @ (1 << np.arange(n_coins)),
+                                         return_index=True, return_inverse=True)
+        for key, row in zip(keys, coins[first]):
+            if key not in cdfs:
+                cdf = np.cumsum(_realization_pmf(
+                    ctx, apply_gamma,
+                    *np.split(row, [plan.n_noise, plan.n_noise + plan.n_prep]), prepared))
+                cdfs[key] = cdf / cdf[-1] if cdf[-1] > 0 else cdf
+        # The bin count equals searchsorted(cdf, u, side="right"): CDFs are sorted.
+        table = np.array([cdfs[key] for key in keys])[inverse]
+        bins = (table <= good[:, -1:]).sum(axis=1)
+        tally += np.bincount(np.minimum(bins, n_outcomes), minlength=n_outcomes + 1)
+        collected += len(bins)
         block_index += 1
-    return counts, null_count, attempts
+    return tally[:-1], int(tally[-1]), attempts
 
 
 def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
@@ -716,8 +722,9 @@ def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
         raise InvariantViolation("both branches need at least one successful run")
     ctx = _resolve_context(config)
 
-    counts_id, _, _ = _sample_branch(ctx, apply_gamma=False, wanted=n_id, branch_tag=0)
-    counts_g, null_g, _ = _sample_branch(ctx, apply_gamma=True, wanted=n_g, branch_tag=1)
+    prepared: dict = {}  # both branches draw the same (noise, prep) coins
+    counts_id, _, _ = _sample_branch(ctx, False, n_id, 0, prepared)
+    counts_g, null_g, _ = _sample_branch(ctx, True, n_g, 1, prepared)
 
     stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
     return _report(ctx, prepare_initial(config), counts_id / n_id, counts_g / n_g,

@@ -245,6 +245,12 @@ _OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": 
                "subspace": _PLUS_MINUS_SPEC}, "subspace"),
     ("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": _OVERLAPPING_SPEC},
      "subspace"),
+    ("witness", {"framework": "SQD", "fragment": ["E1"], "unitary": "bogus"}, "unitary"),
+    ("witness", {"framework": "SQD", "fragment": ["E1"],
+                 "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "unitary"),
+    ("witness", {"framework": "SQD", "fragment": ["E1"],
+                 "unitary": [[[2.0 * (i == j), 0] for j in range(32)] for i in range(32)]},
+     "unitary"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -256,15 +262,18 @@ def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, 
     assert field in err
 
 
-@pytest.mark.parametrize("subspace, fragment, field", [
-    ("parity2", "E9", "fragment"),
-    (_OVERLAPPING_SPEC, None, "subspace"),
+@pytest.mark.parametrize("state, subspace, fragment, field", [
+    pytest.param("sqd_initial", "parity2", "E9", "fragment", id="parity2-E9-fragment"),
+    pytest.param("sqd_initial", _OVERLAPPING_SPEC, None, "subspace",
+                 id="subspace1-None-subspace"),
+    # The spec has E1, but the GHZ state has no E1_1 or E1_2.
+    pytest.param("ghz5", "parity2", "E1", "fragment", id="ghz5-parity2-E1-fragment"),
 ])
-def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, subspace, fragment,
-                                                  field):
+def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, state, subspace,
+                                                  fragment, field):
     if not isinstance(subspace, str):
         subspace = write_config(tmp_path, "spec.json", subspace)
-    argv = ["check", "--state", str(REPO_ROOT / "states" / "sqd_initial.json"),
+    argv = ["check", "--state", str(REPO_ROOT / "states" / f"{state}.json"),
             "--subspace", subspace]
     if fragment is not None:
         argv += ["--fragment", fragment]

@@ -132,6 +132,20 @@ def test_gamma_on_full_pure_state_matches_block_oracle():
     assert np.max(np.abs(blocks[0, :, 1, :])) < 1e-12
 
 
+def test_gamma_projector_memo_is_keyed_by_fragment_and_layout(rng):
+    # One spec instance serves two fragments of one layout, then the first
+    # fragment again on a reduced layout; each result must equal a fresh
+    # spec's, so a memo keyed too loosely would hand back the wrong projectors.
+    rho = random_density(qubits("S", "E1_1", "E1_2", "E2_1", "E2_2"), rng)
+    reduced = partial_trace(rho, {"S", "E1_1", "E1_2"})
+    spec = parity_spec(2)
+    for state, fragment in ((rho, ["E1"]), (rho, ["E1", "E2"]), (reduced, None),
+                            (rho, ["E1"])):
+        fresh = objectivity_operation_sqd(state, parity_spec(2), fragment)
+        memoized = objectivity_operation_sqd(state, spec, fragment)
+        assert np.array_equal(memoized.matrix, fresh.matrix)
+
+
 def test_gamma_on_maximally_mixed_subnormalizes():
     lay = qubits("S", "E1_1", "E1_2")
     out = objectivity_operation_sqd(maximally_mixed(lay), parity_spec(1), ["E1"])

@@ -1,6 +1,7 @@
 """Witness protocol: preparation, branches, exact and Monte Carlo modes,
 and the tomography cost model."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,13 +32,16 @@ from qdarwin import (
     witness_exact,
     witness_monte_carlo,
 )
+from qdarwin import protocol
 from qdarwin.protocol import (
     _branch_plan,
     _marginalize_to_sf,
     _max_subset,
     _realization_pmf,
     _resolve_context,
+    _sample_branch,
 )
+from qdarwin.tolerances import TOL
 
 from conftest import qubits, random_density, random_subspace_spec, random_unitary
 
@@ -468,6 +472,131 @@ def test_exact_mode_is_the_expectation_of_the_realizations(config):
                                    gate_bits[:plan.n_prep], gate_bits[plan.n_prep:])
             total += weight * pmf[:-1]
         assert np.max(np.abs(total - expected)) < 1e-12
+
+
+def _reference_sample_branch(ctx, apply_gamma, wanted, branch_tag):
+    """The run-by-run sampler that the block sampler replaced, as its oracle.
+
+    It reads ``protocol._MC_BLOCK`` and ``protocol.TOL`` when called, so a
+    test that patches them patches both samplers.
+    """
+    config = ctx.config
+    plan = _branch_plan(ctx, apply_gamma)
+    n_outcomes = int(np.prod([ctx.layout.dim_of(lab) for lab in ctx.sf_labels]))
+    counts = np.zeros(n_outcomes, dtype=np.int64)
+    null_count = collected = attempts = attempts_since_success = 0
+    cache = {}
+    noise_p, gate_noise = config.noise.p, 1.0 - config.noise.f
+    block, block_index = protocol._MC_BLOCK, 0
+    while collected < wanted:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(config.seed, branch_tag, block_index)))
+        u = rng.random((block, plan.columns))
+        col = 0
+        noise_bits = (u[:, col:col + plan.n_noise] < noise_p).astype(np.int8)
+        col += plan.n_noise
+        prep_bits = (u[:, col:col + plan.n_prep] < gate_noise).astype(np.int8)
+        col += plan.n_prep
+        parity_bits = (u[:, col:col + plan.n_parity] < gate_noise).astype(np.int8)
+        col += plan.n_parity
+        if plan.use_hardware:
+            hardware_ok = u[:, col] < plan.hardware_success
+            col += 1
+        else:
+            hardware_ok = np.ones(block, dtype=bool)
+        u_outcome = u[:, col]
+        for r in range(block):
+            if collected >= wanted:
+                break
+            attempts += 1
+            if not hardware_ok[r]:
+                attempts_since_success += 1
+                if attempts_since_success >= protocol.TOL.mc_abort_window:
+                    raise NonterminatingSampling(
+                        f"no successful run in {attempts_since_success} attempts; "
+                        f"estimated success probability below 1e-6 "
+                        f"(p_cnot = {config.noise.p_cnot}, "
+                        f"fragment size {len(ctx.fragment)})"
+                    )
+                continue
+            attempts_since_success = 0
+            key = (tuple(noise_bits[r]), tuple(prep_bits[r]), tuple(parity_bits[r]))
+            cdf = cache.get(key)
+            if cdf is None:
+                cdf = np.cumsum(_realization_pmf(ctx, apply_gamma, *key))
+                total = cdf[-1]
+                if total > 0:
+                    cdf = cdf / total
+                cache[key] = cdf
+            idx = min(int(np.searchsorted(cdf, u_outcome[r], side="right")), n_outcomes)
+            if idx == n_outcomes:
+                null_count += 1
+            else:
+                counts[idx] += 1
+            collected += 1
+        block_index += 1
+    return counts, null_count, attempts
+
+
+def _sampled(sampler, *args):
+    """A sampler's (counts, null count, attempts), or its abort message."""
+    try:
+        counts, null_count, attempts = sampler(*args)
+    except NonterminatingSampling as exc:
+        return str(exc)
+    return counts.tolist(), null_count, attempts
+
+
+@st.composite
+def _sampler_configs(draw):
+    """Monte Carlo configs over both frameworks, every CNOT model, hardware
+    discarding and explicit branch splits."""
+    framework = draw(st.sampled_from(["SQD", "ISBS"]))
+    if framework == "SQD":
+        cnot_model = draw(st.sampled_from(["ideal", "noisy_prep", "noisy_prep_parity"]))
+        envs, p_cnot = ["E1", "E2"], draw(st.sampled_from([1.0, 0.85, 0.6]))
+    else:  # ISBS runs neither noisy CNOTs nor parity-check hardware
+        cnot_model, envs, p_cnot = "ideal", ["E1", "E2", "E3", "E4"], 1.0
+    fragment = draw(st.lists(st.sampled_from(envs), min_size=1, unique=True))
+    noise = NoiseConfig(p=draw(st.floats(0.05, 0.95)), f=draw(st.floats(0.05, 0.95)),
+                        mode=draw(st.sampled_from(["mix_global", "depolarize_local"])),
+                        p_cnot=p_cnot)
+    branch_shots = draw(st.none() | st.tuples(st.integers(1, 150), st.integers(1, 150)))
+    return ProtocolConfig(framework=framework, fragment=tuple(fragment), noise=noise,
+                          cnot_model=cnot_model, shots=draw(st.integers(2, 300)),
+                          seed=draw(st.integers(0, 2**31)), branch_shots=branch_shots)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(config=_sampler_configs())
+def test_block_sampler_equals_the_run_by_run_loop(config):
+    # A small odd block makes the wanted cutoff and the failure runs cross
+    # block boundaries; the branches share prepared states as in
+    # witness_monte_carlo.
+    ctx = _resolve_context(config)
+    prepared = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_MC_BLOCK", 37)
+        for tag, wanted in enumerate(config.split_shots()):
+            args = (ctx, tag == 1, wanted, tag)
+            assert _sampled(_sample_branch, *args, prepared) \
+                == _sampled(_reference_sample_branch, *args)
+
+
+def test_block_sampler_aborts_on_the_same_attempt(monkeypatch):
+    # A window longer than a block makes the aborting failure run straddle a
+    # block boundary.  For every wanted count the samplers agree: both
+    # collect the same runs, or both abort with the same message.
+    monkeypatch.setattr(protocol, "_MC_BLOCK", 37)
+    monkeypatch.setattr(protocol, "TOL", dataclasses.replace(TOL, mc_abort_window=45))
+    ctx = _resolve_context(ProtocolConfig(
+        framework="SQD", fragment=("E1", "E2"), noise=NoiseConfig(p=0.3, p_cnot=0.5),
+        shots=2, seed=8))
+    results = [(_sampled(_sample_branch, ctx, True, wanted, 1, {}),
+                _sampled(_reference_sample_branch, ctx, True, wanted, 1))
+               for wanted in range(1, 40)]
+    assert all(new == reference for new, reference in results)
+    assert isinstance(results[0][0], tuple) and isinstance(results[-1][0], str)
 
 
 def test_run_witness_dispatch():
