@@ -47,7 +47,10 @@ def _write_out(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _report_csv(report, p: float) -> str:
@@ -69,10 +72,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     data = _read_json(args.config)
-    spec = sweep_from_dict(data, seed_override=args.seed)
+    points = sweep_from_dict(data, seed_override=args.seed)
+    out = args.out if args.out is not None else data.get("output_path")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"field 'output_path': expected a path, got {out!r}")
     rows = []
     reports = []
-    for p, fragment, config in spec.points:
+    for p, fragment, config in points:
         report = run_witness(config)
         rows.append(report_to_sweep_row(p, fragment, report))
         reports.append(report)
@@ -80,12 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
     else:
         text = sweep_rows_to_csv(rows)
-    out = args.out if args.out is not None else spec.output_path
-    try:
-        _write_out(text, out)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {out}: {exc}\n")
-        return EXIT_CONFIG
+    _write_out(text, out)
     return EXIT_OK
 
 

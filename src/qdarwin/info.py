@@ -184,16 +184,7 @@ def quantum_discord(rho: DensityOperator, system: str,
 def holevo_information(rho: DensityOperator, system: str,
                        environment: Iterable[str]) -> float:
     """Classical accessible information chi = I - D, in bits."""
-    env = set(environment)
-    wanted = env | {system}
-    if wanted != set(rho.layout.labels):
-        rho = partial_trace(rho, wanted)
-    i_se = mutual_information(rho, {system}, env)
-    d_se, _ = quantum_discord(rho, system, env)
-    chi = i_se - d_se
-    if chi < -TOL.info_condition:
-        raise InvariantViolation(f"Holevo information {chi} below -{TOL.info_condition}")
-    return max(0.0, chi)
+    return correlation_report(rho, system, environment).holevo
 
 
 def correlation_report(rho: DensityOperator, system: str,
@@ -206,11 +197,13 @@ def correlation_report(rho: DensityOperator, system: str,
     i_se = mutual_information(rho, {system}, env)
     d_se, angles = quantum_discord(rho, system, env)
     h_s = von_neumann_entropy(partial_trace(rho, {system}))
-    chi = max(0.0, i_se - d_se)
+    chi = i_se - d_se
+    if chi < -TOL.info_condition:
+        raise InvariantViolation(f"Holevo information {chi} below -{TOL.info_condition}")
     return CorrelationReport(
         mutual_information=i_se,
         discord=d_se,
-        holevo=chi,
+        holevo=max(0.0, chi),
         system_entropy=h_s,
         minimizing_measurement=angles,
     )

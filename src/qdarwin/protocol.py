@@ -114,10 +114,12 @@ class ProtocolConfig:
     ``shots`` = 0 selects exact mode.  In Monte Carlo mode the successful
     runs are split evenly between the two branches unless ``branch_shots``
     overrides the split.  ``unitary`` may be a preset name or an explicit
-    unitary matrix over the whole register; ``subspace`` defaults to the
-    parity preset (subspace framework) or the computational basis (basis
-    framework).  Construction rejects every field value the pipeline would
-    fail on or silently mis-run.
+    unitary matrix over the whole register, or with a custom ``subspace``
+    over that spec's subsystems (see ``run_branch``); ``subspace`` defaults
+    to the parity preset (subspace framework) or the computational basis
+    (basis framework).  Construction rejects every field value the pipeline
+    would fail on or silently mis-run, and keeps the resolved subspace as the
+    non-field attribute ``spec``, so ``dataclasses.replace`` resolves again.
     """
 
     framework: str = FRAMEWORK_SQD
@@ -156,6 +158,7 @@ class ProtocolConfig:
         spec.select(self.fragment)
         if self.framework == FRAMEWORK_ISBS:
             require_basis_spec(spec)
+        object.__setattr__(self, "spec", spec)
         layout = default_layout(self.framework)
         labels = {spec.system_label, *spec.members_of(spec.environment_names)}
         outside = labels - set(layout.labels)
@@ -163,19 +166,11 @@ class ProtocolConfig:
             raise InvariantViolation(
                 f"subspace labels {sorted(outside)} are not in the "
                 f"{self.framework} layout")
-        if isinstance(self.unitary, str):
-            if self.unitary not in (UNITARY_ALTERNATING, UNITARY_ALL):
-                raise InvariantViolation(f"unknown unitary preset {self.unitary!r}")
-        elif self.unitary is not None:
-            u = np.asarray(self.unitary, dtype=np.complex128)
-            # The framework's register, or only the spec's (see run_branch).
-            dims = sorted({layout.total_dim, layout.subset(labels).total_dim})
-            if u.shape not in [(d, d) for d in dims]:
-                raise InvariantViolation(
-                    f"custom unitary shape {u.shape} != (d, d) for d in {dims}")
-            dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
-            if not dev <= TOL.unitarity:  # NaN entries fail too
-                raise InvariantViolation(f"custom unitary is not unitary (max dev {dev:.3e})")
+        if self.unitary is not None:
+            full = (layout.total_dim, layout.total_dim)
+            if self.subspace is not None and np.shape(self.unitary) != full:
+                layout = layout.subset(labels)
+            _resolve_unitary(self, layout)
 
     def split_shots(self) -> tuple[int, int]:
         if self.branch_shots is not None:
@@ -292,12 +287,17 @@ class _Context:
     unitary: np.ndarray
 
 
-def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout,
-                     spec: ObjectiveSubspaceSpec) -> np.ndarray:
+def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray:
+    """The final unitary over ``layout``, and the only copy of its rules: a
+    known preset name, or a (d, d) matrix for this layout that is unitary
+    within ``TOL.unitarity``."""
     choice = config.unitary
     if choice is None:
         choice = UNITARY_ALTERNATING if config.framework == FRAMEWORK_SQD else UNITARY_ALL
-    if isinstance(choice, str):  # a preset name, checked by ProtocolConfig
+    if isinstance(choice, str):
+        if choice not in (UNITARY_ALTERNATING, UNITARY_ALL):
+            raise InvariantViolation(f"unknown unitary preset {choice!r}")
+        spec = config.spec
         env_members: dict[str, tuple[str, ...]] = dict(spec.environments)
         hadamard_labels: set[str] = {spec.system_label}
         if choice == UNITARY_ALL:
@@ -319,13 +319,16 @@ def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout,
     d = layout.total_dim
     if u.shape != (d, d):
         raise InvariantViolation(f"custom unitary shape {u.shape} != ({d}, {d})")
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+    if not dev <= TOL.unitarity:  # NaN entries fail too
+        raise InvariantViolation(f"custom unitary is not unitary (max dev {dev:.3e})")
     return u
 
 
 def _resolve_context(config: ProtocolConfig,
                      layout: TensorLayout | None = None) -> _Context:
     layout = layout if layout is not None else default_layout(config.framework)
-    spec = config.subspace if config.subspace is not None else default_spec(config.framework)
+    spec = config.spec
     fragment = spec.select(config.fragment)
     fragment_members = tuple(spec.members_of(fragment))
     sf_labels = tuple(
@@ -345,7 +348,7 @@ def _resolve_context(config: ProtocolConfig,
             replacement = config.replacement
             if isinstance(replacement, PureState):
                 replacement = replacement.to_density()
-    unitary = _resolve_unitary(config, layout, spec)
+    unitary = _resolve_unitary(config, layout)
     return _Context(
         config=config, layout=layout, spec=spec, fragment=fragment,
         fragment_members=fragment_members, sf_labels=sf_labels,
@@ -467,7 +470,8 @@ def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
             rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
                                         1.0 - weight, weight)
         rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
-    final = apply_gate(rho, ctx.unitary, list(rho.layout.labels))
+    u = ctx.unitary
+    final = DensityOperator(rho.layout, u @ rho.matrix @ u.conj().T)
     return np.clip(np.diag(final.matrix).real, 0.0, None)
 
 

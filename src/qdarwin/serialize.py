@@ -1,14 +1,17 @@
-"""JSON and CSV serialization: state files, protocol configs, sweep specs.
+"""JSON and CSV serialization: state files, protocol configs, sweeps.
 
 State files carry a layout descriptor plus the row-major complex matrix as
 [re, im] pairs, so they are bit-exact, language-neutral and diff-able.
 Config parsing reports the offending field by name on any malformed input.
+A sweep document is a witness config's keys plus ``p_values``,
+``fragments``, the noise keys ``noise_mode``/``f``/``p_cnot`` and an
+optional ``output_path``; each of its points is parsed as the witness
+config it describes, so ``config_from_dict`` is the only config parser.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -27,6 +30,8 @@ from .protocol import (
     CNOT_IDEAL,
     ProtocolConfig,
     WitnessReport,
+    _resolve_unitary,
+    default_layout,
 )
 
 
@@ -185,7 +190,7 @@ def config_from_dict(data: Mapping[str, Any],
         except ConfigError as exc:
             raise ConfigError(f"field 'replacement': {exc}") from exc
     try:
-        return ProtocolConfig(
+        config = ProtocolConfig(
             framework=framework,
             fragment=fragment,
             noise=noise,
@@ -199,93 +204,50 @@ def config_from_dict(data: Mapping[str, Any],
         )
     except InvariantViolation as exc:
         raise ConfigError(f"config rejected: {exc}") from exc
+    if isinstance(unitary, np.ndarray):
+        try:  # a witness run always spans the framework's register
+            _resolve_unitary(config, default_layout(framework))
+        except InvariantViolation as exc:
+            raise ConfigError(f"field 'unitary': {exc}") from exc
+    return config
 
 
 # ---------------------------------------------------------------------------
-# Sweep specs
+# Sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep over noise strengths and fragment choices.
+_SWEEP_COPIED = ("framework", "shots", "seed", "cnot_model", "subspace")
+_SWEEP_NOISE = (("noise_mode", "mode"), ("f", "f"), ("p_cnot", "p_cnot"))
 
-    Every point's config is built (and so validated) at construction and
-    kept in ``points`` as (p, fragment, config) in run order.
+
+def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
+                    ) -> list[tuple[float, tuple[str, ...], ProtocolConfig]]:
+    """The (p, fragment, config) points of a sweep, fragment-major.
+
+    Each point's config is ``config_from_dict`` of the witness document the
+    sweep describes at that point, so a sweep accepts and rejects exactly
+    what a witness config does.
     """
-
-    framework: str
-    noise_mode: str
-    p_values: tuple[float, ...]
-    fragments: tuple[tuple[str, ...], ...]
-    shots: int
-    seed: int
-    output_path: str | None
-    f: float = 1.0
-    p_cnot: float = 1.0
-    cnot_model: str = CNOT_IDEAL
-    subspace: Any = None
-    points: tuple[tuple[float, tuple[str, ...], ProtocolConfig], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.p_values:
-            raise ConfigError("field 'p_values': must be nonempty")
-        if list(self.p_values) != sorted(self.p_values):
-            raise ConfigError("field 'p_values': must be sorted ascending")
-        if not self.fragments:
-            raise ConfigError("field 'fragments': must be nonempty")
-        object.__setattr__(self, "points", tuple(
-            (p, fragment, ProtocolConfig(
-                framework=self.framework,
-                fragment=fragment,
-                noise=NoiseConfig(p=p, mode=self.noise_mode, f=self.f,
-                                  p_cnot=self.p_cnot),
-                shots=self.shots,
-                seed=self.seed,
-                cnot_model=self.cnot_model,
-                subspace=self.subspace,
-            ))
-            for fragment in self.fragments for p in self.p_values
-        ))
-
-
-def sweep_from_dict(data: Mapping[str, Any],
-                    seed_override: int | None = None) -> SweepSpec:
-    p_values = data.get("p_values")
-    if not isinstance(p_values, Sequence) or not p_values:
-        raise ConfigError("field 'p_values': expected a nonempty list")
-    try:
-        p_tuple = tuple(float(p) for p in p_values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'p_values': {exc}") from exc
-    fragments_raw = data.get("fragments")
-    if not isinstance(fragments_raw, Sequence) or not fragments_raw:
-        raise ConfigError("field 'fragments': expected a nonempty list")
-    fragments = []
-    for entry in fragments_raw:
-        if isinstance(entry, str):
-            fragments.append((entry,))
-        else:
-            fragments.append(tuple(str(f) for f in entry))
-    seed = _optional(data, "seed", int, DEFAULT_SEED, "")
-    if seed_override is not None:
-        seed = seed_override
-    try:
-        return SweepSpec(
-            framework=_optional(data, "framework", str, "SQD", ""),
-            noise_mode=_optional(data, "noise_mode", str, "mix_global", ""),
-            p_values=p_tuple,
-            fragments=tuple(fragments),
-            shots=_optional(data, "shots", int, 0, ""),
-            seed=seed,
-            output_path=data.get("output_path"),
-            f=_optional(data, "f", float, 1.0, ""),
-            p_cnot=_optional(data, "p_cnot", float, 1.0, ""),
-            cnot_model=_optional(data, "cnot_model", str, CNOT_IDEAL, ""),
-            subspace=resolve_subspace(data.get("subspace")),
-        )
-    except InvariantViolation as exc:
-        raise ConfigError(f"sweep rejected: {exc}") from exc
+    p_values, fragments = data.get("p_values"), data.get("fragments")
+    for key, value in (("p_values", p_values), ("fragments", fragments)):
+        if not isinstance(value, Sequence) or isinstance(value, str) or not value:
+            raise ConfigError(f"field '{key}': expected a nonempty list")
+    witness = {key: data[key] for key in _SWEEP_COPIED if key in data}
+    noise = {name: data[key] for key, name in _SWEEP_NOISE if key in data}
+    points = []
+    for fragment in fragments:
+        for p in p_values:
+            try:
+                config = config_from_dict(
+                    {**witness, "fragment": fragment, "noise": {**noise, "p": p}},
+                    seed_override)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point p={p!r}, fragment={fragment!r}: {exc}") from exc
+            points.append((config.noise.p, config.fragment, config))
+    ps = [p for p, _, _ in points[:len(p_values)]]
+    if ps != sorted(ps):
+        raise ConfigError("field 'p_values': must be sorted ascending")
+    return points
 
 
 # ---------------------------------------------------------------------------

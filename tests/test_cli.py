@@ -206,15 +206,24 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert len(parse_csv(out_path.read_text())) == 2
 
 
-def test_sweep_unwritable_path(tmp_path, capsys):
-    cfg = write_config(tmp_path, "s.json", {
-        "framework": "SQD", "noise_mode": "mix_global",
-        "p_values": [0.0], "fragments": [["E1"]], "shots": 0,
-    })
-    code, _, err = run_cli(capsys, "sweep", "--config", cfg,
-                           "--out", str(tmp_path / "missing" / "out.csv"))
+@pytest.mark.parametrize("command", ["witness", "sweep", "check", "cost"])
+def test_sweep_unwritable_path(tmp_path, capsys, command):
+    # Every command maps an unwritable --out to a config error naming the path.
+    argv = {
+        "witness": ["--config", str(REPO_ROOT / "configs" / "witness_sqd_e1.json")],
+        "sweep": ["--config", write_config(tmp_path, "s.json", {
+            "framework": "SQD", "noise_mode": "mix_global",
+            "p_values": [0.0], "fragments": [["E1"]], "shots": 0,
+        })],
+        "check": ["--state", str(REPO_ROOT / "states" / "sqd_initial.json"),
+                  "--fragment", "E1"],
+        "cost": ["--m-envs", "1", "--c", "10", "--p-cnot", "0.5"],
+    }[command]
+    out_path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli(capsys, command, *argv, "--out", out_path)
     assert code == 2
-    assert "cannot write" in err
+    assert out == ""
+    assert "cannot write" in err and out_path in err
 
 
 _E1_KETS = [[[[1, 0], [0, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]
@@ -251,6 +260,18 @@ _OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": 
     ("witness", {"framework": "SQD", "fragment": ["E1"],
                  "unitary": [[[2.0 * (i == j), 0] for j in range(32)] for i in range(32)]},
      "unitary"),
+    # Sized to the spec's own subsystems, but a witness run spans all 32 dims.
+    ("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E1_KETS}},
+        "unitary": [[[1.0 * (i == j), 0] for j in range(8)] for i in range(8)]},
+     "field 'unitary'"),
+    # A sweep point is a witness config: the ISBS holes are refused there too.
+    ("sweep", {"framework": "ISBS", "cnot_model": "noisy_prep", "p_values": [0.1],
+               "fragments": [["E1"]]}, "cnot_model"),
+    ("sweep", {"framework": "ISBS", "p_cnot": 0.5, "p_values": [0.1],
+               "fragments": [["E1"]]}, "p_cnot"),
+    ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "output_path": 5},
+     "output_path"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,

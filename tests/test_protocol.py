@@ -429,6 +429,15 @@ def test_isbs_gamma_picks_the_system_by_label():
         assert (default.measure > 0.1) == (p > 0.0)
 
 
+def test_config_resolves_its_spec_once_and_replace_resolves_again():
+    config = ProtocolConfig(framework="SQD", fragment=("E1",))
+    assert _resolve_context(config).spec is config.spec
+    assert config.spec.environment_names == ("E1", "E2")
+    isbs = dataclasses.replace(config, framework="ISBS")
+    assert isbs.spec.environment_names == ("E1", "E2", "E3", "E4")
+    assert _resolve_context(isbs).spec is isbs.spec
+
+
 @st.composite
 def _small_noisy_configs(draw):
     """Configs whose projected branch has at most 64 coin realizations."""
