@@ -159,7 +159,7 @@ def apply_gate(rho: DensityOperator, unitary: np.ndarray,
     if dev > TOL.unitarity:
         raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
     u_full = embed_operator(rho.layout, u, targets)
-    return DensityOperator(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
+    return DensityOperator._trusted(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
 
 
 def noisy_cnot(rho: DensityOperator, control: str, target: str, f: float) -> DensityOperator:
@@ -182,15 +182,20 @@ def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
 
     The replacement keeps the marginal of the other subsystems and the trace.
     Callers pass both weights in the form they hold them, so 1 - (1 - f) is
-    never formed; a 0/1 weight (a sampled coin) skips the unused term.
+    never formed; a 0/1 weight (a sampled coin) skips the unused term.  The
+    weights must be nonnegative with keep + noise <= 1, so the output is a CP
+    map of ``rho`` and needs no further validation.
     """
+    if keep < 0 or noise < 0 or keep + noise > 1.0 + TOL.trace_upper_slack:
+        raise InvariantViolation(f"weights keep = {keep}, noise = {noise} are not "
+                                 "a subnormalized mixture")
     if noise == 0:
         return rho
     d = rho.layout.subset(labels).total_dim
     replaced = _replace_subsystems(rho, labels, np.eye(d, dtype=np.complex128) / d)
     if keep == 0:
-        return DensityOperator(rho.layout, replaced)
-    return DensityOperator(rho.layout, keep * rho.matrix + noise * replaced)
+        return DensityOperator._trusted(rho.layout, replaced)
+    return DensityOperator._trusted(rho.layout, keep * rho.matrix + noise * replaced)
 
 
 def _replace_subsystems(rho: DensityOperator, labels: Sequence[str],
@@ -248,5 +253,5 @@ def point_channel(rho: DensityOperator, discard: Iterable[str],
             f"replacement layout {replacement.layout.labels} != discarded "
             f"subsystems {expected.labels}"
         )
-    return DensityOperator(rho.layout,
-                           _replace_subsystems(rho, discard, replacement.matrix))
+    return DensityOperator._trusted(rho.layout,
+                                    _replace_subsystems(rho, discard, replacement.matrix))

@@ -4,6 +4,15 @@ States and operators carry a :class:`TensorLayout` naming each subsystem, so
 partial traces, operator embeddings and measurements are addressed by label
 rather than by raw index arithmetic.  All values are immutable after
 construction and every operation is a pure function.
+
+The public ``DensityOperator(layout, matrix)`` validates its matrix: shape,
+Hermiticity, positivity and trace.  The internal ``DensityOperator._trusted``
+copies and freezes the matrix without those checks.  It builds only outputs
+of CP maps (partial trace, subsystem replacement, unitary conjugation,
+projection sums) applied to operators that were already validated, which
+keep Hermiticity, positivity and a trace in [0, 1] up to rounding.  The
+witness pipeline validates through the public constructor once per
+prepared state and once per branch output, so a broken stage still raises.
 """
 
 from __future__ import annotations
@@ -127,7 +136,10 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        # |psi><psi| is PSD, and its trace is the norm^2, which construction
+        # pins to 1 within TOL.pure_norm < TOL.trace_upper_slack.
+        return DensityOperator._trusted(
+            self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +147,9 @@ class DensityOperator:
     """Hermitian positive-semidefinite matrix over a :class:`TensorLayout`.
 
     The trace may lie anywhere in [0, 1]: objectivity operations subnormalize.
+    The constructor checks all of this within ``TOL``; ``_trusted`` is the
+    unchecked constructor for CP-map outputs of validated operators (see the
+    module docstring).
     """
 
     layout: TensorLayout
@@ -156,6 +171,14 @@ class DensityOperator:
             raise InvariantViolation(f"trace {tr.real} outside [0, 1]")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, layout: TensorLayout, matrix: np.ndarray) -> "DensityOperator":
+        """Copy and freeze ``matrix`` without checking it (internal use only)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "layout", layout)
+        object.__setattr__(out, "matrix", _as_complex(matrix))
+        return out
 
     @property
     def trace(self) -> float:
@@ -269,7 +292,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
         remaining -= 1
     new_layout = layout.subset(keep)
     d = new_layout.total_dim
-    return DensityOperator(new_layout, tensor.reshape(d, d))
+    return DensityOperator._trusted(new_layout, tensor.reshape(d, d))
 
 
 def eigvals_hermitian(h: np.ndarray) -> np.ndarray:

@@ -225,7 +225,7 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     out = np.zeros_like(rho.matrix)
     for p_full in projectors:
         out += p_full @ rho.matrix @ p_full
-    return DensityOperator(rho.layout, out)
+    return DensityOperator._trusted(rho.layout, out)
 
 
 def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:

@@ -18,7 +18,9 @@ the expectation of the run-by-run statistics.  Per-run randomness comes from
 counter-style stream splitting, so results are bit-reproducible for a given
 seed regardless of evaluation order.  The sampler works a block of runs at a
 time and evaluates each distinct realization once per branch; both branches
-of one call share the prepared states.
+of one call share the prepared states.  States are validated where they
+enter the pipeline and where they leave it: once per prepared state and once
+per branch output; the CP maps in between build their outputs unchecked.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ class ProtocolConfig:
                 "ISBS runs no parity-check CNOTs")
         spec = self.subspace if self.subspace is not None else default_spec(self.framework)
         spec.select(self.fragment)
-        if self.framework == FRAMEWORK_ISBS:
-            require_basis_spec(spec)
+        if self.framework == FRAMEWORK_ISBS and self.subspace is not None:
+            require_basis_spec(spec)  # the default ISBS spec is one by construction
         object.__setattr__(self, "spec", spec)
         layout = default_layout(self.framework)
         labels = {spec.system_label, *spec.members_of(spec.environment_names)}
@@ -412,7 +414,7 @@ def _prepare(framework: str, mode: str, cnot_keep: Sequence[float],
     sites = _noise_sites(mode, rho.layout)
     for labels, weight in zip(sites, noise_weights, strict=True):
         rho = depolarize_subsystems(rho, labels, 1.0 - weight, weight)
-    return rho
+    return DensityOperator(rho.layout, rho.matrix)  # the pipeline's entry check
 
 
 def _prepare_exact(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
@@ -471,6 +473,7 @@ def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
                                         1.0 - weight, weight)
         rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
     u = ctx.unitary
+    # The pipeline's exit check: it bounds the clipped dips by TOL.psd_min_eig.
     final = DensityOperator(rho.layout, u @ rho.matrix @ u.conj().T)
     return np.clip(np.diag(final.matrix).real, 0.0, None)
 

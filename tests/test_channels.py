@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdarwin import (
     CNOT,
+    DensityOperator,
     HADAMARD,
     InvariantViolation,
     KrausChannel,
@@ -20,12 +22,20 @@ from qdarwin import (
     mix_with_noise,
     mutual_information,
     noisy_cnot,
+    objectivity_operation_sqd,
     partial_trace,
     point_channel,
     tensor_product,
 )
+from qdarwin.channels import depolarize_subsystems
 
-from conftest import qubits, random_density
+from conftest import (
+    qubits,
+    random_density,
+    random_pure,
+    random_subspace_spec,
+    random_unitary,
+)
 
 PAULIS = [
     np.eye(2, dtype=complex),
@@ -179,6 +189,13 @@ def test_depolarize_p1_kills_bell_correlation():
     assert np.allclose(out.matrix, np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("keep, noise", [(0.7, 0.7), (1.5, -0.5), (-0.2, 1.0)])
+def test_depolarize_subsystems_rejects_weights_beyond_a_mixture(keep, noise):
+    bell = PureState(qubits("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
+    with pytest.raises(InvariantViolation, match="weights"):
+        depolarize_subsystems(bell, ["A"], keep, noise)
+
+
 def test_depolarize_p1_all_photons_gives_maximally_mixed():
     lay = qubits("S", "E1_1", "E1_2", "E2_1", "E2_2")
     amps = np.zeros(32, complex)
@@ -299,6 +316,43 @@ def test_channels_preserve_state_validity(rng):
         assert abs(out.trace - rho.trace) < 1e-10
         assert np.linalg.eigvalsh(out.matrix)[0] > -1e-9
         count += 1
+
+
+@st.composite
+def _trusted_operation_cases(draw):
+    """A random state on S + three qubits, a label subset and a weight."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lay = qubits("S", "A", "B", "C")
+    rank = draw(st.sampled_from([1, 2, 16]))
+    labels = draw(st.lists(st.sampled_from(lay.labels), min_size=1, max_size=3,
+                           unique=True))
+    weight = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    fragment = draw(st.lists(st.sampled_from(["E1", "E2"]), min_size=1, unique=True))
+    pure_replacement = draw(st.booleans())
+    return rng, random_density(lay, rng, rank), labels, weight, fragment, pure_replacement
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_trusted_operation_cases())
+def test_trusted_outputs_pass_the_public_checks(case):
+    # These operations build their outputs without validation; the public
+    # constructor must accept every one of them, on normalized inputs and on
+    # the subnormalized output of the objectivity operation.
+    rng, rho, labels, weight, fragment, pure_replacement = case
+    spec = random_subspace_spec(rng, {"E1": ("A",), "E2": ("B", "C")})
+    gamma = objectivity_operation_sqd(rho, spec, fragment)
+    sub = rho.layout.subset(labels)
+    replacement = random_pure(sub, rng) if pure_replacement else random_density(sub, rng)
+    outputs = [gamma, random_pure(rho.layout, rng).to_density()]
+    for state in (rho, gamma):
+        outputs += [
+            partial_trace(state, labels),
+            depolarize_subsystems(state, labels, 1.0 - weight, weight),
+            point_channel(state, labels, replacement),
+            apply_gate(state, random_unitary(sub.total_dim, rng), labels),
+        ]
+    for out in outputs:
+        DensityOperator(out.layout, out.matrix)
 
 
 def test_kraus_channel_validation():

@@ -61,6 +61,17 @@ def test_density_operator_validation():
         DensityOperator(lay, np.eye(2) * 0.8)  # trace 1.6
 
 
+def test_trusted_operator_is_a_frozen_copy():
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityOperator._trusted(qubits("A"), m)
+    assert not rho.matrix.flags.writeable
+    assert not np.shares_memory(rho.matrix, m)
+    m[0, 0] = 5.0
+    assert rho.matrix[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+
+
 def test_pure_state_norm_validation():
     lay = qubits("A")
     with pytest.raises(InvariantViolation):

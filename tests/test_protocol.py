@@ -33,6 +33,7 @@ from qdarwin import (
     witness_monte_carlo,
 )
 from qdarwin import protocol
+from qdarwin.objectivity import require_basis_spec
 from qdarwin.protocol import (
     _branch_plan,
     _marginalize_to_sf,
@@ -436,6 +437,51 @@ def test_config_resolves_its_spec_once_and_replace_resolves_again():
     isbs = dataclasses.replace(config, framework="ISBS")
     assert isbs.spec.environment_names == ("E1", "E2", "E3", "E4")
     assert _resolve_context(isbs).spec is isbs.spec
+
+
+def test_default_isbs_spec_is_a_basis_spec():
+    # ProtocolConfig checks only a user-supplied ISBS subspace.
+    require_basis_spec(protocol.default_spec(protocol.FRAMEWORK_ISBS))
+
+
+# ---------------------------------------------------------------------------
+# Validation boundaries
+# ---------------------------------------------------------------------------
+
+def _with_negative_eigenvalue(rho):
+    """``rho`` with its smallest eigenvalue set to -1e-6, built unchecked."""
+    w, v = np.linalg.eigh(rho.matrix)
+    w[0] = -1e-6
+    return DensityOperator._trusted(rho.layout, (v * w) @ v.conj().T)
+
+
+def _broken(stage):
+    return lambda *args, **kwargs: _with_negative_eigenvalue(stage(*args, **kwargs))
+
+
+_BOUNDARY_CONFIG = ProtocolConfig(framework="SQD", fragment=("E1",),
+                                  noise=NoiseConfig(p=0.2))
+
+
+def _assert_both_modes_raise():
+    with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+        witness_exact(_BOUNDARY_CONFIG)
+    with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+        witness_monte_carlo(dataclasses.replace(_BOUNDARY_CONFIG, shots=200))
+
+
+def test_branch_output_boundary_catches_a_broken_gamma(monkeypatch):
+    monkeypatch.setattr(protocol, "objectivity_operation_sqd",
+                        _broken(protocol.objectivity_operation_sqd))
+    _assert_both_modes_raise()
+
+
+def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
+    monkeypatch.setattr(protocol, "depolarize_subsystems",
+                        _broken(protocol.depolarize_subsystems))
+    with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+        protocol._prepare("SQD", "mix_global", (1.0, 1.0), (0.2,))
+    _assert_both_modes_raise()
 
 
 @st.composite
