@@ -2,7 +2,12 @@
 
 All information quantities are in bits (logarithm base 2).  The discord
 minimization searches rank-1 projective qubit measurements parameterized by
-Bloch angles: a coarse grid seed followed by local simplex refinement.
+Bloch angles: a coarse grid seed followed by local simplex refinement.  Each
+outcome's conditional state enters only through its nonzero spectrum, so a
+state of rank r below d_E is searched on r x r Gram blocks.  The grid seed
+covers half the sphere, because (theta, phi) and (pi - theta, phi + pi) are
+one measurement with its outcomes swapped; the reported angles are one of
+those two representatives.
 """
 
 from __future__ import annotations
@@ -121,14 +126,38 @@ def _measurement_kets(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, n
     return m0, m1
 
 
-def _conditional_entropy_batch(rho4: np.ndarray, theta: np.ndarray,
+def _outcome_blocks(rho4: np.ndarray) -> np.ndarray:
+    """Operators K[a, c] whose sum over conj(m_a) m_c K[a, c] has the nonzero
+    spectrum of the unnormalized conditional state of outcome ket m.
+
+    For a state of rank r < d_E, with rho_SE = A A^dag and
+    Phi = (<m| x I) A, that sum is the r x r Gram matrix Phi^dag Phi, so
+    K[a, c] = A_c^dag A_a.  Otherwise K[a, c] = rho[a, :, c, :], the d_E x d_E
+    conditional block itself.
+    """
+    d_s, d_e = rho4.shape[:2]
+    eigs, vecs = np.linalg.eigh(rho4.reshape(d_s * d_e, d_s * d_e))
+    keep = eigs > TOL.entropy_eig_cutoff
+    if np.count_nonzero(keep) >= d_e:
+        return rho4.transpose(0, 2, 1, 3)
+    factor = (vecs[:, keep] * np.sqrt(eigs[keep])).reshape(d_s, d_e, -1)
+    return np.einsum("cbk,abl->ackl", factor.conj(), factor)
+
+
+def _conditional_entropy_batch(blocks: np.ndarray, theta: np.ndarray,
                                phi: np.ndarray) -> np.ndarray:
-    """sum_i p_i H(rho_E|i) for a batch of measurement angles."""
-    m0, m1 = _measurement_kets(theta, phi)
+    """sum_i p_i H(rho_E|i) for a batch of measurement angles.
+
+    ``blocks`` comes from `_outcome_blocks`; an outcome's blocks for the
+    whole batch are one (g x d_S^2) . (d_S^2 x k^2) matmul.
+    """
+    k = blocks.shape[-1]
+    flat = blocks.reshape(-1, k * k)
     total = np.zeros(theta.shape, dtype=float)
-    for kets in (m0, m1):
-        cond = np.einsum("ga,abcd,gc->gbd", kets.conj(), rho4, kets, optimize=True)
-        p = np.einsum("gbb->g", cond).real
+    for kets in _measurement_kets(theta, phi):
+        weights = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
+        cond = (weights @ flat).reshape(-1, k, k)
+        p = np.trace(cond, axis1=1, axis2=2).real
         eigs = np.linalg.eigvalsh(0.5 * (cond + np.conj(np.swapaxes(cond, -1, -2))))
         safe_p = np.where(p > TOL.conditional_skip, p, 1.0)
         lam = eigs / safe_p[:, None]
@@ -144,8 +173,14 @@ def quantum_discord(rho: DensityOperator, system: str,
     """Minimized discord of a qubit system with an environment block.
 
     Returns the discord value (clamped at zero) and the minimizing Bloch
-    angles (theta, phi).  Grid ties break toward the lexicographically
-    smallest angles.  Only qubit systems are supported.
+    angles (theta, phi).  A state of rank r below d_E is searched on r x r
+    Gram blocks (see `_outcome_blocks`).  The measurement at (theta, phi) is
+    the one at (pi - theta, phi + pi) with its outcomes swapped, and theta = 0
+    fixes it for every phi, so the grid seed evaluates only the rows
+    0 < theta < pi/2 and the point (0, 0).  The reported angles are one of
+    the two equivalent representatives: the seed has theta < pi/2, and the
+    simplex refinement may leave that range.  Grid ties break toward the
+    lexicographically smallest angles.  Only qubit systems are supported.
     """
     env = set(environment)
     wanted = env | {system}
@@ -155,22 +190,24 @@ def quantum_discord(rho: DensityOperator, system: str,
         )
     if wanted != set(rho.layout.labels):
         rho = partial_trace(rho, wanted)
-    rho4 = _system_first(rho, system)
-    d_s, d_e = rho4.shape[0], rho4.shape[1]
+    blocks = _outcome_blocks(_system_first(rho, system))
 
     h_s = von_neumann_entropy(partial_trace(rho, {system}))
     h_se = von_neumann_entropy(rho)
 
     thetas = np.linspace(0.0, np.pi, _DISCORD_GRID_THETA)
     phis = np.linspace(0.0, 2.0 * np.pi, _DISCORD_GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    grid = _conditional_entropy_batch(rho4, tt.ravel(), pp.ravel())
+    upper = thetas[(thetas > 0.0) & (thetas < 0.5 * np.pi)]
+    tt, pp = np.meshgrid(upper, phis, indexing="ij")
+    tt = np.concatenate([[0.0], tt.ravel()])
+    pp = np.concatenate([[0.0], pp.ravel()])
+    grid = _conditional_entropy_batch(blocks, tt, pp)
     best = int(np.argmin(grid))  # first minimum = smallest (theta, phi)
-    t0, p0 = tt.ravel()[best], pp.ravel()[best]
+    t0, p0 = tt[best], pp[best]
 
     def objective(x: np.ndarray) -> float:
         return float(_conditional_entropy_batch(
-            rho4, np.array([x[0]]), np.array([x[1]]))[0])
+            blocks, np.array([x[0]]), np.array([x[1]]))[0])
 
     res = minimize(objective, x0=np.array([t0, p0]), method="Nelder-Mead",
                    options={"fatol": TOL.discord_ftol, "xatol": 1e-6})

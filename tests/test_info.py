@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdarwin import (
     DensityOperator,
@@ -24,6 +25,8 @@ from qdarwin import (
     verify_equal_dimension_reduction,
     von_neumann_entropy,
 )
+
+from qdarwin.info import _conditional_entropy_batch, _outcome_blocks, _system_first
 
 from conftest import qubits, random_density, random_unitary
 
@@ -222,6 +225,43 @@ def test_grid_then_refine_matches_finer_grid_oracle(rng):
         d, _ = quantum_discord(rho, "S", {"E"})
         oracle = _grid_discord_oracle(rho, 640, 1280)
         assert abs(d - oracle) < 1e-4
+
+
+def test_discord_of_low_rank_states_matches_grid_oracle(rng):
+    # States of rank below d_E take the Gram-block path.
+    lay = TensorLayout([("S", 2), ("E", 4)])
+    for rank in (1, 2, 3):
+        rho = random_density(lay, rng, rank=rank)
+        d, _ = quantum_discord(rho, "S", {"E"})
+        oracle = _grid_discord_oracle(rho, 160, 320)
+        assert abs(d - oracle) < 1e-4
+
+
+@st.composite
+def _low_rank_cases(draw):
+    """A random S x E state of rank below d_E and a batch of Bloch angles."""
+    d_e = draw(st.sampled_from([2, 4, 8]))
+    rank = draw(st.integers(1, d_e - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(TensorLayout([("S", 2), ("E", d_e)]), rng, rank)
+    return rho, rank, rng.uniform(0.0, np.pi, 16), rng.uniform(0.0, 2.0 * np.pi, 16)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_low_rank_cases())
+def test_gram_blocks_and_mirrored_angles_keep_the_conditional_entropy(case):
+    # The discord search rests on two identities: the r x r Gram blocks have
+    # the nonzero spectrum of the d_E x d_E conditional blocks, and
+    # (pi - theta, phi + pi) is the measurement at (theta, phi) with its
+    # outcomes swapped.
+    rho, rank, theta, phi = case
+    rho4 = _system_first(rho, "S")
+    gram = _outcome_blocks(rho4)
+    assert gram.shape == (2, 2, rank, rank)
+    full = _conditional_entropy_batch(rho4.transpose(0, 2, 1, 3), theta, phi)
+    assert np.max(np.abs(_conditional_entropy_batch(gram, theta, phi) - full)) < 1e-12
+    mirrored = _conditional_entropy_batch(gram, np.pi - theta, phi + np.pi)
+    assert np.max(np.abs(mirrored - full)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
