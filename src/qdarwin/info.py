@@ -168,6 +168,21 @@ def _conditional_entropy_batch(blocks: np.ndarray, theta: np.ndarray,
     return total
 
 
+def _grid_seed_angles() -> tuple[np.ndarray, np.ndarray]:
+    """Bloch angles (theta, phi) of the discord grid seed: the point (0, 0)
+    and the rows 0 < theta < pi/2 of the 64 x 128 grid over the sphere.
+
+    Its minimum equals the full grid's, because the rows theta > pi/2 repeat
+    these measurements with their outcomes swapped, and theta = 0 is one
+    measurement for every phi.
+    """
+    thetas = np.linspace(0.0, np.pi, _DISCORD_GRID_THETA)
+    phis = np.linspace(0.0, 2.0 * np.pi, _DISCORD_GRID_PHI, endpoint=False)
+    upper = thetas[(thetas > 0.0) & (thetas < 0.5 * np.pi)]
+    tt, pp = np.meshgrid(upper, phis, indexing="ij")
+    return np.concatenate([[0.0], tt.ravel()]), np.concatenate([[0.0], pp.ravel()])
+
+
 def quantum_discord(rho: DensityOperator, system: str,
                     environment: Iterable[str]) -> tuple[float, tuple[float, float]]:
     """Minimized discord of a qubit system with an environment block.
@@ -176,8 +191,8 @@ def quantum_discord(rho: DensityOperator, system: str,
     angles (theta, phi).  A state of rank r below d_E is searched on r x r
     Gram blocks (see `_outcome_blocks`).  The measurement at (theta, phi) is
     the one at (pi - theta, phi + pi) with its outcomes swapped, and theta = 0
-    fixes it for every phi, so the grid seed evaluates only the rows
-    0 < theta < pi/2 and the point (0, 0).  The reported angles are one of
+    fixes it for every phi, so the grid seed (`_grid_seed_angles`) evaluates
+    only the rows 0 < theta < pi/2 and the point (0, 0).  The reported angles are one of
     the two equivalent representatives: the seed has theta < pi/2, and the
     simplex refinement may leave that range.  Grid ties break toward the
     lexicographically smallest angles.  Only qubit systems are supported.
@@ -195,12 +210,7 @@ def quantum_discord(rho: DensityOperator, system: str,
     h_s = von_neumann_entropy(partial_trace(rho, {system}))
     h_se = von_neumann_entropy(rho)
 
-    thetas = np.linspace(0.0, np.pi, _DISCORD_GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * np.pi, _DISCORD_GRID_PHI, endpoint=False)
-    upper = thetas[(thetas > 0.0) & (thetas < 0.5 * np.pi)]
-    tt, pp = np.meshgrid(upper, phis, indexing="ij")
-    tt = np.concatenate([[0.0], tt.ravel()])
-    pp = np.concatenate([[0.0], pp.ravel()])
+    tt, pp = _grid_seed_angles()
     grid = _conditional_entropy_batch(blocks, tt, pp)
     best = int(np.argmin(grid))  # first minimum = smallest (theta, phi)
     t0, p0 = tt[best], pp[best]

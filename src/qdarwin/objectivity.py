@@ -11,6 +11,7 @@ environment projector is the projector onto the system's matching basis ket
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
+    TensorLayout,
     embed_operator,
     trace_norm_distance,
 )
@@ -35,8 +37,9 @@ class ObjectiveSubspaceSpec:
     labels it is made of; ``projectors`` maps the same names to one projector
     per system-basis index, acting on the environment's combined space.
     Disjointness and idempotence are validated eagerly at construction.
-    The instance memoizes the embedded projectors of its objectivity
-    operation per (fragment, layout); the spec itself never changes.
+    The basis, the projectors and their mapping are read-only copies, so one
+    instance can be shared; it memoizes the embedded projectors of its
+    objectivity operation per (fragment, layout).
     """
 
     system_label: str
@@ -51,7 +54,7 @@ class ObjectiveSubspaceSpec:
         environments: Mapping[str, Sequence[str]],
         projectors: Mapping[str, Sequence[np.ndarray]],
     ):
-        basis = np.asarray(system_basis, dtype=np.complex128)
+        basis = np.array(system_basis, dtype=np.complex128)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise InvariantViolation("system basis must be a square matrix of kets")
         d_s = basis.shape[0]
@@ -77,7 +80,7 @@ class ObjectiveSubspaceSpec:
         for name, _ in env_items:
             if name not in projectors:
                 raise InvariantViolation(f"missing projectors for environment {name!r}")
-            pis = tuple(np.asarray(p, dtype=np.complex128) for p in projectors[name])
+            pis = tuple(np.array(p, dtype=np.complex128) for p in projectors[name])
             if len(pis) != d_s:
                 raise InvariantViolation(
                     f"environment {name!r} needs {d_s} projectors, got {len(pis)}"
@@ -96,12 +99,15 @@ class ObjectiveSubspaceSpec:
                         raise InvariantViolation(
                             f"projectors {name!r}[{i}] and [{j}] are not disjoint"
                         )
+            for p in pis:
+                p.flags.writeable = False
             checked[name] = pis
 
+        basis.flags.writeable = False
         object.__setattr__(self, "system_label", str(system_label))
         object.__setattr__(self, "system_basis", basis)
         object.__setattr__(self, "environments", env_items)
-        object.__setattr__(self, "projectors", checked)
+        object.__setattr__(self, "projectors", MappingProxyType(checked))
         object.__setattr__(self, "_embedded", {})
 
     @property
@@ -205,27 +211,37 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     operation of both frameworks: on a basis spec (``require_basis_spec``)
     P_i is the correlated rank-1 projector |i...i><i...i|.
     """
-    present = rho.layout.labels
-    names = spec.environments_in(present) if fragment is None else spec.select(fragment)
-    key = (names, rho.layout)
+    names = (spec.environments_in(rho.layout.labels) if fragment is None
+             else spec.select(fragment))
+    return DensityOperator._trusted(
+        rho.layout, _objectivity_stack(rho.matrix[None], rho.layout, spec, names)[0])
+
+
+def _objectivity_stack(matrices: np.ndarray, layout: TensorLayout,
+                       spec: ObjectiveSubspaceSpec, names: tuple[str, ...]) -> np.ndarray:
+    """sum_i P_i rho P_i for each rho of a (k, d, d) stack on ``layout``,
+    with ``names`` the fragment environments in spec order (see
+    ``objectivity_operation_sqd``).  The embedded P_i are memoized on the
+    spec per (fragment, layout)."""
+    key = (names, layout)
     projectors = spec._embedded.get(key)
     if projectors is None:
         members = spec.members_of(names)
-        missing = [lab for lab in (spec.system_label, *members) if lab not in present]
+        missing = [lab for lab in (spec.system_label, *members) if lab not in layout.labels]
         if missing:
             raise InvariantViolation(f"state lacks subsystems {missing}")
         projectors = tuple(
-            embed_operator(rho.layout, np.kron(np.outer(ket, ket.conj()),
-                                               fragment_projector(spec, names, i)),
+            embed_operator(layout, np.kron(np.outer(ket, ket.conj()),
+                                           fragment_projector(spec, names, i)),
                            [spec.system_label] + members)
             for i, ket in enumerate(spec.system_basis.T))
         for p_full in projectors:
             p_full.flags.writeable = False
         spec._embedded[key] = projectors
-    out = np.zeros_like(rho.matrix)
+    out = np.zeros_like(matrices)
     for p_full in projectors:
-        out += p_full @ rho.matrix @ p_full
-    return DensityOperator._trusted(rho.layout, out)
+        out += p_full @ matrices @ p_full
+    return out
 
 
 def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:

@@ -18,15 +18,23 @@ the expectation of the run-by-run statistics.  Per-run randomness comes from
 counter-style stream splitting, so results are bit-reproducible for a given
 seed regardless of evaluation order.  The sampler works a block of runs at a
 time and evaluates each distinct realization once per branch; both branches
-of one call share the prepared states.  States are validated where they
-enter the pipeline and where they leave it: once per prepared state and once
-per branch output; the CP maps in between build their outputs unchecked.
+of one call share the prepared states.
+
+The pipeline runs on (k, 32, 32) stacks of states with one row of weights
+per state.  Exact mode passes a single row.  A sampler block prepares the
+states it lacks and evaluates its new realizations in stacks of at most
+``_MC_CHUNK`` = 16 states, so a stacked array holds at most 256 KiB.  Each
+row equals the single-state result bit for bit.  States are validated where
+they enter the pipeline and where they leave it, every row of each prepared
+stack and of each branch-output stack; the CP maps in between build their
+outputs unchecked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,23 +43,24 @@ from .channels import (
     CNOT,
     HADAMARD,
     NoiseConfig,
-    apply_gate,
-    depolarize_subsystems,
-    point_channel,
+    _depolarize_stack,
+    _replace_subsystems,
 )
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
     PureState,
     TensorLayout,
+    _check_density_stack,
     computational_ket,
+    embed_operator,
     partial_trace,
 )
 from .objectivity import (
     ObjectiveSubspaceSpec,
+    _objectivity_stack,
     computational_spec,
     nonobjectivity_measure,
-    objectivity_operation_sqd,
     parity_spec,
     require_basis_spec,
 )
@@ -70,6 +79,10 @@ UNITARY_ALTERNATING = "alternating_hadamards"
 UNITARY_ALL = "all_hadamards"
 
 _MC_BLOCK = 4096
+# States per stacked evaluation: a (16, 32, 32) complex stack is 256 KiB.
+# Measured against 8 and 32, 16 was the fastest and keeps peak memory near
+# that of one state at a time.
+_MC_CHUNK = 16
 _BOOTSTRAP_RESAMPLES = 1000
 
 
@@ -93,7 +106,10 @@ def isbs_layout() -> TensorLayout:
     return TensorLayout([("S", 2), ("E1", 2), ("E2", 2), ("E3", 2), ("E4", 2)])
 
 
+@lru_cache(maxsize=None)
 def default_spec(framework: str) -> ObjectiveSubspaceSpec:
+    """The framework's preset spec: one shared, read-only instance each, so
+    the projectors its objectivity operation embeds are memoized once."""
     if framework == FRAMEWORK_SQD:
         return parity_spec(2)
     if framework == FRAMEWORK_ISBS:
@@ -392,36 +408,45 @@ def _noise_sites(mode: str, layout: TensorLayout) -> list[tuple[str, ...]]:
     return [(label,) for label in layout.labels]
 
 
-def _prepare(framework: str, mode: str, cnot_keep: Sequence[float],
-             noise_weights: Sequence[float]) -> DensityOperator:
-    """Initial state as a mixture over the noise events of the preparation.
+def _prepare(framework: str, mode: str, cnot_keep: np.ndarray,
+             noise_weights: np.ndarray) -> np.ndarray:
+    """Initial states as mixtures over the noise events of the preparation,
+    as a (k, d, d) stack with one row per row of the weights.
 
     Each SQD preparation CNOT keeps its ideal output with weight
-    ``cnot_keep[k]`` and otherwise replaces its two qubits by I/4; then each
-    noise site (see ``_noise_sites``) is replaced by I/d with weight
-    ``noise_weights[k]``.  Exact mode passes the probabilities f and p, a
-    Monte Carlo realization its 0/1 coins.  The ISBS GHZ state is prepared
-    without CNOTs, so ``cnot_keep`` only applies to SQD.
+    ``cnot_keep[r, j]`` and otherwise replaces its two qubits by I/4; then
+    each noise site (see ``_noise_sites``) is replaced by I/d with weight
+    ``noise_weights[r, j]``.  Exact mode passes one row of the probabilities
+    f and p, the Monte Carlo sampler one row of 0/1 coins per realization.
+    The ISBS GHZ state is prepared without CNOTs, so ``cnot_keep`` only
+    applies to SQD.
     """
+    noise_weights = np.asarray(noise_weights, dtype=float)
+    base = _sqd_base_state() if framework == FRAMEWORK_SQD else _isbs_base_state()
+    layout = base.layout
+    rho = np.repeat(base.matrix[None], len(noise_weights), axis=0)
     if framework == FRAMEWORK_SQD:
-        rho = _sqd_base_state()
-        for (control, target), keep in zip(_SQD_PREP_CNOTS, cnot_keep, strict=True):
-            if keep != 0:  # a fully replaced pair keeps no trace of the gate
-                rho = apply_gate(rho, CNOT, [control, target])
-            rho = depolarize_subsystems(rho, [control, target], keep, 1.0 - keep)
-    else:
-        rho = _isbs_base_state()
-    sites = _noise_sites(mode, rho.layout)
-    for labels, weight in zip(sites, noise_weights, strict=True):
-        rho = depolarize_subsystems(rho, labels, 1.0 - weight, weight)
-    return DensityOperator(rho.layout, rho.matrix)  # the pipeline's entry check
+        cnot_keep = np.asarray(cnot_keep, dtype=float)
+        for (control, target), keep in zip(_SQD_PREP_CNOTS, cnot_keep.T, strict=True):
+            on = np.flatnonzero(keep != 0)  # a fully replaced pair keeps no trace of the gate
+            if on.size:
+                gate = embed_operator(layout, CNOT, [control, target])
+                rho[on] = gate @ rho[on] @ gate.conj().T
+            rho = _depolarize_stack(rho, layout, [control, target], keep, 1.0 - keep)
+    sites = _noise_sites(mode, layout)
+    for labels, weight in zip(sites, noise_weights.T, strict=True):
+        rho = _depolarize_stack(rho, layout, labels, 1.0 - weight, weight)
+    _check_density_stack(rho)  # the pipeline's entry check
+    return rho
 
 
 def _prepare_exact(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
     f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
-    n_sites = len(_noise_sites(noise.mode, default_layout(framework)))
-    return _prepare(framework, noise.mode, (f,) * len(_SQD_PREP_CNOTS),
-                    (noise.p,) * n_sites)
+    layout = default_layout(framework)
+    n_sites = len(_noise_sites(noise.mode, layout))
+    stack = _prepare(framework, noise.mode, [(f,) * len(_SQD_PREP_CNOTS)],
+                     [(noise.p,) * n_sites])
+    return DensityOperator._trusted(layout, stack[0])
 
 
 def prepare_initial_sqd(noise: NoiseConfig,
@@ -455,52 +480,59 @@ def prepare_initial(config: ProtocolConfig) -> DensityOperator:
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch(rho: DensityOperator, ctx: _Context, apply_gamma: bool,
-            scramble_weights: Sequence[float]) -> np.ndarray:
-    """Computational-basis outcome probabilities over the full register.
+def _branch(states: np.ndarray, ctx: _Context, apply_gamma: bool,
+            scramble_weights: np.ndarray) -> np.ndarray:
+    """Computational-basis outcome probabilities over the full register, one
+    row per state of a (k, d, d) stack.
 
     Applies the point channel on the unaccessed environments and, in the
     projected branch, scrambles each fragment environment to I/d with weight
-    ``scramble_weights[k]`` (its parity check's two depolarizing CNOTs, so
+    ``scramble_weights[r, j]`` (its parity check's two depolarizing CNOTs, so
     1 - f^2 in exact mode) before the objectivity operation; then the final
     unitary.  A null projected state yields the all-zero vector.
     """
+    layout = ctx.layout
     if ctx.ef_members:
-        rho = point_channel(rho, ctx.ef_members, ctx.replacement)
+        states = _replace_subsystems(states, layout, ctx.ef_members,
+                                     ctx.replacement.matrix)
     if apply_gamma:
-        for name, weight in zip(ctx.fragment, scramble_weights):
-            rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
-                                        1.0 - weight, weight)
-        rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
+        for name, weight in zip(ctx.fragment, np.transpose(scramble_weights)):
+            states = _depolarize_stack(states, layout, ctx.spec.members_of([name]),
+                                       1.0 - weight, weight)
+        states = _objectivity_stack(states, layout, ctx.spec, ctx.fragment)
     u = ctx.unitary
+    states = u @ states @ u.conj().T
     # The pipeline's exit check: it bounds the clipped dips by TOL.psd_min_eig.
-    final = DensityOperator(rho.layout, u @ rho.matrix @ u.conj().T)
-    return np.clip(np.diag(final.matrix).real, 0.0, None)
+    _check_density_stack(states)
+    return np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
 
 
-def _exact_scramble(ctx: _Context) -> tuple[float, ...]:
-    if ctx.config.cnot_model != CNOT_NOISY_PREP_PARITY:
-        return ()
-    return (1.0 - ctx.config.noise.f ** 2,) * len(ctx.fragment)
+def _exact_branch(rho_t: DensityOperator, ctx: _Context, apply_gamma: bool) -> np.ndarray:
+    """``_branch`` on the single state ``rho_t`` with the exact weights."""
+    scramble: tuple[float, ...] = ()
+    if ctx.config.cnot_model == CNOT_NOISY_PREP_PARITY:
+        scramble = (1.0 - ctx.config.noise.f ** 2,) * len(ctx.fragment)
+    return _branch(rho_t.matrix[None], ctx, apply_gamma, np.array([scramble]))[0]
 
 
 def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
                apply_gamma: bool) -> np.ndarray:
     """Exact outcome probabilities of one branch over the full register (see
     ``_branch``), with the context resolved on ``rho_t``'s layout."""
-    ctx = _resolve_context(config, rho_t.layout)
-    return _branch(rho_t, ctx, apply_gamma, _exact_scramble(ctx))
+    return _exact_branch(rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
 
 
-def _marginalize_to_sf(vector: np.ndarray, layout: TensorLayout,
+def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,
                        sf_labels: Sequence[str]) -> np.ndarray:
+    """Sum the last axis of ``vectors``, indexed by the register's outcomes,
+    over the subsystems outside ``sf_labels``."""
     keep = set(sf_labels)
-    dims = layout.dims
-    tensor = vector.reshape(dims)
-    axes = tuple(k for k, lab in enumerate(layout.labels) if lab not in keep)
+    lead = vectors.shape[:-1]
+    tensor = vectors.reshape(lead + layout.dims)
+    axes = tuple(len(lead) + k for k, lab in enumerate(layout.labels) if lab not in keep)
     if axes:
         tensor = tensor.sum(axis=axes)
-    return tensor.reshape(-1)
+    return tensor.reshape(lead + (-1,))
 
 
 def _outcome_labels(layout: TensorLayout, sf_labels: Sequence[str]) -> tuple[str, ...]:
@@ -562,8 +594,8 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
         raise InvariantViolation("exact mode requires shots = 0")
     ctx = _resolve_context(config)
     rho_t = prepare_initial(config)
-    v_id = _branch(rho_t, ctx, apply_gamma=False, scramble_weights=())
-    v_g = _branch(rho_t, ctx, apply_gamma=True, scramble_weights=_exact_scramble(ctx))
+    v_id = _exact_branch(rho_t, ctx, apply_gamma=False)
+    v_g = _exact_branch(rho_t, ctx, apply_gamma=True)
     report = _report(ctx, rho_t, _marginalize_to_sf(v_id, ctx.layout, ctx.sf_labels),
                      _marginalize_to_sf(v_g, ctx.layout, ctx.sf_labels), None, 0)
     witness, measure = report.witness_max_subset, report.measure
@@ -579,32 +611,42 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
 # Monte Carlo mode
 # ---------------------------------------------------------------------------
 
-def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int],
-                     prep_bits: Sequence[int], parity_bits: Sequence[int],
-                     prepared: dict | None = None) -> np.ndarray:
-    """Outcome pmf of one realization over the system-fragment register,
-    with the null mass appended.
+def _prepare_realizations(ctx: _Context, noise_bits: np.ndarray,
+                          prep_bits: np.ndarray) -> np.ndarray:
+    """Prepared states of realizations given one row of coins each."""
+    # A failed preparation CNOT (bit 1) keeps nothing of its ideal output.
+    cnot_keep = (1 - prep_bits if prep_bits.shape[1]
+                 else np.ones((len(prep_bits), len(_SQD_PREP_CNOTS))))
+    return _prepare(ctx.config.framework, ctx.config.noise.mode, cnot_keep, noise_bits)
 
-    The realization runs the exact pipeline with its coins as weights.  The
+
+def _realization_pmfs(ctx: _Context, apply_gamma: bool, states: np.ndarray,
+                      parity_bits: np.ndarray) -> np.ndarray:
+    """Outcome pmfs over the system-fragment register with the null mass
+    appended, one row per realization: its prepared state in ``states`` and
+    its parity-check CNOT coins in ``parity_bits``.
+
+    A realization runs the exact pipeline with its coins as weights.  The
     objectivity operation's measurement cascade (system measurement plus
     per-environment parity checks, mismatches recorded as the null outcome)
     is aggregated analytically: conditioned on the realization, the sampled
     outcome distribution equals the projected state's outcome distribution
-    with the missing trace as the null mass.  ``prepared`` maps the
-    (noise, prep) coins to prepared states; a caller that passes the same
-    dict for every realization of one config prepares each state once.
+    with the missing trace as the null mass.
     """
-    prepared = {} if prepared is None else prepared
-    key = (tuple(noise_bits), tuple(prep_bits))
-    if key not in prepared:
-        cnot_keep = [1 - bit for bit in prep_bits] or [1] * len(_SQD_PREP_CNOTS)
-        prepared[key] = _prepare(ctx.config.framework, ctx.config.noise.mode,
-                                 cnot_keep, noise_bits)
     # A parity check scrambles its environment when either of its CNOTs fails.
-    scramble = [a | b for a, b in zip(parity_bits[0::2], parity_bits[1::2])]
-    pmf = _marginalize_to_sf(_branch(prepared[key], ctx, apply_gamma, scramble),
+    scramble = parity_bits[:, 0::2] | parity_bits[:, 1::2]
+    pmf = _marginalize_to_sf(_branch(states, ctx, apply_gamma, scramble),
                              ctx.layout, ctx.sf_labels)
-    return np.append(pmf, max(0.0, 1.0 - float(pmf.sum())))
+    return np.column_stack([pmf, np.maximum(1.0 - pmf.sum(axis=1), 0.0)])
+
+
+def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int],
+                     prep_bits: Sequence[int], parity_bits: Sequence[int]) -> np.ndarray:
+    """``_realization_pmfs`` of the single realization with these coins."""
+    noise, prep, parity = (np.array(bits, dtype=np.int8).reshape(1, -1)
+                           for bits in (noise_bits, prep_bits, parity_bits))
+    return _realization_pmfs(ctx, apply_gamma, _prepare_realizations(ctx, noise, prep),
+                             parity)[0]
 
 
 @dataclass
@@ -643,9 +685,12 @@ def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int, branch_tag: in
     objectivity projection misses are recorded as the null outcome and do
     count as successful.  Attempts are drawn and evaluated a block at a time:
     each run's coins are packed into an integer key, each distinct key's
-    outcome CDF is built once per call, with its prepared state taken from or
-    added to ``prepared``, and a run's outcome is the CDF bin its uniform
-    falls in.  The results equal a run-by-run loop over the same draws.
+    outcome CDF is built once per call, and a run's outcome is the CDF bin
+    its uniform falls in.  ``prepared`` maps the (noise, prep) coins, the
+    low bits of a key, to prepared states; both branches of one call pass
+    the same dict.  A block prepares its missing states as one stack and
+    evaluates its new keys in stacks of at most ``_MC_CHUNK`` states.  The
+    results equal a run-by-run loop over the same draws.
     """
     config = ctx.config
     plan = _branch_plan(ctx, apply_gamma)
@@ -682,12 +727,9 @@ def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int, branch_tag: in
         coins = (good[:, :n_coins] < thresholds).astype(np.int8)
         keys, first, inverse = np.unique(coins @ (1 << np.arange(n_coins)),
                                          return_index=True, return_inverse=True)
-        for key, row in zip(keys, coins[first]):
-            if key not in cdfs:
-                cdf = np.cumsum(_realization_pmf(
-                    ctx, apply_gamma,
-                    *np.split(row, [plan.n_noise, plan.n_noise + plan.n_prep]), prepared))
-                cdfs[key] = cdf / cdf[-1] if cdf[-1] > 0 else cdf
+        new = [j for j, key in enumerate(keys.tolist()) if key not in cdfs]
+        if new:
+            _add_cdfs(ctx, apply_gamma, plan, keys[new], coins[first[new]], prepared, cdfs)
         # The bin count equals searchsorted(cdf, u, side="right"): CDFs are sorted.
         table = np.array([cdfs[key] for key in keys])[inverse]
         bins = (table <= good[:, -1:]).sum(axis=1)
@@ -695,6 +737,32 @@ def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int, branch_tag: in
         collected += len(bins)
         block_index += 1
     return tally[:-1], int(tally[-1]), attempts
+
+
+def _add_cdfs(ctx: _Context, apply_gamma: bool, plan: _BranchPlan, keys: np.ndarray,
+              coins: np.ndarray, prepared: dict, cdfs: dict) -> None:
+    """Add the normalized outcome CDFs of new realizations to ``cdfs``.
+
+    ``keys`` are the packed coin rows ``coins``; the states that ``prepared``
+    lacks are prepared first, then the realizations are evaluated
+    ``_MC_CHUNK`` at a time.
+    """
+    n_state = plan.n_noise + plan.n_prep
+    state_keys = (keys & ((1 << n_state) - 1)).tolist()
+    missing = {key: j for j, key in enumerate(state_keys) if key not in prepared}
+    new_states, rows = list(missing), coins[list(missing.values())]
+    for start in range(0, len(rows), _MC_CHUNK):
+        chunk = rows[start:start + _MC_CHUNK]
+        prepared.update(zip(new_states[start:start + _MC_CHUNK], _prepare_realizations(
+            ctx, chunk[:, :plan.n_noise], chunk[:, plan.n_noise:n_state])))
+    for start in range(0, len(keys), _MC_CHUNK):
+        chunk = slice(start, start + _MC_CHUNK)
+        states = np.stack([prepared[key] for key in state_keys[chunk]])
+        cdf = np.cumsum(_realization_pmfs(ctx, apply_gamma, states,
+                                          coins[chunk, n_state:]), axis=1)
+        total = cdf[:, -1:]
+        cdfs.update(zip(keys[chunk].tolist(),
+                        np.where(total > 0, cdf / np.where(total > 0, total, 1.0), cdf)))
 
 
 def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,

@@ -17,7 +17,7 @@ from qdarwin import (
     tensor_product,
     trace_norm_distance,
 )
-from qdarwin.hilbert import trace_norm
+from qdarwin.hilbert import _check_density_stack, trace_norm
 
 from conftest import qubits, random_density, random_pure
 
@@ -59,6 +59,47 @@ def test_density_operator_validation():
         DensityOperator(lay, np.array([[1.5, 0], [0, -0.5]]))  # negative eigenvalue
     with pytest.raises(InvariantViolation):
         DensityOperator(lay, np.eye(2) * 0.8)  # trace 1.6
+
+
+def test_layout_derives_its_lookups_from_the_subsystems():
+    lay = TensorLayout([("S", 2), ("E", 3)])
+    assert (lay.labels, lay.dims, lay.total_dim) == (("S", "E"), (2, 3), 6)
+    assert (lay.axis_of("E"), lay.dim_of("E")) == (1, 3)
+    assert lay == TensorLayout([("S", 2), ("E", 3)])
+    assert hash(lay) == hash(TensorLayout([("S", 2), ("E", 3)]))
+    with pytest.raises(InvariantViolation, match="unknown subsystem label"):
+        lay.dim_of("F")
+
+
+def _broken_density(kind, rng):
+    """A 2-qubit matrix that fails one of the constructor's checks."""
+    m = random_density(qubits("A", "B"), rng).matrix.copy()
+    if kind == "hermitian":
+        m[0, 1] += 1e-6
+    elif kind == "eigenvalue":
+        w, v = np.linalg.eigh(m)
+        w[0] = -1e-6
+        m = (v * w) @ v.conj().T
+    else:
+        m *= 1.5
+    return m
+
+
+@pytest.mark.parametrize("kinds", [("hermitian",), ("eigenvalue",), ("trace",),
+                                   ("eigenvalue", "hermitian"), ("trace", "eigenvalue")])
+@pytest.mark.parametrize("first_bad", [0, 2])
+def test_stack_check_raises_the_constructor_message_of_its_first_bad_row(rng, kinds,
+                                                                         first_bad):
+    lay = qubits("A", "B")
+    stack = [random_density(lay, rng).matrix for _ in range(4)]
+    bad = [_broken_density(kind, rng) for kind in kinds]
+    stack[first_bad:first_bad + len(bad)] = bad
+    with pytest.raises(InvariantViolation) as public:
+        DensityOperator(lay, bad[0])
+    with pytest.raises(InvariantViolation) as stacked:
+        _check_density_stack(np.stack(stack))
+    assert str(stacked.value) == str(public.value)
+    _check_density_stack(np.stack([random_density(lay, rng).matrix for _ in range(3)]))
 
 
 def test_trusted_operator_is_a_frozen_copy():

@@ -26,7 +26,14 @@ from qdarwin import (
     von_neumann_entropy,
 )
 
-from qdarwin.info import _conditional_entropy_batch, _outcome_blocks, _system_first
+from qdarwin.info import (
+    _DISCORD_GRID_PHI,
+    _DISCORD_GRID_THETA,
+    _conditional_entropy_batch,
+    _grid_seed_angles,
+    _outcome_blocks,
+    _system_first,
+)
 
 from conftest import qubits, random_density, random_unitary
 
@@ -262,6 +269,25 @@ def test_gram_blocks_and_mirrored_angles_keep_the_conditional_entropy(case):
     assert np.max(np.abs(_conditional_entropy_batch(gram, theta, phi) - full)) < 1e-12
     mirrored = _conditional_entropy_batch(gram, np.pi - theta, phi + np.pi)
     assert np.max(np.abs(mirrored - full)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d_e=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2, None]))
+def test_discord_grid_seed_reaches_the_full_sphere_minimum(seed, d_e, rank):
+    # The seed covers half the grid; by the mirror symmetry its minimum is
+    # the whole sphere's.  A seed that misses part of the half sphere fails
+    # on states whose minimum lies there, even where the simplex refinement
+    # would recover it.
+    rho = random_density(TensorLayout([("S", 2), ("E", d_e)]),
+                         np.random.default_rng(seed), rank)
+    blocks = _outcome_blocks(_system_first(rho, "S"))
+    thetas = np.linspace(0.0, np.pi, _DISCORD_GRID_THETA)
+    phis = np.linspace(0.0, 2.0 * np.pi, _DISCORD_GRID_PHI, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    sphere = _conditional_entropy_batch(blocks, tt.ravel(), pp.ravel()).min()
+    seed_grid = _conditional_entropy_batch(blocks, *_grid_seed_angles()).min()
+    assert abs(seed_grid - sphere) < 1e-12
 
 
 # ---------------------------------------------------------------------------

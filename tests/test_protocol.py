@@ -444,15 +444,33 @@ def test_default_isbs_spec_is_a_basis_spec():
     require_basis_spec(protocol.default_spec(protocol.FRAMEWORK_ISBS))
 
 
+@pytest.mark.parametrize("framework", ["SQD", "ISBS"])
+def test_default_spec_is_one_read_only_instance(framework):
+    # Every config of a framework shares the preset, and with it the memo of
+    # embedded projectors, so nothing may mutate it.
+    configs = [ProtocolConfig(framework=framework, noise=NoiseConfig(p=p))
+               for p in (0.1, 0.2)]
+    spec = protocol.default_spec(framework)
+    assert all(config.spec is spec for config in configs)
+    name = spec.environment_names[0]
+    with pytest.raises(TypeError):
+        spec.projectors[name] = spec.projectors[name]
+    with pytest.raises(ValueError):
+        spec.projectors[name][0][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spec.system_basis[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Validation boundaries
 # ---------------------------------------------------------------------------
 
-def _with_negative_eigenvalue(rho):
-    """``rho`` with its smallest eigenvalue set to -1e-6, built unchecked."""
-    w, v = np.linalg.eigh(rho.matrix)
-    w[0] = -1e-6
-    return DensityOperator._trusted(rho.layout, (v * w) @ v.conj().T)
+def _with_negative_eigenvalue(matrices):
+    """Each matrix of a (k, d, d) stack with its smallest eigenvalue set to
+    -1e-6, built unchecked."""
+    w, v = np.linalg.eigh(matrices)
+    w[:, 0] = -1e-6
+    return (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _broken(stage):
@@ -471,16 +489,16 @@ def _assert_both_modes_raise():
 
 
 def test_branch_output_boundary_catches_a_broken_gamma(monkeypatch):
-    monkeypatch.setattr(protocol, "objectivity_operation_sqd",
-                        _broken(protocol.objectivity_operation_sqd))
+    monkeypatch.setattr(protocol, "_objectivity_stack",
+                        _broken(protocol._objectivity_stack))
     _assert_both_modes_raise()
 
 
 def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
-    monkeypatch.setattr(protocol, "depolarize_subsystems",
-                        _broken(protocol.depolarize_subsystems))
+    monkeypatch.setattr(protocol, "_depolarize_stack",
+                        _broken(protocol._depolarize_stack))
     with pytest.raises(InvariantViolation, match="negative eigenvalue"):
-        protocol._prepare("SQD", "mix_global", (1.0, 1.0), (0.2,))
+        protocol._prepare("SQD", "mix_global", [(1.0, 1.0)], [(0.2,)])
     _assert_both_modes_raise()
 
 
