@@ -1,9 +1,10 @@
 """Gates and noise processes for the simulated photonic circuits.
 
-Covers unitary gate application, the depolarizing-output CNOT and its average
-gate fidelity, local depolarization, global noise mixing, and the point
-channel that discards part of the environment and installs a fresh
-uncorrelated state.
+Covers unitary gate application, noise as the replacement of some
+subsystems by I/d with a weight (local depolarization, global noise mixing,
+and the pair depolarization that follows a noisy CNOT, whose average gate
+fidelity is given in closed form), and the point channel that discards part
+of the environment and installs a fresh uncorrelated state.
 
 Subsystem replacement and depolarization work on (k, d, d) stacks of
 states with per-row weights (``_replace_subsystems``, ``_depolarize_stack``);
@@ -14,7 +15,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,10 +32,6 @@ from .hilbert import (
 from .tolerances import TOL
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-PAULI_I = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 CNOT = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
@@ -47,81 +44,6 @@ CNOT = np.array(
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Completely positive map given by a list of Kraus operators."""
-
-    layout: TensorLayout
-    kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
-    trace_preserving: bool = True
-
-    def __init__(self, layout: TensorLayout, kraus_ops: Sequence[np.ndarray],
-                 trace_preserving: bool = True):
-        d = layout.total_dim
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in kraus_ops)
-        if not ops:
-            raise InvariantViolation("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (d, d):
-                raise InvariantViolation(f"Kraus shape {k.shape} != ({d}, {d})")
-        total = sum(k.conj().T @ k for k in ops)
-        if trace_preserving:
-            dev = float(np.max(np.abs(total - np.eye(d))))
-            if dev > TOL.povm_completeness:
-                raise InvariantViolation(f"sum K^dag K deviates from identity by {dev:.3e}")
-        else:
-            top = float(np.linalg.eigvalsh(0.5 * (total + total.conj().T))[-1])
-            if top > 1.0 + TOL.povm_completeness:
-                raise InvariantViolation(f"sum K^dag K exceeds identity (max eig {top})")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "trace_preserving", trace_preserving)
-
-    def apply(self, rho: DensityOperator, targets: Sequence[str] | None = None) -> DensityOperator:
-        """Apply the channel to ``rho`` on the given target labels.
-
-        ``targets`` defaults to the channel's own layout labels; the channel
-        acts as identity on every other subsystem of ``rho``.
-        """
-        targets = list(targets) if targets is not None else list(self.layout.labels)
-        out = np.zeros_like(rho.matrix)
-        for k in self.kraus_ops:
-            k_full = embed_operator(rho.layout, k, targets)
-            out += k_full @ rho.matrix @ k_full.conj().T
-        return DensityOperator(rho.layout, out)
-
-    @staticmethod
-    def depolarizing(layout: TensorLayout, p: float) -> "KrausChannel":
-        """Replacement depolarization (1-p) rho + p I/d on the whole layout."""
-        _check_unit_interval(p, "p")
-        d = layout.total_dim
-        ops = [np.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
-        if p > 0.0:
-            scale = np.sqrt(p / d)
-            for i in range(d):
-                for j in range(d):
-                    e = np.zeros((d, d), dtype=np.complex128)
-                    e[i, j] = scale
-                    ops.append(e)
-        return KrausChannel(layout, ops, trace_preserving=True)
-
-    @staticmethod
-    def noisy_cnot(layout: TensorLayout, f: float) -> "KrausChannel":
-        """Two-qubit CNOT followed by pair depolarization of weight 1 - f."""
-        _check_unit_interval(f, "f")
-        if layout.total_dim != 4:
-            raise InvariantViolation("noisy CNOT channel acts on two qubits")
-        ops = [np.sqrt(f) * CNOT]
-        if f < 1.0:
-            scale = np.sqrt((1.0 - f) / 4.0)
-            for i in range(4):
-                for j in range(4):
-                    e = np.zeros((4, 4), dtype=np.complex128)
-                    e[i, j] = scale
-                    ops.append(e @ CNOT)
-        return KrausChannel(layout, ops, trace_preserving=True)
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -166,20 +88,6 @@ def apply_gate(rho: DensityOperator, unitary: np.ndarray,
         raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
     u_full = embed_operator(rho.layout, u, targets)
     return DensityOperator._trusted(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
-
-
-def noisy_cnot(rho: DensityOperator, control: str, target: str, f: float) -> DensityOperator:
-    """CNOT whose two acted qubits are depolarized with weight 1 - f.
-
-    The output is f * CNOT(rho) + (1 - f) * (marginal of the rest) x I/4,
-    i.e. the ideal gate output mixed with the maximally mixed state on the
-    gate's own two qubits.  With f = 1 this is the ideal CNOT.
-    """
-    if control == target:
-        raise InvariantViolation("control and target must differ")
-    _check_unit_interval(f, "f")
-    ideal = apply_gate(rho, CNOT, [control, target])
-    return depolarize_subsystems(ideal, [control, target], f, 1.0 - f)
 
 
 def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],

@@ -1,9 +1,9 @@
 """Tensor-structured complex linear algebra on labeled subsystems.
 
 States and operators carry a :class:`TensorLayout` naming each subsystem, so
-partial traces, operator embeddings and measurements are addressed by label
-rather than by raw index arithmetic.  All values are immutable after
-construction and every operation is a pure function.
+partial traces and operator embeddings are addressed by label rather than by
+raw index arithmetic.  All values are immutable after construction and every
+operation is a pure function.
 
 The public ``DensityOperator(layout, matrix)`` validates its matrix: shape,
 Hermiticity, positivity and trace.  The internal ``DensityOperator._trusted``
@@ -273,15 +273,6 @@ def permute_subsystems(matrix: np.ndarray, layout: TensorLayout,
 # Operations
 # ---------------------------------------------------------------------------
 
-def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product of two operators on disjoint subsystem sets."""
-    overlap = set(a.layout.labels) & set(b.layout.labels)
-    if overlap:
-        raise InvariantViolation(f"duplicate labels in tensor product: {sorted(overlap)}")
-    layout = TensorLayout(a.layout.subsystems + b.layout.subsystems)
-    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
-
-
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     """Trace out every subsystem not in ``keep``; trace is preserved."""
     keep = set(keep)
@@ -342,53 +333,3 @@ def trace_norm_distance(a: DensityOperator, b: DensityOperator) -> float:
     if a.matrix.tobytes() <= b.matrix.tobytes():
         return trace_norm(a.matrix - b.matrix)
     return trace_norm(b.matrix - a.matrix)
-
-
-def born_probabilities(rho: DensityOperator, effects: Sequence[np.ndarray]) -> np.ndarray:
-    """Outcome probabilities tr[E_k rho] for a list of effect operators.
-
-    A single arbitrary effect is allowed (witness-style evaluation); a list of
-    two or more effects must form a POVM summing to the identity.
-    """
-    d = rho.layout.total_dim
-    mats = [np.asarray(e, dtype=np.complex128) for e in effects]
-    for e in mats:
-        if e.shape != (d, d):
-            raise InvariantViolation(f"effect shape {e.shape} != state dim ({d}, {d})")
-        low = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
-        if low < -TOL.effect_negativity:
-            raise InvariantViolation(f"effect has negative eigenvalue {low:.3e}")
-    if len(mats) > 1:
-        total = sum(mats)
-        dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > TOL.povm_completeness:
-            raise InvariantViolation(f"effects do not sum to identity (max dev {dev:.3e})")
-    probs = np.array([float(np.trace(e @ rho.matrix).real) for e in mats])
-    if np.any(probs < -TOL.prob_clip) or np.any(probs > 1.0 + TOL.prob_clip):
-        raise InvariantViolation("probability outside [0, 1] beyond tolerance")
-    return np.clip(probs, 0.0, 1.0)
-
-
-def sample_outcome(
-    probabilities: np.ndarray,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw outcome indices distributed per ``probabilities``.
-
-    Entries may dip below zero by at most a rounding tolerance and are
-    renormalized by their sum.  An all-zero vector signals a null branch and
-    returns ``None``.  Deterministic given the generator state.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    if np.any(p < -TOL.sample_negativity):
-        raise InvariantViolation(f"negative probability entry {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    total = float(p.sum())
-    if total == 0.0:
-        return None
-    cdf = np.cumsum(p / total)
-    cdf[-1] = 1.0
-    if size is None:
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.intp)

@@ -228,12 +228,6 @@ def quantum_discord(rho: DensityOperator, system: str,
     return max(0.0, discord), angles
 
 
-def holevo_information(rho: DensityOperator, system: str,
-                       environment: Iterable[str]) -> float:
-    """Classical accessible information chi = I - D, in bits."""
-    return correlation_report(rho, system, environment).holevo
-
-
 def correlation_report(rho: DensityOperator, system: str,
                        environment: Iterable[str]) -> CorrelationReport:
     """Mutual information, discord and Holevo information in one record."""

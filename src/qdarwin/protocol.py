@@ -135,8 +135,10 @@ class ProtocolConfig:
     unitary matrix over the whole register, or with a custom ``subspace``
     over that spec's subsystems (see ``run_branch``); ``subspace`` defaults
     to the parity preset (subspace framework) or the computational basis
-    (basis framework).  Construction rejects every field value the pipeline
-    would fail on or silently mis-run, and keeps the resolved subspace as the
+    (basis framework).  ``replacement``, the state the point channel
+    installs, must be normalized and span the unaccessed environments in
+    layout order.  Construction rejects every field value the pipeline would
+    fail on or silently mis-run, and keeps the resolved subspace as the
     non-field attribute ``spec``, so ``dataclasses.replace`` resolves again.
     """
 
@@ -158,12 +160,17 @@ class ProtocolConfig:
             raise InvariantViolation("fragment must be nonempty")
         if self.shots < 0:
             raise InvariantViolation("shots must be nonnegative")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed {self.seed} must be nonnegative")
         if self.cnot_model not in (CNOT_IDEAL, CNOT_NOISY_PREP, CNOT_NOISY_PREP_PARITY):
             raise InvariantViolation(f"unknown cnot_model {self.cnot_model!r}")
         if self.branch_shots is not None:
             a, b = self.branch_shots
             if a < 1 or b < 1:
                 raise InvariantViolation("branch_shots entries must be positive")
+        elif self.shots == 1:
+            raise InvariantViolation("shots = 1 leaves a branch without runs: "
+                                     "Monte Carlo mode needs at least 2")
         if self.framework == FRAMEWORK_ISBS and self.cnot_model != CNOT_IDEAL:
             raise InvariantViolation(
                 f"cnot_model {self.cnot_model!r} needs the SQD framework: "
@@ -184,6 +191,17 @@ class ProtocolConfig:
             raise InvariantViolation(
                 f"subspace labels {sorted(outside)} are not in the "
                 f"{self.framework} layout")
+        if self.replacement is not None:
+            unaccessed = _unaccessed(layout, spec, self.fragment)
+            expected = tuple(s for s in layout.subsystems if s[0] in unaccessed)
+            if self.replacement.layout.subsystems != expected:
+                raise InvariantViolation(
+                    f"replacement layout {list(self.replacement.layout.labels)} != "
+                    f"unaccessed subsystems {list(unaccessed)}")
+            if isinstance(self.replacement, DensityOperator) \
+                    and abs(self.replacement.trace - 1.0) > TOL.entropy_trace:
+                raise InvariantViolation(
+                    f"replacement trace {self.replacement.trace} is not 1")
         if self.unitary is not None:
             full = (layout.total_dim, layout.total_dim)
             if self.subspace is not None and np.shape(self.unitary) != full:
@@ -195,6 +213,14 @@ class ProtocolConfig:
             return self.branch_shots
         half = self.shots // 2
         return half, self.shots - half
+
+
+def _unaccessed(layout: TensorLayout, spec: ObjectiveSubspaceSpec,
+                fragment: Sequence[str]) -> tuple[str, ...]:
+    """Labels of ``layout`` outside the system and the fragment's members, in
+    layout order: the environments the point channel replaces."""
+    accessed = {spec.system_label, *spec.members_of(fragment)}
+    return tuple(lab for lab in layout.labels if lab not in accessed)
 
 
 @dataclass(eq=False)
@@ -298,7 +324,6 @@ class _Context:
     layout: TensorLayout
     spec: ObjectiveSubspaceSpec
     fragment: tuple[str, ...]
-    fragment_members: tuple[str, ...]
     sf_labels: tuple[str, ...]
     ef_members: tuple[str, ...]
     replacement: DensityOperator | None
@@ -348,15 +373,8 @@ def _resolve_context(config: ProtocolConfig,
     layout = layout if layout is not None else default_layout(config.framework)
     spec = config.spec
     fragment = spec.select(config.fragment)
-    fragment_members = tuple(spec.members_of(fragment))
-    sf_labels = tuple(
-        lab for lab in layout.labels
-        if lab == spec.system_label or lab in fragment_members
-    )
-    ef_members = tuple(
-        lab for lab in layout.labels
-        if lab != spec.system_label and lab not in fragment_members
-    )
+    ef_members = _unaccessed(layout, spec, fragment)
+    sf_labels = tuple(lab for lab in layout.labels if lab not in ef_members)
     replacement = None
     if ef_members:
         if config.replacement is None:
@@ -369,8 +387,8 @@ def _resolve_context(config: ProtocolConfig,
     unitary = _resolve_unitary(config, layout)
     return _Context(
         config=config, layout=layout, spec=spec, fragment=fragment,
-        fragment_members=fragment_members, sf_labels=sf_labels,
-        ef_members=ef_members, replacement=replacement, unitary=unitary,
+        sf_labels=sf_labels, ef_members=ef_members, replacement=replacement,
+        unitary=unitary,
     )
 
 
@@ -793,8 +811,6 @@ def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
     if config.shots <= 0:
         raise InvariantViolation("Monte Carlo mode requires shots > 0")
     n_id, n_g = config.split_shots()
-    if n_id < 1 or n_g < 1:
-        raise InvariantViolation("both branches need at least one successful run")
     ctx = _resolve_context(config)
 
     prepared: dict = {}  # both branches draw the same (noise, prep) coins

@@ -24,12 +24,6 @@ class Tolerances:
     projector: float = 1e-10            # idempotence / orthogonality of projectors
     isbs_projector: float = 1e-9        # rank-1 trace and basis alignment of ISBS specs
 
-    # Measurement
-    povm_completeness: float = 1e-8     # sum of effects vs identity
-    effect_negativity: float = 1e-10    # allowed negative eigenvalue of an effect
-    prob_clip: float = 1e-10            # probabilities clipped into [0, 1]
-    sample_negativity: float = 1e-12    # allowed negative entries when sampling
-
     # Entropic quantities
     entropy_eig_cutoff: float = 1e-12   # eigenvalues below this contribute 0
     entropy_trace: float = 1e-6         # required |trace - 1| for entropy input

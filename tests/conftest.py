@@ -1,11 +1,13 @@
-"""Shared helpers: random states, unitaries and subspace specs."""
+"""Shared helpers: random states, unitaries and subspace specs, and a Kraus
+oracle for the noise channels."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from qdarwin import DensityOperator, ObjectiveSubspaceSpec, PureState, TensorLayout
+from qdarwin import CNOT, DensityOperator, ObjectiveSubspaceSpec, PureState, TensorLayout
+from qdarwin.hilbert import embed_operator
 
 
 def qubits(*labels: str) -> TensorLayout:
@@ -47,6 +49,31 @@ def random_subspace_spec(rng: np.random.Generator,
         projectors[name] = (p0, p1)
     basis = random_unitary(2, rng)
     return ObjectiveSubspaceSpec("S", basis, environments, projectors)
+
+
+def depolarizing_kraus(d: int, p: float) -> list[np.ndarray]:
+    """Kraus operators of (1 - p) rho + p I/d: sqrt(1 - p) I and the d^2
+    matrix units |i><j| scaled by sqrt(p / d)."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return [np.sqrt(1.0 - p) * np.eye(d)] + list(np.sqrt(p / d) * units)
+
+
+def noisy_cnot_kraus(f: float) -> list[np.ndarray]:
+    """Kraus operators of a CNOT whose output pair is depolarized with
+    weight 1 - f: the depolarizing operators composed with the CNOT."""
+    return [k @ CNOT for k in depolarizing_kraus(4, 1.0 - f)]
+
+
+def apply_kraus(rho: DensityOperator, kraus_ops: list[np.ndarray],
+                targets: list[str]) -> DensityOperator:
+    """sum_k K rho K^dag with each K embedded on ``targets``."""
+    d = kraus_ops[0].shape[0]
+    assert np.allclose(sum(k.conj().T @ k for k in kraus_ops), np.eye(d), atol=1e-12)
+    out = np.zeros_like(rho.matrix)
+    for k in kraus_ops:
+        k_full = embed_operator(rho.layout, k, targets)
+        out += k_full @ rho.matrix @ k_full.conj().T
+    return DensityOperator(rho.layout, out)
 
 
 @pytest.fixture

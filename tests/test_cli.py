@@ -236,6 +236,14 @@ _OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": 
     [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]]}}
 
 
+
+def _replacement(layout, trace=1.0):
+    """State-file dict of trace * |0...0><0...0| on ``layout``."""
+    d = 2 ** len(layout)
+    return {"layout": layout, "matrix": [[[trace * (i == j == 0), 0] for j in range(d)]
+                                         for i in range(d)]}
+
+
 @pytest.mark.parametrize("command, payload, field", [
     ("witness", {"framework": "ISBS", "fragment": ["E1"], "cnot_model": "noisy_prep",
                  "noise": {"p": 0.1, "f": 0.9}}, "cnot_model"),
@@ -272,6 +280,20 @@ _OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": 
                "fragments": [["E1"]]}, "p_cnot"),
     ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "output_path": 5},
      "output_path"),
+    # A replacement must be a normalized state on the unaccessed environments
+    # (E2_1, E2_2 for fragment E1), in layout order.
+    ("witness", {"fragment": ["E1"], "replacement": _replacement([["X", 2], ["Y", 2]])},
+     "replacement"),
+    ("witness", {"fragment": ["E1"],
+                 "replacement": _replacement([["E2_2", 2], ["E2_1", 2]])}, "replacement"),
+    ("witness", {"fragment": ["E1"], "replacement": _replacement([["E2_1", 2]])},
+     "replacement"),
+    ("witness", {"fragment": ["E1"],
+                 "replacement": _replacement([["E2_1", 2], ["E2_2", 2]], 0.5)},
+     "replacement"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 6000, "seed": -5},
+     "seed"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 1}, "shots"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,

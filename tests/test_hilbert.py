@@ -1,4 +1,4 @@
-"""Tensor algebra layer: layouts, states, partial trace, norms, sampling."""
+"""Tensor algebra layer: layouts, states, partial trace, norms."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,9 @@ from qdarwin import (
     InvariantViolation,
     PureState,
     TensorLayout,
-    born_probabilities,
     computational_ket,
     eigvals_hermitian,
-    maximally_mixed,
     partial_trace,
-    sample_outcome,
-    tensor_product,
     trace_norm_distance,
 )
 from qdarwin.hilbert import _check_density_stack, trace_norm
@@ -119,30 +115,6 @@ def test_pure_state_norm_validation():
         PureState(lay, np.array([1.0, 0.5]))
 
 
-# ---------------------------------------------------------------------------
-# tensor_product
-# ---------------------------------------------------------------------------
-
-def test_tensor_product_basis_kets():
-    a = ket_density(qubits("A"), [0])
-    b = ket_density(qubits("B"), [1])
-    prod = tensor_product(a, b)
-    expected = ket_density(qubits("A", "B"), [0, 1])
-    assert np.allclose(prod.matrix, expected.matrix)
-
-
-def test_tensor_product_trace_multiplicative(rng):
-    rho = random_density(qubits("A"), rng)
-    mixed = maximally_mixed(qubits("B"))
-    assert abs(tensor_product(rho, mixed).trace - rho.trace) < 1e-12
-
-
-def test_tensor_product_rejects_duplicate_label(rng):
-    rho = random_density(qubits("A"), rng)
-    with pytest.raises(InvariantViolation):
-        tensor_product(rho, random_density(qubits("A"), rng))
-
-
 def test_trace_norm_multiplicative_on_random_hermitians(rng):
     # Oracle: direct eigendecomposition of both sides.
     for _ in range(10):
@@ -186,7 +158,7 @@ def test_partial_trace_branching_state():
 def test_partial_trace_of_product_recovers_factor(rng):
     a = random_density(qubits("A", "B"), rng)
     c = random_density(qubits("C"), rng)
-    prod = tensor_product(a, c)
+    prod = DensityOperator(qubits("A", "B", "C"), np.kron(a.matrix, c.matrix))
     back = partial_trace(prod, {"A", "B"})
     assert np.max(np.abs(back.matrix - a.matrix * c.trace)) < 1e-12
 
@@ -281,33 +253,6 @@ def test_eigvals_hermitian_rejects_non_hermitian():
         eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# ---------------------------------------------------------------------------
-# born_probabilities
-# ---------------------------------------------------------------------------
-
-def test_born_probabilities_computational():
-    lay = qubits("A")
-    povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    assert np.allclose(born_probabilities(ket_density(lay, [0]), povm), [1.0, 0.0])
-    assert np.allclose(born_probabilities(maximally_mixed(lay), povm), [0.5, 0.5])
-
-
-def test_born_probabilities_single_effect_allowed(rng):
-    rho = random_density(qubits("A", "B"), rng)
-    proj = np.zeros((4, 4))
-    proj[0, 0] = 1.0
-    p = born_probabilities(rho, [proj])
-    assert 0.0 <= p[0] <= 1.0
-
-
-def test_born_probabilities_rejections(rng):
-    rho = random_density(qubits("A"), rng)
-    with pytest.raises(InvariantViolation):
-        born_probabilities(rho, [np.diag([-0.2, 1.2])])
-    with pytest.raises(InvariantViolation):
-        born_probabilities(rho, [np.diag([0.7, 0.0]), np.diag([0.0, 0.7])])
-
-
 def test_projector_probability_bounds(rng):
     lay = qubits("A", "B", "C")
     for _ in range(25):
@@ -316,31 +261,3 @@ def test_projector_probability_bounds(rng):
         proj = np.outer(v, v.conj())
         p = float(np.trace(proj @ rho.matrix).real)
         assert -1e-10 <= p <= rho.trace + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# sample_outcome
-# ---------------------------------------------------------------------------
-
-def test_sample_outcome_deterministic_cases():
-    rng = np.random.default_rng(0)
-    assert sample_outcome(np.array([1.0, 0.0]), rng) == 0
-    assert sample_outcome(np.array([0.0, 0.0]), rng) is None
-
-
-def test_sample_outcome_frequency():
-    rng = np.random.default_rng(42)
-    draws = sample_outcome(np.array([0.5, 0.5]), rng, size=10**6)
-    freq = np.mean(draws == (0))
-    assert abs(freq - 0.5) < 0.002  # binomial 3 sigma is ~0.0015
-
-
-def test_sample_outcome_seed_reproducible():
-    a = sample_outcome(np.array([0.3, 0.7]), np.random.default_rng(5), size=100)
-    b = sample_outcome(np.array([0.3, 0.7]), np.random.default_rng(5), size=100)
-    assert np.array_equal(a, b)
-
-
-def test_sample_outcome_rejects_negative_entries():
-    with pytest.raises(InvariantViolation):
-        sample_outcome(np.array([0.5, -0.1]), np.random.default_rng(0))

@@ -14,7 +14,6 @@ from qdarwin import (
     check_structure,
     computational_spec,
     correlation_report,
-    holevo_information,
     maximally_mixed,
     mutual_information,
     parity_spec,
@@ -165,19 +164,19 @@ def test_discord_rejects_large_system():
 
 
 def test_holevo_examples(rng):
-    assert abs(holevo_information(bell(), "S", {"E"}) - 1.0) < 1e-6
+    assert abs(correlation_report(bell(), "S", {"E"}).holevo - 1.0) < 1e-6
     prod = DensityOperator(
         qubits("S", "E"),
         np.kron(random_density(qubits("S"), rng).matrix,
                 random_density(qubits("E"), rng).matrix),
     )
-    assert holevo_information(prod, "S", {"E"}) < 1e-6
+    assert correlation_report(prod, "S", {"E"}).holevo < 1e-6
 
 
 def test_holevo_of_branching_state_single_environment():
     rho = branching_state()
     d, _ = quantum_discord(rho, "S", {"E1_1", "E1_2"})
-    chi = holevo_information(rho, "S", {"E1_1", "E1_2"})
+    chi = correlation_report(rho, "S", {"E1_1", "E1_2"}).holevo
     assert d < 1e-7
     assert abs(chi - 1.0) < 1e-6
 

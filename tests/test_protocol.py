@@ -44,7 +44,14 @@ from qdarwin.protocol import (
 )
 from qdarwin.tolerances import TOL
 
-from conftest import qubits, random_density, random_subspace_spec, random_unitary
+from conftest import (
+    apply_kraus,
+    noisy_cnot_kraus,
+    qubits,
+    random_density,
+    random_subspace_spec,
+    random_unitary,
+)
 
 
 def branching_amplitudes():
@@ -70,8 +77,9 @@ def test_prepare_sqd_full_mix():
 
 
 def test_prepare_sqd_noisy_matches_branch_expansion():
-    # Oracle: expand the two depolarizing CNOTs into their four coin
-    # realizations (ideal / pair-replaced) and mix with the right weights.
+    # Two oracles: expand the two depolarizing CNOTs into their four coin
+    # realizations (ideal / pair-replaced) and mix with the right weights,
+    # and apply the noisy CNOT's Kraus operators gate by gate.
     f = 0.733
     lay = sqd_layout()
     base_amps = np.zeros(32, complex)
@@ -93,8 +101,12 @@ def test_prepare_sqd_noisy_matches_branch_expansion():
                 weight *= f
                 rho = apply_gate(rho, CNOT, [control, target])
         expected += weight * rho.matrix
+    kraus = base
+    for control, target in gates:
+        kraus = apply_kraus(kraus, noisy_cnot_kraus(f), [control, target])
     produced = prepare_initial_sqd(NoiseConfig(f=f), cnot_model="noisy_prep")
     assert np.max(np.abs(produced.matrix - expected)) < 1e-12
+    assert np.max(np.abs(produced.matrix - kraus.matrix)) < 1e-12
 
     amps = branching_amplitudes()
     overlap = float((amps.conj() @ produced.matrix @ amps).real)
@@ -146,9 +158,8 @@ def test_identity_branch_uniform_under_full_mix():
 
 
 def test_branch_probability_matches_born_rule():
-    # Cross-check through the general measurement interface: the first
-    # outcome of the identity branch equals tr[P_0 U rho U^dag].
-    from qdarwin import DensityOperator, born_probabilities
+    # Cross-check through the Born rule: the first outcome of the identity
+    # branch equals tr[P_0 U rho U^dag].
     config = ProtocolConfig(framework="ISBS", fragment=("E1", "E2", "E3", "E4"))
     rho = prepare_initial_isbs(NoiseConfig())
     v_id = run_branch(rho, config, apply_gamma=False)
@@ -156,7 +167,7 @@ def test_branch_probability_matches_born_rule():
     final = apply_gate(rho, ctx.unitary, list(rho.layout.labels))
     proj = np.zeros((32, 32))
     proj[0, 0] = 1.0
-    p0 = born_probabilities(final, [proj])[0]
+    p0 = float(np.trace(proj @ final.matrix).real)
     assert abs(v_id[0] - p0) < 1e-12
     assert abs(p0 - 1.0 / 16) < 1e-12  # constructive interference of both branches
 
