@@ -4,13 +4,8 @@ Covers unitary gate application, noise as the replacement of some
 subsystems by I/d with a weight (local depolarization, global noise mixing,
 and the pair depolarization that follows a noisy CNOT, whose average gate
 fidelity is given in closed form), and the point channel that discards part
-of the environment and installs a fresh uncorrelated state.
-
-Subsystem replacement and depolarization work on (k, d, d) stacks of
-states with per-row weights (``_replace_subsystems``, ``_depolarize_stack``);
-the public ``depolarize_subsystems`` and ``point_channel`` are their
-single-state forms, so each row of a stack equals the public function on it
-bit for bit.
+of the environment and installs a fresh uncorrelated state.  Depolarization
+is the point channel with I/d as the installed state, mixed with the input.
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ from .hilbert import (
     InvariantViolation,
     PureState,
     TensorLayout,
-    _partial_trace_stack,
     embed_operator,
+    partial_trace,
     permute_subsystems,
 )
 from .tolerances import TOL
@@ -103,55 +98,14 @@ def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
     if keep < 0 or noise < 0 or keep + noise > 1.0 + TOL.trace_upper_slack:
         raise InvariantViolation(f"weights keep = {keep}, noise = {noise} are not "
                                  "a subnormalized mixture")
-    return DensityOperator._trusted(rho.layout, _depolarize_stack(
-        rho.matrix[None], rho.layout, labels, [keep], [noise])[0])
-
-
-def _depolarize_stack(matrices: np.ndarray, layout: TensorLayout, labels: Sequence[str],
-                      keep: Sequence[float], noise: Sequence[float]) -> np.ndarray:
-    """``depolarize_subsystems`` on each row of a (k, d, d) stack, with the
-    row's own weights ``keep[r]`` and ``noise[r]`` (unchecked).
-
-    A row with zero noise passes through unchanged and a row with zero keep
-    becomes its replacement; the replacement is formed only for rows with
-    nonzero noise.
-    """
-    keep, noise = np.asarray(keep, dtype=float), np.asarray(noise, dtype=float)
-    noisy = np.flatnonzero(noise != 0)
-    if not noisy.size:
-        return matrices
-    d = layout.subset(labels).total_dim
-    replaced = _replace_subsystems(matrices[noisy], layout, labels,
-                                   np.eye(d, dtype=np.complex128) / d)
-    mixed = np.flatnonzero(keep[noisy] != 0)
-    if mixed.size:
-        rows = noisy[mixed]
-        replaced[mixed] = (keep[rows, None, None] * matrices[rows]
-                           + noise[rows, None, None] * replaced[mixed])
-    if noisy.size == len(matrices):
+    if noise == 0:
+        return rho
+    sub = rho.layout.subset(labels)
+    d = sub.total_dim
+    replaced = point_channel(rho, labels, DensityOperator._trusted(sub, np.eye(d) / d))
+    if keep == 0:
         return replaced
-    out = matrices.copy()
-    out[noisy] = replaced
-    return out
-
-
-def _replace_subsystems(matrices: np.ndarray, layout: TensorLayout, labels: Sequence[str],
-                        replacement_matrix: np.ndarray) -> np.ndarray:
-    """Discard the listed subsystems of each row of a (k, d, d) stack and
-    install ``replacement_matrix`` there.
-
-    Each row's kept marginal is multiplied by the replacement as
-    ``np.kron`` does, then transposed back to canonical order.
-    """
-    labels = list(labels)
-    keep = [lab for lab in layout.labels if lab not in labels]
-    replacement = np.asarray(replacement_matrix, dtype=np.complex128)
-    if not keep:
-        return replacement * np.trace(matrices, axis1=1, axis2=2).real[:, None, None]
-    kept = _partial_trace_stack(matrices, layout, keep)
-    prod_layout = TensorLayout(layout.subset(keep).subsystems
-                               + layout.subset(labels).subsystems)
-    return permute_subsystems(np.kron(kept, replacement), prod_layout, layout.labels)
+    return DensityOperator._trusted(rho.layout, keep * rho.matrix + noise * replaced.matrix)
 
 
 def average_gate_fidelity(f: float) -> float:
@@ -195,5 +149,12 @@ def point_channel(rho: DensityOperator, discard: Iterable[str],
             f"replacement layout {replacement.layout.labels} != discarded "
             f"subsystems {expected.labels}"
         )
-    return DensityOperator._trusted(rho.layout, _replace_subsystems(
-        rho.matrix[None], rho.layout, discard, replacement.matrix)[0])
+    keep = [lab for lab in rho.layout.labels if lab not in discard]
+    if not keep:
+        return DensityOperator._trusted(rho.layout, replacement.matrix * rho.trace)
+    kept = partial_trace(rho, keep)
+    # The kept marginal times the replacement, as np.kron orders them, then
+    # transposed back to canonical order.
+    product = TensorLayout(kept.layout.subsystems + expected.subsystems)
+    return DensityOperator._trusted(rho.layout, permute_subsystems(
+        np.kron(kept.matrix, replacement.matrix), product, rho.layout.labels))

@@ -10,11 +10,9 @@ Hermiticity, positivity and trace.  The internal ``DensityOperator._trusted``
 copies and freezes the matrix without those checks.  It builds only outputs
 of CP maps (partial trace, subsystem replacement, unitary conjugation,
 projection sums) applied to operators that were already validated, which
-keep Hermiticity, positivity and a trace in [0, 1] up to rounding, and
-matrices that ``_check_density_stack`` has passed.  That check is the
-constructor's, applied to every matrix of a (k, d, d) stack: the witness
-pipeline runs it once per prepared stack and once per branch-output stack,
-so a broken stage still raises.
+keep Hermiticity, positivity and a trace in [0, 1] up to rounding.  The
+witness pipeline passes its prepared state and each branch output through
+the public constructor, so a broken stage still raises.
 """
 
 from __future__ import annotations
@@ -154,7 +152,15 @@ class DensityOperator:
         d = layout.total_dim
         if mat.shape != (d, d):
             raise InvariantViolation(f"matrix shape {mat.shape} != layout dim ({d}, {d})")
-        _check_density_stack(mat[None])
+        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm_dev > TOL.hermiticity:
+            raise InvariantViolation(f"matrix is not Hermitian (max dev {herm_dev:.3e})")
+        low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+        if low < -TOL.psd_min_eig:
+            raise InvariantViolation(f"matrix has negative eigenvalue {low:.3e}")
+        tr = float(np.trace(mat).real)
+        if tr < -TOL.trace_lower_slack or tr > 1.0 + TOL.trace_upper_slack:
+            raise InvariantViolation(f"trace {tr} outside [0, 1]")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
 
@@ -169,31 +175,6 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-
-def _check_density_stack(matrices: np.ndarray) -> None:
-    """Check every matrix of a (k, d, d) stack as the public constructor does.
-
-    Each must be Hermitian, positive semidefinite and of trace in [0, 1],
-    within ``TOL``.  The first bad matrix raises, with the message of the
-    first check it fails.
-    """
-    adjoint = np.conj(np.swapaxes(matrices, -1, -2))
-    herm_dev = np.max(np.abs(matrices - adjoint), axis=(-2, -1))
-    adjoint += matrices  # symmetrized in place: one stack fewer in memory
-    adjoint *= 0.5
-    low = np.linalg.eigvalsh(adjoint)[:, 0]
-    tr = np.trace(matrices, axis1=-2, axis2=-1).real
-    bad = ((herm_dev > TOL.hermiticity) | (low < -TOL.psd_min_eig)
-           | (tr < -TOL.trace_lower_slack) | (tr > 1.0 + TOL.trace_upper_slack))
-    if not bad.any():
-        return
-    r = int(np.argmax(bad))
-    if herm_dev[r] > TOL.hermiticity:
-        raise InvariantViolation(f"matrix is not Hermitian (max dev {herm_dev[r]:.3e})")
-    if low[r] < -TOL.psd_min_eig:
-        raise InvariantViolation(f"matrix has negative eigenvalue {low[r]:.3e}")
-    raise InvariantViolation(f"trace {float(tr[r])} outside [0, 1]")
 
 
 def computational_ket(layout: TensorLayout, digits: Sequence[int]) -> PureState:
@@ -251,7 +232,6 @@ def permute_subsystems(matrix: np.ndarray, layout: TensorLayout,
                        order: Sequence[str]) -> np.ndarray:
     """Reorder the subsystem axes of an operator on ``layout`` into ``order``.
 
-    ``matrix`` is one (d, d) operator or a (..., d, d) stack of them.
     ``order`` must list every label of ``layout`` once.  The result is a
     pure transpose, so every entry is carried over exactly.
     """
@@ -261,11 +241,9 @@ def permute_subsystems(matrix: np.ndarray, layout: TensorLayout,
     if sorted(order) != sorted(layout.labels):
         raise InvariantViolation(f"order {list(order)} is not a permutation of "
                                  f"{list(layout.labels)}")
-    lead = matrix.shape[:-2]
-    m, n = len(lead), len(layout)
-    perm = [m + layout.axis_of(lab) for lab in order]
-    tensor = matrix.reshape(lead + layout.dims + layout.dims)
-    tensor = tensor.transpose(list(range(m)) + perm + [n + p for p in perm])
+    perm = [layout.axis_of(lab) for lab in order]
+    tensor = matrix.reshape(layout.dims + layout.dims)
+    tensor = tensor.transpose(perm + [len(layout) + p for p in perm])
     return np.ascontiguousarray(tensor.reshape(matrix.shape))
 
 
@@ -283,26 +261,17 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
         raise InvariantViolation(f"unknown subsystem labels {sorted(unknown)}")
     if keep == set(rho.layout.labels):
         return rho
-    new_layout = rho.layout.subset(keep)
-    return DensityOperator._trusted(
-        new_layout, _partial_trace_stack(rho.matrix[None], rho.layout, keep)[0])
-
-
-def _partial_trace_stack(matrices: np.ndarray, layout: TensorLayout,
-                         keep: Iterable[str]) -> np.ndarray:
-    """Trace every subsystem not in ``keep`` out of each matrix of a
-    (k, d, d) stack; the rows come out on ``layout.subset(keep)``."""
-    keep = set(keep)
-    k, dims = len(matrices), list(layout.dims)
-    tensor = matrices.reshape([k] + dims + dims)
+    layout, dims = rho.layout, list(rho.layout.dims)
+    tensor = rho.matrix.reshape(dims + dims)
     traced_axes = [a for a, lab in enumerate(layout.labels) if lab not in keep]
     remaining = len(layout)
     for done, axis in enumerate(traced_axes):
-        ax = 1 + axis - done  # earlier traces shifted the row axes left
+        ax = axis - done  # earlier traces shifted the row axes left
         tensor = np.trace(tensor, axis1=ax, axis2=ax + remaining)
         remaining -= 1
-    d = _prod(dim for lab, dim in layout.subsystems if lab in keep)
-    return tensor.reshape(k, d, d)
+    new_layout = layout.subset(keep)
+    d = new_layout.total_dim
+    return DensityOperator._trusted(new_layout, tensor.reshape(d, d))
 
 
 def eigvals_hermitian(h: np.ndarray) -> np.ndarray:

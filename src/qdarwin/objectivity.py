@@ -19,7 +19,6 @@ import numpy as np
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
-    TensorLayout,
     embed_operator,
     trace_norm_distance,
 )
@@ -209,20 +208,12 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     carried by ``rho``.  A null output is legal.  The fragment defaults to
     every environment the state carries in full.  This is the objectivity
     operation of both frameworks: on a basis spec (``require_basis_spec``)
-    P_i is the correlated rank-1 projector |i...i><i...i|.
+    P_i is the correlated rank-1 projector |i...i><i...i|.  The embedded
+    P_i are memoized on the spec per (fragment, layout).
     """
-    names = (spec.environments_in(rho.layout.labels) if fragment is None
+    layout = rho.layout
+    names = (spec.environments_in(layout.labels) if fragment is None
              else spec.select(fragment))
-    return DensityOperator._trusted(
-        rho.layout, _objectivity_stack(rho.matrix[None], rho.layout, spec, names)[0])
-
-
-def _objectivity_stack(matrices: np.ndarray, layout: TensorLayout,
-                       spec: ObjectiveSubspaceSpec, names: tuple[str, ...]) -> np.ndarray:
-    """sum_i P_i rho P_i for each rho of a (k, d, d) stack on ``layout``,
-    with ``names`` the fragment environments in spec order (see
-    ``objectivity_operation_sqd``).  The embedded P_i are memoized on the
-    spec per (fragment, layout)."""
     key = (names, layout)
     projectors = spec._embedded.get(key)
     if projectors is None:
@@ -238,10 +229,10 @@ def _objectivity_stack(matrices: np.ndarray, layout: TensorLayout,
         for p_full in projectors:
             p_full.flags.writeable = False
         spec._embedded[key] = projectors
-    out = np.zeros_like(matrices)
+    out = np.zeros_like(rho.matrix)
     for p_full in projectors:
-        out += p_full @ matrices @ p_full
-    return out
+        out += p_full @ rho.matrix @ p_full
+    return DensityOperator._trusted(layout, out)
 
 
 def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:

@@ -7,26 +7,20 @@ in the computational basis.  The witness is built from the per-outcome
 probability differences of the two branches; the subset maximization over
 outcomes never needs extra measurement settings.
 
-Both modes run one pipeline, ``_prepare`` followed by ``_branch``.  Every
-noise event in it replaces some photons by I/d with a weight: global mixing
-or local depolarization of strength p, depolarizing preparation CNOTs that
-keep their output with weight f, and parity checks whose two depolarizing
-CNOTs scramble the checked environment with weight 1 - f^2.  Monte Carlo
-mode realizes these events run by run as 0/1 coins and post-selects on
-parity-check hardware success; exact mode passes the probabilities, so it is
-the expectation of the run-by-run statistics.  Per-run randomness comes from
-counter-style stream splitting, so results are bit-reproducible for a given
-seed regardless of evaluation order.  The sampler works a block of runs at a
-time and evaluates each distinct realization once per branch; both branches
-of one call share the prepared states.
-
-The pipeline runs on (k, 32, 32) stacks of states with one row of weights
-per state.  Exact mode passes a single row.  A sampler block prepares the
-states it lacks and evaluates its new realizations in stacks of at most
-``_MC_CHUNK`` = 16 states, so a stacked array holds at most 256 KiB.  Each
-row equals the single-state result bit for bit.  States are validated where
-they enter the pipeline and where they leave it, every row of each prepared
-stack and of each branch-output stack; the CP maps in between build their
+Both modes run one pipeline, ``_prepare`` followed by ``_branch``, on
+single states.  Every noise event in it replaces some photons by I/d with a
+weight: global mixing or local depolarization of strength p, depolarizing
+preparation CNOTs that keep their output with weight f, and parity checks
+whose two depolarizing CNOTs scramble the checked environment with weight
+1 - f^2.  Exact mode passes these probabilities as the weights.  In a Monte
+Carlo run each event is a 0/1 coin, and the run's outcome follows the pmf of
+its coin realization.  Each coin enters the pipeline as one affine weight,
+so the mean of those pmfs over the coins is exact mode's pmf: a branch's
+tally of runs is one multinomial draw from it.  Parity-check hardware
+failures discard projected-branch runs and cost attempts, drawn as geometric
+gaps.  Each branch draws from its own seeded stream, so results are
+bit-reproducible for a given seed.  States are validated where they enter
+the pipeline and where they leave it; the CP maps in between build their
 outputs unchecked.
 """
 
@@ -43,24 +37,23 @@ from .channels import (
     CNOT,
     HADAMARD,
     NoiseConfig,
-    _depolarize_stack,
-    _replace_subsystems,
+    apply_gate,
+    depolarize_subsystems,
+    point_channel,
 )
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
     PureState,
     TensorLayout,
-    _check_density_stack,
     computational_ket,
-    embed_operator,
     partial_trace,
 )
 from .objectivity import (
     ObjectiveSubspaceSpec,
-    _objectivity_stack,
     computational_spec,
     nonobjectivity_measure,
+    objectivity_operation_sqd,
     parity_spec,
     require_basis_spec,
 )
@@ -78,11 +71,6 @@ CNOT_NOISY_PREP_PARITY = "noisy_prep_parity"
 UNITARY_ALTERNATING = "alternating_hadamards"
 UNITARY_ALL = "all_hadamards"
 
-_MC_BLOCK = 4096
-# States per stacked evaluation: a (16, 32, 32) complex stack is 256 KiB.
-# Measured against 8 and 32, 16 was the fastest and keeps peak memory near
-# that of one state at a time.
-_MC_CHUNK = 16
 _BOOTSTRAP_RESAMPLES = 1000
 
 
@@ -131,11 +119,12 @@ class ProtocolConfig:
 
     ``shots`` = 0 selects exact mode.  In Monte Carlo mode the successful
     runs are split evenly between the two branches unless ``branch_shots``
-    overrides the split.  ``unitary`` may be a preset name or an explicit
-    unitary matrix over the whole register, or with a custom ``subspace``
-    over that spec's subsystems (see ``run_branch``); ``subspace`` defaults
-    to the parity preset (subspace framework) or the computational basis
-    (basis framework).  ``replacement``, the state the point channel
+    overrides the split; its two entries must add up to ``shots``.
+    ``unitary`` may be a preset name or an explicit unitary matrix over the
+    whole register, or with a custom ``subspace`` over that spec's
+    subsystems (see ``run_branch``); ``subspace`` defaults to the parity
+    preset (subspace framework) or the computational basis (basis
+    framework).  ``replacement``, the state the point channel
     installs, must be normalized and span the unaccessed environments in
     layout order.  Construction rejects every field value the pipeline would
     fail on or silently mis-run, and keeps the resolved subspace as the
@@ -168,6 +157,9 @@ class ProtocolConfig:
             a, b = self.branch_shots
             if a < 1 or b < 1:
                 raise InvariantViolation("branch_shots entries must be positive")
+            if a + b != self.shots:  # so exact mode (shots = 0) takes no split
+                raise InvariantViolation(
+                    f"branch_shots {a} + {b} != shots {self.shots}")
         elif self.shots == 1:
             raise InvariantViolation("shots = 1 leaves a branch without runs: "
                                      "Monte Carlo mode needs at least 2")
@@ -419,52 +411,26 @@ def _isbs_base_state() -> DensityOperator:
 _SQD_PREP_CNOTS = (("S", "E1_1"), ("S", "E2_1"))
 
 
-def _noise_sites(mode: str, layout: TensorLayout) -> list[tuple[str, ...]]:
-    """Subsystem groups the added noise replaces: all at once, or one by one."""
-    if mode == "mix_global":
-        return [layout.labels]
-    return [(label,) for label in layout.labels]
+def _prepare(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
+    """Initial state as a mixture over the noise events of the preparation.
 
-
-def _prepare(framework: str, mode: str, cnot_keep: np.ndarray,
-             noise_weights: np.ndarray) -> np.ndarray:
-    """Initial states as mixtures over the noise events of the preparation,
-    as a (k, d, d) stack with one row per row of the weights.
-
-    Each SQD preparation CNOT keeps its ideal output with weight
-    ``cnot_keep[r, j]`` and otherwise replaces its two qubits by I/4; then
-    each noise site (see ``_noise_sites``) is replaced by I/d with weight
-    ``noise_weights[r, j]``.  Exact mode passes one row of the probabilities
-    f and p, the Monte Carlo sampler one row of 0/1 coins per realization.
-    The ISBS GHZ state is prepared without CNOTs, so ``cnot_keep`` only
-    applies to SQD.
+    Each SQD preparation CNOT keeps its ideal output with weight f (1 in the
+    ideal model) and otherwise replaces its two qubits by I/4; then the
+    added noise replaces the whole register (global mixing) or each photon
+    in turn (local depolarization) by I/d with weight p.  The ISBS GHZ state
+    is prepared without CNOTs, so ``cnot_model`` only applies to SQD.
     """
-    noise_weights = np.asarray(noise_weights, dtype=float)
-    base = _sqd_base_state() if framework == FRAMEWORK_SQD else _isbs_base_state()
-    layout = base.layout
-    rho = np.repeat(base.matrix[None], len(noise_weights), axis=0)
+    rho = _sqd_base_state() if framework == FRAMEWORK_SQD else _isbs_base_state()
     if framework == FRAMEWORK_SQD:
-        cnot_keep = np.asarray(cnot_keep, dtype=float)
-        for (control, target), keep in zip(_SQD_PREP_CNOTS, cnot_keep.T, strict=True):
-            on = np.flatnonzero(keep != 0)  # a fully replaced pair keeps no trace of the gate
-            if on.size:
-                gate = embed_operator(layout, CNOT, [control, target])
-                rho[on] = gate @ rho[on] @ gate.conj().T
-            rho = _depolarize_stack(rho, layout, [control, target], keep, 1.0 - keep)
-    sites = _noise_sites(mode, layout)
-    for labels, weight in zip(sites, noise_weights.T, strict=True):
-        rho = _depolarize_stack(rho, layout, labels, 1.0 - weight, weight)
-    _check_density_stack(rho)  # the pipeline's entry check
-    return rho
-
-
-def _prepare_exact(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
-    f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
-    layout = default_layout(framework)
-    n_sites = len(_noise_sites(noise.mode, layout))
-    stack = _prepare(framework, noise.mode, [(f,) * len(_SQD_PREP_CNOTS)],
-                     [(noise.p,) * n_sites])
-    return DensityOperator._trusted(layout, stack[0])
+        f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
+        for pair in _SQD_PREP_CNOTS:
+            if f:  # a fully replaced pair keeps no trace of the gate
+                rho = apply_gate(rho, CNOT, pair)
+            rho = depolarize_subsystems(rho, pair, f, 1.0 - f)
+    labels = rho.layout.labels
+    for site in [labels] if noise.mode == "mix_global" else [(lab,) for lab in labels]:
+        rho = depolarize_subsystems(rho, site, 1.0 - noise.p, noise.p)
+    return DensityOperator(rho.layout, rho.matrix)  # the pipeline's entry check
 
 
 def prepare_initial_sqd(noise: NoiseConfig,
@@ -476,7 +442,7 @@ def prepare_initial_sqd(noise: NoiseConfig,
     the system with the environment parities.  The configured noise (global
     mixing or local depolarization of strength p) is applied afterwards.
     """
-    return _prepare_exact(FRAMEWORK_SQD, noise, cnot_model)
+    return _prepare(FRAMEWORK_SQD, noise, cnot_model)
 
 
 def prepare_initial_isbs(noise: NoiseConfig,
@@ -485,59 +451,48 @@ def prepare_initial_isbs(noise: NoiseConfig,
 
     The GHZ state is prepared without CNOTs, so ``cnot_model`` has no effect.
     """
-    return _prepare_exact(FRAMEWORK_ISBS, noise, cnot_model)
+    return _prepare(FRAMEWORK_ISBS, noise, cnot_model)
 
 
 def prepare_initial(config: ProtocolConfig) -> DensityOperator:
-    if config.framework == FRAMEWORK_SQD:
-        return prepare_initial_sqd(config.noise, config.cnot_model)
-    return prepare_initial_isbs(config.noise, config.cnot_model)
+    return _prepare(config.framework, config.noise, config.cnot_model)
 
 
 # ---------------------------------------------------------------------------
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch(states: np.ndarray, ctx: _Context, apply_gamma: bool,
-            scramble_weights: np.ndarray) -> np.ndarray:
-    """Computational-basis outcome probabilities over the full register, one
-    row per state of a (k, d, d) stack.
+def _branch(rho_t: DensityOperator, ctx: _Context, apply_gamma: bool) -> np.ndarray:
+    """Computational-basis outcome probabilities of one branch over the full
+    register.
 
     Applies the point channel on the unaccessed environments and, in the
-    projected branch, scrambles each fragment environment to I/d with weight
-    ``scramble_weights[r, j]`` (its parity check's two depolarizing CNOTs, so
-    1 - f^2 in exact mode) before the objectivity operation; then the final
+    projected branch of the ``noisy_prep_parity`` model, scrambles each
+    fragment environment to I/d with weight 1 - f^2 (its parity check's two
+    depolarizing CNOTs) before the objectivity operation; then the final
     unitary.  A null projected state yields the all-zero vector.
     """
-    layout = ctx.layout
+    config, rho = ctx.config, rho_t
     if ctx.ef_members:
-        states = _replace_subsystems(states, layout, ctx.ef_members,
-                                     ctx.replacement.matrix)
+        rho = point_channel(rho, ctx.ef_members, ctx.replacement)
     if apply_gamma:
-        for name, weight in zip(ctx.fragment, np.transpose(scramble_weights)):
-            states = _depolarize_stack(states, layout, ctx.spec.members_of([name]),
-                                       1.0 - weight, weight)
-        states = _objectivity_stack(states, layout, ctx.spec, ctx.fragment)
+        if config.cnot_model == CNOT_NOISY_PREP_PARITY:
+            scramble = 1.0 - config.noise.f ** 2
+            for name in ctx.fragment:
+                rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
+                                            1.0 - scramble, scramble)
+        rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
     u = ctx.unitary
-    states = u @ states @ u.conj().T
     # The pipeline's exit check: it bounds the clipped dips by TOL.psd_min_eig.
-    _check_density_stack(states)
-    return np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
-
-
-def _exact_branch(rho_t: DensityOperator, ctx: _Context, apply_gamma: bool) -> np.ndarray:
-    """``_branch`` on the single state ``rho_t`` with the exact weights."""
-    scramble: tuple[float, ...] = ()
-    if ctx.config.cnot_model == CNOT_NOISY_PREP_PARITY:
-        scramble = (1.0 - ctx.config.noise.f ** 2,) * len(ctx.fragment)
-    return _branch(rho_t.matrix[None], ctx, apply_gamma, np.array([scramble]))[0]
+    out = DensityOperator(ctx.layout, u @ rho.matrix @ u.conj().T)
+    return np.clip(np.diag(out.matrix).real, 0.0, None)
 
 
 def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
                apply_gamma: bool) -> np.ndarray:
     """Exact outcome probabilities of one branch over the full register (see
     ``_branch``), with the context resolved on ``rho_t``'s layout."""
-    return _exact_branch(rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
+    return _branch(rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
 
 
 def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,
@@ -612,8 +567,8 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
         raise InvariantViolation("exact mode requires shots = 0")
     ctx = _resolve_context(config)
     rho_t = prepare_initial(config)
-    v_id = _exact_branch(rho_t, ctx, apply_gamma=False)
-    v_g = _exact_branch(rho_t, ctx, apply_gamma=True)
+    v_id = _branch(rho_t, ctx, apply_gamma=False)
+    v_g = _branch(rho_t, ctx, apply_gamma=True)
     report = _report(ctx, rho_t, _marginalize_to_sf(v_id, ctx.layout, ctx.sf_labels),
                      _marginalize_to_sf(v_g, ctx.layout, ctx.sf_labels), None, 0)
     witness, measure = report.witness_max_subset, report.measure
@@ -629,158 +584,38 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
 # Monte Carlo mode
 # ---------------------------------------------------------------------------
 
-def _prepare_realizations(ctx: _Context, noise_bits: np.ndarray,
-                          prep_bits: np.ndarray) -> np.ndarray:
-    """Prepared states of realizations given one row of coins each."""
-    # A failed preparation CNOT (bit 1) keeps nothing of its ideal output.
-    cnot_keep = (1 - prep_bits if prep_bits.shape[1]
-                 else np.ones((len(prep_bits), len(_SQD_PREP_CNOTS))))
-    return _prepare(ctx.config.framework, ctx.config.noise.mode, cnot_keep, noise_bits)
+def _sample_branch(ctx: _Context, rho_t: DensityOperator, apply_gamma: bool,
+                   wanted: int, branch_tag: int) -> tuple[np.ndarray, int]:
+    """Counts over SF outcomes and the null-run count of ``wanted`` successful
+    runs of one branch.
 
-
-def _realization_pmfs(ctx: _Context, apply_gamma: bool, states: np.ndarray,
-                      parity_bits: np.ndarray) -> np.ndarray:
-    """Outcome pmfs over the system-fragment register with the null mass
-    appended, one row per realization: its prepared state in ``states`` and
-    its parity-check CNOT coins in ``parity_bits``.
-
-    A realization runs the exact pipeline with its coins as weights.  The
-    objectivity operation's measurement cascade (system measurement plus
-    per-environment parity checks, mismatches recorded as the null outcome)
-    is aggregated analytically: conditioned on the realization, the sampled
-    outcome distribution equals the projected state's outcome distribution
-    with the missing trace as the null mass.
-    """
-    # A parity check scrambles its environment when either of its CNOTs fails.
-    scramble = parity_bits[:, 0::2] | parity_bits[:, 1::2]
-    pmf = _marginalize_to_sf(_branch(states, ctx, apply_gamma, scramble),
-                             ctx.layout, ctx.sf_labels)
-    return np.column_stack([pmf, np.maximum(1.0 - pmf.sum(axis=1), 0.0)])
-
-
-def _realization_pmf(ctx: _Context, apply_gamma: bool, noise_bits: Sequence[int],
-                     prep_bits: Sequence[int], parity_bits: Sequence[int]) -> np.ndarray:
-    """``_realization_pmfs`` of the single realization with these coins."""
-    noise, prep, parity = (np.array(bits, dtype=np.int8).reshape(1, -1)
-                           for bits in (noise_bits, prep_bits, parity_bits))
-    return _realization_pmfs(ctx, apply_gamma, _prepare_realizations(ctx, noise, prep),
-                             parity)[0]
-
-
-@dataclass
-class _BranchPlan:
-    """Column layout of the per-attempt uniform draws for one branch."""
-
-    n_noise: int
-    n_prep: int
-    n_parity: int
-    use_hardware: bool
-    hardware_success: float
-
-    @property
-    def columns(self) -> int:
-        return self.n_noise + self.n_prep + self.n_parity + int(self.use_hardware) + 1
-
-
-def _branch_plan(ctx: _Context, apply_gamma: bool) -> _BranchPlan:
-    config = ctx.config
-    n_checks = 2 * len(ctx.fragment)  # two CNOTs per parity check
-    return _BranchPlan(
-        n_noise=len(_noise_sites(config.noise.mode, ctx.layout)),
-        n_prep=0 if config.cnot_model == CNOT_IDEAL else len(_SQD_PREP_CNOTS),
-        n_parity=n_checks if apply_gamma and config.cnot_model == CNOT_NOISY_PREP_PARITY else 0,
-        use_hardware=apply_gamma and config.noise.p_cnot < 1.0,
-        hardware_success=config.noise.p_cnot ** n_checks,
-    )
-
-
-def _sample_branch(ctx: _Context, apply_gamma: bool, wanted: int, branch_tag: int,
-                   prepared: dict) -> tuple[np.ndarray, int, int]:
-    """Sample one branch until ``wanted`` successful runs are collected.
-
-    Returns (outcome counts over SF outcomes, null-run count, attempts).
-    Runs discarded by parity-check hardware failure do not count; runs whose
-    objectivity projection misses are recorded as the null outcome and do
-    count as successful.  Attempts are drawn and evaluated a block at a time:
-    each run's coins are packed into an integer key, each distinct key's
-    outcome CDF is built once per call, and a run's outcome is the CDF bin
-    its uniform falls in.  ``prepared`` maps the (noise, prep) coins, the
-    low bits of a key, to prepared states; both branches of one call pass
-    the same dict.  A block prepares its missing states as one stack and
-    evaluates its new keys in stacks of at most ``_MC_CHUNK`` states.  The
-    results equal a run-by-run loop over the same draws.
+    Given its noise coins, a run's outcome follows that realization's pmf,
+    with the projection's missing trace as the null outcome.  Every coin is
+    the weight of one affine step of the pipeline, so the pmf averaged over
+    the coins is the pipeline at the coin means: the exact branch.  The
+    counts are therefore one multinomial draw from the exact pmf.  In the
+    projected branch with p_cnot < 1, parity-check hardware failures discard
+    runs; the failures before each success are geometric, and the run
+    aborts if a gap reaches ``TOL.mc_abort_window``.
     """
     config = ctx.config
-    plan = _branch_plan(ctx, apply_gamma)
-    n_outcomes = int(np.prod([ctx.layout.dim_of(lab) for lab in ctx.sf_labels]))
-    n_coins = plan.n_noise + plan.n_prep + plan.n_parity
-    thresholds = np.array([config.noise.p] * plan.n_noise
-                          + [1.0 - config.noise.f] * (n_coins - plan.n_noise))
-    tally = np.zeros(n_outcomes + 1, dtype=np.int64)  # the null outcome last
-    cdfs: dict[int, np.ndarray] = {}
-    collected = attempts = failures = 0  # failures: hardware failures in a row
-
-    block_index = 0
-    while collected < wanted:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(config.seed, branch_tag, block_index)))
-        u = rng.random((_MC_BLOCK, plan.columns))
-        ok = (u[:, n_coins] < plan.hardware_success if plan.use_hardware
-              else np.ones(_MC_BLOCK, dtype=bool))
-        # Rows after the one that completes ``wanted`` are not attempted.
-        n = min(_MC_BLOCK, int(np.searchsorted(np.cumsum(ok), wanted - collected)) + 1)
-        ok, rows = ok[:n], np.arange(n)
-        run = rows - np.maximum.accumulate(np.where(ok, rows, -1 - failures))
-        aborted = np.flatnonzero(~ok & (run >= TOL.mc_abort_window))
-        if aborted.size:
+    pmf = _marginalize_to_sf(_branch(rho_t, ctx, apply_gamma), ctx.layout, ctx.sf_labels)
+    pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))
+    pmf /= pmf.sum()  # the total is at least 1; multinomial rejects a sum above 1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, branch_tag)))
+    tally = rng.multinomial(wanted, pmf)
+    if apply_gamma and config.noise.p_cnot < 1.0:
+        success = config.noise.p_cnot ** (2 * len(ctx.fragment))  # two CNOTs per check
+        # An underflowed success probability draws the longest gaps instead.
+        gaps = rng.geometric(max(success, np.finfo(float).tiny), size=wanted) - 1
+        if gaps.max() >= TOL.mc_abort_window:
             raise NonterminatingSampling(
-                f"no successful run in {int(run[aborted[0]])} attempts; "
+                f"no successful run in {TOL.mc_abort_window} attempts; "
                 f"estimated success probability below 1e-6 "
                 f"(p_cnot = {config.noise.p_cnot}, "
                 f"fragment size {len(ctx.fragment)})"
             )
-        failures, attempts = int(run[-1]), attempts + n
-
-        good = u[:n][ok]  # the successful runs
-        coins = (good[:, :n_coins] < thresholds).astype(np.int8)
-        keys, first, inverse = np.unique(coins @ (1 << np.arange(n_coins)),
-                                         return_index=True, return_inverse=True)
-        new = [j for j, key in enumerate(keys.tolist()) if key not in cdfs]
-        if new:
-            _add_cdfs(ctx, apply_gamma, plan, keys[new], coins[first[new]], prepared, cdfs)
-        # The bin count equals searchsorted(cdf, u, side="right"): CDFs are sorted.
-        table = np.array([cdfs[key] for key in keys])[inverse]
-        bins = (table <= good[:, -1:]).sum(axis=1)
-        tally += np.bincount(np.minimum(bins, n_outcomes), minlength=n_outcomes + 1)
-        collected += len(bins)
-        block_index += 1
-    return tally[:-1], int(tally[-1]), attempts
-
-
-def _add_cdfs(ctx: _Context, apply_gamma: bool, plan: _BranchPlan, keys: np.ndarray,
-              coins: np.ndarray, prepared: dict, cdfs: dict) -> None:
-    """Add the normalized outcome CDFs of new realizations to ``cdfs``.
-
-    ``keys`` are the packed coin rows ``coins``; the states that ``prepared``
-    lacks are prepared first, then the realizations are evaluated
-    ``_MC_CHUNK`` at a time.
-    """
-    n_state = plan.n_noise + plan.n_prep
-    state_keys = (keys & ((1 << n_state) - 1)).tolist()
-    missing = {key: j for j, key in enumerate(state_keys) if key not in prepared}
-    new_states, rows = list(missing), coins[list(missing.values())]
-    for start in range(0, len(rows), _MC_CHUNK):
-        chunk = rows[start:start + _MC_CHUNK]
-        prepared.update(zip(new_states[start:start + _MC_CHUNK], _prepare_realizations(
-            ctx, chunk[:, :plan.n_noise], chunk[:, plan.n_noise:n_state])))
-    for start in range(0, len(keys), _MC_CHUNK):
-        chunk = slice(start, start + _MC_CHUNK)
-        states = np.stack([prepared[key] for key in state_keys[chunk]])
-        cdf = np.cumsum(_realization_pmfs(ctx, apply_gamma, states,
-                                          coins[chunk, n_state:]), axis=1)
-        total = cdf[:, -1:]
-        cdfs.update(zip(keys[chunk].tolist(),
-                        np.where(total > 0, cdf / np.where(total > 0, total, 1.0), cdf)))
+    return tally[:-1], int(tally[-1])
 
 
 def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
@@ -801,25 +636,23 @@ def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
 def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
     """Estimate the witness from simulated experimental runs.
 
-    Each run draws a stochastic realization (noise coins, gate-fidelity
-    coins), post-selects on parity-check hardware success, and records one
-    measurement outcome; objectivity-projection misses are recorded as the
-    null outcome.  Empirical branch probabilities feed the same subset
-    maximization as exact mode, and the standard error comes from a seeded
-    bootstrap over run outcomes.
+    Each branch's successful runs are drawn from its exact outcome
+    distribution (see ``_sample_branch``); objectivity-projection misses are
+    recorded as the null outcome.  Empirical branch probabilities feed the
+    same subset maximization as exact mode, and the standard error comes
+    from a seeded bootstrap over run outcomes.
     """
     if config.shots <= 0:
         raise InvariantViolation("Monte Carlo mode requires shots > 0")
     n_id, n_g = config.split_shots()
     ctx = _resolve_context(config)
 
-    prepared: dict = {}  # both branches draw the same (noise, prep) coins
-    counts_id, _, _ = _sample_branch(ctx, False, n_id, 0, prepared)
-    counts_g, null_g, _ = _sample_branch(ctx, True, n_g, 1, prepared)
+    rho_t = prepare_initial(config)
+    counts_id, _ = _sample_branch(ctx, rho_t, False, n_id, 0)
+    counts_g, null_g = _sample_branch(ctx, rho_t, True, n_g, 1)
 
     stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
-    return _report(ctx, prepare_initial(config), counts_id / n_id, counts_g / n_g,
-                   stderr, n_id + n_g)
+    return _report(ctx, rho_t, counts_id / n_id, counts_g / n_g, stderr, n_id + n_g)
 
 
 def run_witness(config: ProtocolConfig) -> WitnessReport:

@@ -2,11 +2,13 @@
 
 State files carry a layout descriptor plus the row-major complex matrix as
 [re, im] pairs, so they are bit-exact, language-neutral and diff-able.
-Config parsing reports the offending field by name on any malformed input.
-A sweep document is a witness config's keys plus ``p_values``,
-``fragments``, the noise keys ``noise_mode``/``f``/``p_cnot`` and an
-optional ``output_path``; each of its points is parsed as the witness
-config it describes, so ``config_from_dict`` is the only config parser.
+Config parsing reports the offending field by name on any malformed input,
+including a key outside its document's table of allowed keys and an integer
+field given as anything but a JSON integer.  A sweep document is a witness
+config's keys plus ``p_values``, ``fragments``, the noise keys
+``noise_mode``/``f``/``p_cnot`` and an optional ``output_path``; each of its
+points is parsed as the witness config it describes, so ``config_from_dict``
+is the only config parser.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def spec_by_name(name: str) -> ObjectiveSubspaceSpec:
 
 def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
     """Custom spec from lists of spanning basis vectors per environment per index."""
+    _check_keys(data, _SUBSPACE_KEYS, "subspace.")
     try:
         system_label = str(data.get("system_label", "S"))
         environments = {
@@ -132,9 +135,33 @@ def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec | None:
 # Protocol configs
 # ---------------------------------------------------------------------------
 
+# The allowed keys of each config document, as README documents them.
+_WITNESS_KEYS = {"framework", "fragment", "noise", "unitary", "replacement", "shots",
+                 "seed", "cnot_model", "subspace", "branch_shots"}
+_NOISE_KEYS = {"p", "mode", "f", "p_cnot"}
+_SUBSPACE_KEYS = {"system_label", "system_basis", "environments", "basis_vectors"}
+
+
+def _check_keys(data: Any, allowed: set[str], path: str) -> None:
+    """Reject a document that is not an object or has a key outside
+    ``allowed``; ``path`` prefixes the field names in the message."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"field '{path.rstrip('.') or 'config'}': expected an object")
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"field '{path}{key}': unknown key")
+
+
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: neither a bool nor a float, however integral."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _optional(data: Mapping[str, Any], key: str, kind, default, path: str):
     if key not in data or data[key] is None:
         return default
+    if kind is int and not _is_integer(data[key]):
+        raise ConfigError(f"field '{path}{key}': expected an integer, got {data[key]!r}")
     try:
         return kind(data[key])
     except (TypeError, ValueError) as exc:
@@ -142,6 +169,7 @@ def _optional(data: Mapping[str, Any], key: str, kind, default, path: str):
 
 
 def noise_from_dict(data: Mapping[str, Any], path: str = "noise.") -> NoiseConfig:
+    _check_keys(data, _NOISE_KEYS, path)
     try:
         return NoiseConfig(
             p=_optional(data, "p", float, 0.0, path),
@@ -155,6 +183,7 @@ def noise_from_dict(data: Mapping[str, Any], path: str = "noise.") -> NoiseConfi
 
 def config_from_dict(data: Mapping[str, Any],
                      seed_override: int | None = None) -> ProtocolConfig:
+    _check_keys(data, _WITNESS_KEYS, "")
     framework = _optional(data, "framework", str, "SQD", "")
     fragment_raw = data.get("fragment", ["E1"])
     if isinstance(fragment_raw, str):
@@ -179,10 +208,11 @@ def config_from_dict(data: Mapping[str, Any],
     subspace = resolve_subspace(data.get("subspace"))
     branch_shots = data.get("branch_shots")
     if branch_shots is not None:
-        try:
-            branch_shots = (int(branch_shots[0]), int(branch_shots[1]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"field 'branch_shots': {exc}") from exc
+        if not (isinstance(branch_shots, (list, tuple)) and len(branch_shots) == 2
+                and all(_is_integer(n) for n in branch_shots)):
+            raise ConfigError(
+                f"field 'branch_shots': expected two integers, got {branch_shots!r}")
+        branch_shots = tuple(branch_shots)
     replacement = None
     if data.get("replacement") is not None:
         try:
@@ -218,6 +248,8 @@ def config_from_dict(data: Mapping[str, Any],
 
 _SWEEP_COPIED = ("framework", "shots", "seed", "cnot_model", "subspace")
 _SWEEP_NOISE = (("noise_mode", "mode"), ("f", "f"), ("p_cnot", "p_cnot"))
+_SWEEP_KEYS = {*_SWEEP_COPIED, *(key for key, _ in _SWEEP_NOISE),
+               "p_values", "fragments", "output_path"}
 
 
 def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
@@ -228,6 +260,7 @@ def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
     sweep describes at that point, so a sweep accepts and rejects exactly
     what a witness config does.
     """
+    _check_keys(data, _SWEEP_KEYS, "")
     p_values, fragments = data.get("p_values"), data.get("fragments")
     for key, value in (("p_values", p_values), ("fragments", fragments)):
         if not isinstance(value, Sequence) or isinstance(value, str) or not value:

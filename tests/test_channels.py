@@ -24,9 +24,7 @@ from qdarwin import (
     partial_trace,
     point_channel,
 )
-from qdarwin.channels import _depolarize_stack, _replace_subsystems, depolarize_subsystems
-from qdarwin.hilbert import embed_operator
-from qdarwin.objectivity import _objectivity_stack
+from qdarwin.channels import depolarize_subsystems
 
 from conftest import (
     apply_kraus,
@@ -352,53 +350,6 @@ def test_trusted_outputs_pass_the_public_checks(case):
         ]
     for out in outputs:
         DensityOperator(out.layout, out.matrix)
-
-
-@st.composite
-def _stack_cases(draw):
-    """States on S + three qubits with one weight each (0, 1 or fractional),
-    a label subset and a fragment."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lay = qubits("S", "A", "B", "C")
-    k = draw(st.integers(1, 6))
-    states = [random_density(lay, rng, draw(st.sampled_from([1, 2, 16]))) for _ in range(k)]
-    weights = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-                            min_size=k, max_size=k))
-    labels = draw(st.lists(st.sampled_from(lay.labels), min_size=1, max_size=4,
-                           unique=True))
-    fragment = draw(st.lists(st.sampled_from(["E1", "E2"]), min_size=1, unique=True))
-    return rng, states, np.array(weights), labels, fragment
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_stack_cases())
-def test_stacked_stages_equal_the_single_state_functions(case):
-    # The witness pipeline runs these stages on stacks of states with
-    # per-row weights; each row must be the public single-state result, bit
-    # for bit, whatever the other rows hold.
-    rng, states, weights, labels, fragment = case
-    lay = states[0].layout
-    stack = np.stack([rho.matrix for rho in states])
-    sub = lay.subset(labels)
-    replacement = random_density(sub, rng)
-    spec = random_subspace_spec(rng, {"E1": ("A",), "E2": ("B", "C")})
-    u = random_unitary(sub.total_dim, rng)
-    u_full = embed_operator(lay, u, labels)
-    stacked = {
-        "replace": _replace_subsystems(stack, lay, labels, replacement.matrix),
-        "depolarize": _depolarize_stack(stack, lay, labels, 1.0 - weights, weights),
-        "gamma": _objectivity_stack(stack, lay, spec, spec.select(fragment)),
-        "unitary": u_full @ stack @ u_full.conj().T,
-    }
-    for r, rho in enumerate(states):
-        single = {
-            "replace": point_channel(rho, labels, replacement),
-            "depolarize": depolarize_subsystems(rho, labels, 1.0 - weights[r], weights[r]),
-            "gamma": objectivity_operation_sqd(rho, spec, fragment),
-            "unitary": apply_gate(rho, u, labels),
-        }
-        for name, out in single.items():
-            assert stacked[name][r].tobytes() == out.matrix.tobytes(), (name, r)
 
 
 def test_noise_config_validation():

@@ -294,6 +294,29 @@ def _replacement(layout, trace=1.0):
     ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 6000, "seed": -5},
      "seed"),
     ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 1}, "shots"),
+    # Every document has a table of allowed keys: a misspelt key is an error,
+    # not a silently ignored field.
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shot": 6000},
+     "field 'shot': unknown key"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3, "mdoe": "depolarize_local"}},
+     "field 'noise.mdoe': unknown key"),
+    ("witness", {"fragment": ["E1"], "noise": 0.3}, "field 'noise'"),
+    ("witness", {"fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E1_KETS},
+        "sytem_label": "S"}}, "field 'subspace.sytem_label': unknown key"),
+    ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "shot": 6000},
+     "field 'shot': unknown key"),
+    # Integer fields take JSON integers only: no truncated float, no bool.
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 3000.7}, "shots"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 6000, "seed": True},
+     "seed"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 3000,
+                 "branch_shots": [1500.5, 1499.5]}, "branch_shots"),
+    # A branch split must add up to shots, so exact mode takes none.
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 100,
+                 "branch_shots": [10, 10]}, "branch_shots"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 0,
+                 "branch_shots": [10, 10]}, "branch_shots"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,

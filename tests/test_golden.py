@@ -64,12 +64,12 @@ WITNESS_CASES = {
     "isbs_mc_local_e1": {
         "framework": "ISBS", "fragment": ["E1"],
         "noise": {"p": 0.3, "mode": "depolarize_local"}, "shots": 3000, "seed": 23},
-    # About 800 distinct realizations: each block spans many evaluation chunks.
+    # About 800 distinct coin realizations in the run-by-run model.
     "sqd_mc_low_reuse": {
         "framework": "SQD", "fragment": ["E1", "E2"], "cnot_model": "noisy_prep_parity",
         "noise": {"p": 0.2, "mode": "depolarize_local", "f": 0.74, "p_cnot": 0.7},
         "shots": 6000, "seed": 29},
-    # Hardware success 0.45^2: the projected branch spans several blocks.
+    # Hardware success 0.45^2: most projected-branch attempts are discarded.
     "sqd_mc_noisy_prep_many_blocks": {
         "framework": "SQD", "fragment": ["E1"], "cnot_model": "noisy_prep",
         "noise": {"p": 0.25, "mode": "depolarize_local", "f": 0.8, "p_cnot": 0.45},

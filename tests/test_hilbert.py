@@ -13,7 +13,7 @@ from qdarwin import (
     partial_trace,
     trace_norm_distance,
 )
-from qdarwin.hilbert import _check_density_stack, trace_norm
+from qdarwin.hilbert import trace_norm
 
 from conftest import qubits, random_density, random_pure
 
@@ -65,37 +65,6 @@ def test_layout_derives_its_lookups_from_the_subsystems():
     assert hash(lay) == hash(TensorLayout([("S", 2), ("E", 3)]))
     with pytest.raises(InvariantViolation, match="unknown subsystem label"):
         lay.dim_of("F")
-
-
-def _broken_density(kind, rng):
-    """A 2-qubit matrix that fails one of the constructor's checks."""
-    m = random_density(qubits("A", "B"), rng).matrix.copy()
-    if kind == "hermitian":
-        m[0, 1] += 1e-6
-    elif kind == "eigenvalue":
-        w, v = np.linalg.eigh(m)
-        w[0] = -1e-6
-        m = (v * w) @ v.conj().T
-    else:
-        m *= 1.5
-    return m
-
-
-@pytest.mark.parametrize("kinds", [("hermitian",), ("eigenvalue",), ("trace",),
-                                   ("eigenvalue", "hermitian"), ("trace", "eigenvalue")])
-@pytest.mark.parametrize("first_bad", [0, 2])
-def test_stack_check_raises_the_constructor_message_of_its_first_bad_row(rng, kinds,
-                                                                         first_bad):
-    lay = qubits("A", "B")
-    stack = [random_density(lay, rng).matrix for _ in range(4)]
-    bad = [_broken_density(kind, rng) for kind in kinds]
-    stack[first_bad:first_bad + len(bad)] = bad
-    with pytest.raises(InvariantViolation) as public:
-        DensityOperator(lay, bad[0])
-    with pytest.raises(InvariantViolation) as stacked:
-        _check_density_stack(np.stack(stack))
-    assert str(stacked.value) == str(public.value)
-    _check_density_stack(np.stack([random_density(lay, rng).matrix for _ in range(3)]))
 
 
 def test_trusted_operator_is_a_frozen_copy():

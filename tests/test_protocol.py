@@ -3,10 +3,12 @@ and the tomography cost model."""
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from qdarwin import (
     CNOT,
@@ -34,23 +36,20 @@ from qdarwin import (
 )
 from qdarwin import protocol
 from qdarwin.objectivity import require_basis_spec
-from qdarwin.protocol import (
-    _branch_plan,
-    _marginalize_to_sf,
-    _max_subset,
-    _realization_pmf,
-    _resolve_context,
-    _sample_branch,
-)
+from qdarwin.cli import main
+from qdarwin.protocol import _marginalize_to_sf, _max_subset, _resolve_context
 from qdarwin.tolerances import TOL
 
 from conftest import (
     apply_kraus,
+    coin_plan,
     noisy_cnot_kraus,
     qubits,
     random_density,
     random_subspace_spec,
     random_unitary,
+    realization_pmf,
+    reference_sample_branch,
 )
 
 
@@ -476,16 +475,15 @@ def test_default_spec_is_one_read_only_instance(framework):
 # Validation boundaries
 # ---------------------------------------------------------------------------
 
-def _with_negative_eigenvalue(matrices):
-    """Each matrix of a (k, d, d) stack with its smallest eigenvalue set to
-    -1e-6, built unchecked."""
-    w, v = np.linalg.eigh(matrices)
-    w[:, 0] = -1e-6
-    return (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-
-
 def _broken(stage):
-    return lambda *args, **kwargs: _with_negative_eigenvalue(stage(*args, **kwargs))
+    """``stage`` with its output's smallest eigenvalue set to -1e-6, built
+    unchecked."""
+    def broken(*args, **kwargs):
+        out = stage(*args, **kwargs)
+        w, v = np.linalg.eigh(out.matrix)
+        w[0] = -1e-6
+        return DensityOperator._trusted(out.layout, (v * w) @ v.conj().T)
+    return broken
 
 
 _BOUNDARY_CONFIG = ProtocolConfig(framework="SQD", fragment=("E1",),
@@ -500,16 +498,16 @@ def _assert_both_modes_raise():
 
 
 def test_branch_output_boundary_catches_a_broken_gamma(monkeypatch):
-    monkeypatch.setattr(protocol, "_objectivity_stack",
-                        _broken(protocol._objectivity_stack))
+    monkeypatch.setattr(protocol, "objectivity_operation_sqd",
+                        _broken(protocol.objectivity_operation_sqd))
     _assert_both_modes_raise()
 
 
 def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
-    monkeypatch.setattr(protocol, "_depolarize_stack",
-                        _broken(protocol._depolarize_stack))
+    monkeypatch.setattr(protocol, "depolarize_subsystems",
+                        _broken(protocol.depolarize_subsystems))
     with pytest.raises(InvariantViolation, match="negative eigenvalue"):
-        protocol._prepare("SQD", "mix_global", [(1.0, 1.0)], [(0.2,)])
+        protocol._prepare("SQD", NoiseConfig(p=0.2), "ideal")
     _assert_both_modes_raise()
 
 
@@ -543,7 +541,7 @@ def test_exact_mode_is_the_expectation_of_the_realizations(config):
     exact = witness_exact(config)
     p, gate_noise = config.noise.p, 1.0 - config.noise.f
     for apply_gamma, expected in ((False, exact.p_identity), (True, exact.p_gamma)):
-        plan = _branch_plan(ctx, apply_gamma)
+        plan = coin_plan(ctx, apply_gamma)
         n_coins = plan.n_noise + plan.n_prep + plan.n_parity
         assert 2 ** n_coins <= 64
         total = np.zeros_like(expected)
@@ -552,135 +550,165 @@ def test_exact_mode_is_the_expectation_of_the_realizations(config):
             gate_bits = coins[plan.n_noise:]
             weight = np.prod([p if b else 1.0 - p for b in noise_bits]) * np.prod(
                 [gate_noise if b else config.noise.f for b in gate_bits])
-            pmf = _realization_pmf(ctx, apply_gamma, noise_bits,
-                                   gate_bits[:plan.n_prep], gate_bits[plan.n_prep:])
+            pmf = realization_pmf(ctx, apply_gamma, noise_bits,
+                                  gate_bits[:plan.n_prep], gate_bits[plan.n_prep:])
             total += weight * pmf[:-1]
         assert np.max(np.abs(total - expected)) < 1e-12
-
-
-def _reference_sample_branch(ctx, apply_gamma, wanted, branch_tag):
-    """The run-by-run sampler that the block sampler replaced, as its oracle.
-
-    It reads ``protocol._MC_BLOCK`` and ``protocol.TOL`` when called, so a
-    test that patches them patches both samplers.
-    """
-    config = ctx.config
-    plan = _branch_plan(ctx, apply_gamma)
-    n_outcomes = int(np.prod([ctx.layout.dim_of(lab) for lab in ctx.sf_labels]))
-    counts = np.zeros(n_outcomes, dtype=np.int64)
-    null_count = collected = attempts = attempts_since_success = 0
-    cache = {}
-    noise_p, gate_noise = config.noise.p, 1.0 - config.noise.f
-    block, block_index = protocol._MC_BLOCK, 0
-    while collected < wanted:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(config.seed, branch_tag, block_index)))
-        u = rng.random((block, plan.columns))
-        col = 0
-        noise_bits = (u[:, col:col + plan.n_noise] < noise_p).astype(np.int8)
-        col += plan.n_noise
-        prep_bits = (u[:, col:col + plan.n_prep] < gate_noise).astype(np.int8)
-        col += plan.n_prep
-        parity_bits = (u[:, col:col + plan.n_parity] < gate_noise).astype(np.int8)
-        col += plan.n_parity
-        if plan.use_hardware:
-            hardware_ok = u[:, col] < plan.hardware_success
-            col += 1
-        else:
-            hardware_ok = np.ones(block, dtype=bool)
-        u_outcome = u[:, col]
-        for r in range(block):
-            if collected >= wanted:
-                break
-            attempts += 1
-            if not hardware_ok[r]:
-                attempts_since_success += 1
-                if attempts_since_success >= protocol.TOL.mc_abort_window:
-                    raise NonterminatingSampling(
-                        f"no successful run in {attempts_since_success} attempts; "
-                        f"estimated success probability below 1e-6 "
-                        f"(p_cnot = {config.noise.p_cnot}, "
-                        f"fragment size {len(ctx.fragment)})"
-                    )
-                continue
-            attempts_since_success = 0
-            key = (tuple(noise_bits[r]), tuple(prep_bits[r]), tuple(parity_bits[r]))
-            cdf = cache.get(key)
-            if cdf is None:
-                cdf = np.cumsum(_realization_pmf(ctx, apply_gamma, *key))
-                total = cdf[-1]
-                if total > 0:
-                    cdf = cdf / total
-                cache[key] = cdf
-            idx = min(int(np.searchsorted(cdf, u_outcome[r], side="right")), n_outcomes)
-            if idx == n_outcomes:
-                null_count += 1
-            else:
-                counts[idx] += 1
-            collected += 1
-        block_index += 1
-    return counts, null_count, attempts
-
-
-def _sampled(sampler, *args):
-    """A sampler's (counts, null count, attempts), or its abort message."""
-    try:
-        counts, null_count, attempts = sampler(*args)
-    except NonterminatingSampling as exc:
-        return str(exc)
-    return counts.tolist(), null_count, attempts
 
 
 @st.composite
 def _sampler_configs(draw):
     """Monte Carlo configs over both frameworks, every CNOT model, hardware
-    discarding and explicit branch splits."""
+    discarding and explicit branch splits, at most 64 realizations a branch
+    so the run-by-run oracle stays quick."""
     framework = draw(st.sampled_from(["SQD", "ISBS"]))
     if framework == "SQD":
         cnot_model = draw(st.sampled_from(["ideal", "noisy_prep", "noisy_prep_parity"]))
         envs, p_cnot = ["E1", "E2"], draw(st.sampled_from([1.0, 0.85, 0.6]))
     else:  # ISBS runs neither noisy CNOTs nor parity-check hardware
         cnot_model, envs, p_cnot = "ideal", ["E1", "E2", "E3", "E4"], 1.0
-    fragment = draw(st.lists(st.sampled_from(envs), min_size=1, unique=True))
+    max_size = 1 if cnot_model == "noisy_prep_parity" else len(envs)
+    fragment = draw(st.lists(st.sampled_from(envs), min_size=1, max_size=max_size,
+                             unique=True))
+    mode = "mix_global" if cnot_model != "ideal" else draw(
+        st.sampled_from(["mix_global", "depolarize_local"]))
     noise = NoiseConfig(p=draw(st.floats(0.05, 0.95)), f=draw(st.floats(0.05, 0.95)),
-                        mode=draw(st.sampled_from(["mix_global", "depolarize_local"])),
-                        p_cnot=p_cnot)
-    branch_shots = draw(st.none() | st.tuples(st.integers(1, 150), st.integers(1, 150)))
+                        mode=mode, p_cnot=p_cnot)
+    branch_shots = draw(st.none() | st.tuples(st.integers(100, 300), st.integers(100, 300)))
+    shots = sum(branch_shots) if branch_shots else draw(st.integers(200, 600))
     return ProtocolConfig(framework=framework, fragment=tuple(fragment), noise=noise,
-                          cnot_model=cnot_model, shots=draw(st.integers(2, 300)),
+                          cnot_model=cnot_model, shots=shots,
                           seed=draw(st.integers(0, 2**31)), branch_shots=branch_shots)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+_CHI2_LEVEL = 1e-3  # each pooled tally must reach this chi-squared p-value
+_CHI2_SEEDS = 8     # seeds pooled per config
+
+
+def _chi2_pvalue(observed, pmf):
+    """Chi-squared p-value of ``observed`` counts against ``pmf``, with the
+    bins whose expected count is below 5 merged into one (and that bin into
+    the smallest other one while it stays below 5)."""
+    expected = pmf / pmf.sum() * observed.sum()
+    small = expected < 5
+    obs = list(observed[~small]) + [observed[small].sum()]
+    exp = list(expected[~small]) + [expected[small].sum()]
+    if exp[-1] < 5 and len(exp) > 1:
+        j = int(np.argmin(exp[:-1]))
+        obs[j] += obs.pop()
+        exp[j] += exp.pop()
+    if len(exp) < 2:
+        return 1.0  # one bin holds every run: nothing to test
+    return float(scipy_stats.chisquare(obs, exp).pvalue)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(config=_sampler_configs())
-def test_block_sampler_equals_the_run_by_run_loop(config):
-    # A small odd block makes the wanted cutoff and the failure runs cross
-    # block boundaries; the branches share prepared states as in
-    # witness_monte_carlo.
+def test_sampler_and_run_by_run_oracle_draw_the_exact_pmf(config):
+    # Pooled over seeds, the counts of witness_monte_carlo and of the
+    # run-by-run oracle both fit the exact branch pmfs (null mass last).
     ctx = _resolve_context(config)
-    prepared = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_MC_BLOCK", 37)
-        for tag, wanted in enumerate(config.split_shots()):
-            args = (ctx, tag == 1, wanted, tag)
-            assert _sampled(_sample_branch, *args, prepared) \
-                == _sampled(_reference_sample_branch, *args)
+    exact = witness_exact(dataclasses.replace(config, shots=0, branch_shots=None))
+    n_id, n_g = config.split_shots()
+    pmfs = [np.append(exact.p_identity, 0.0),
+            np.append(exact.p_gamma, max(1.0 - exact.p_gamma.sum(), 0.0))]
+    sampled = [np.zeros_like(pmf) for pmf in pmfs]
+    oracle = [np.zeros_like(pmf) for pmf in pmfs]
+    caches = [{}, {}]
+    for seed in range(config.seed, config.seed + _CHI2_SEEDS):
+        run = dataclasses.replace(config, seed=seed)
+        report = witness_monte_carlo(run)
+        for tag, (wanted, p) in enumerate(((n_id, report.p_identity),
+                                           (n_g, report.p_gamma))):
+            counts = np.rint(p * wanted)
+            sampled[tag] += np.append(counts, wanted - counts.sum())
+            counts, null = reference_sample_branch(_resolve_context(run), tag == 1,
+                                                   wanted, tag, caches[tag])
+            oracle[tag] += np.append(counts, null)
+    for tag, pmf in enumerate(pmfs):
+        assert sampled[tag].sum() == oracle[tag].sum() == _CHI2_SEEDS * (n_id, n_g)[tag]
+        assert _chi2_pvalue(sampled[tag], pmf) >= _CHI2_LEVEL, ("sampler", tag)
+        assert _chi2_pvalue(oracle[tag], pmf) >= _CHI2_LEVEL, ("oracle", tag)
 
 
-def test_block_sampler_aborts_on_the_same_attempt(monkeypatch):
-    # A window longer than a block makes the aborting failure run straddle a
-    # block boundary.  For every wanted count the samplers agree: both
-    # collect the same runs, or both abort with the same message.
-    monkeypatch.setattr(protocol, "_MC_BLOCK", 37)
-    monkeypatch.setattr(protocol, "TOL", dataclasses.replace(TOL, mc_abort_window=45))
-    ctx = _resolve_context(ProtocolConfig(
-        framework="SQD", fragment=("E1", "E2"), noise=NoiseConfig(p=0.3, p_cnot=0.5),
-        shots=2, seed=8))
-    results = [(_sampled(_sample_branch, ctx, True, wanted, 1, {}),
-                _sampled(_reference_sample_branch, ctx, True, wanted, 1))
-               for wanted in range(1, 40)]
-    assert all(new == reference for new, reference in results)
-    assert isinstance(results[0][0], tuple) and isinstance(results[-1][0], str)
+def _spy_on_gaps(monkeypatch):
+    """Record the failure gaps the sampler draws: each geometric draw minus 1."""
+    gaps, real = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def geometric(self, *args, **kwargs):
+            draws = self._rng.geometric(*args, **kwargs)
+            gaps.append(draws - 1)
+            return draws
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    return gaps
+
+
+def test_sampler_aborts_iff_a_drawn_gap_reaches_the_window(monkeypatch, tmp_path, capsys):
+    def set_window(attempts):
+        monkeypatch.setattr(protocol, "TOL",
+                            dataclasses.replace(TOL, mc_abort_window=attempts))
+
+    # Hardware success 0.47^4 ~ 0.05 and a window of 30 discards: about a
+    # fifth of the gaps reach the window, so seeds abort and seeds succeed.
+    window = 30
+    set_window(window)
+    gaps = _spy_on_gaps(monkeypatch)
+    config = ProtocolConfig(framework="SQD", fragment=("E1", "E2"),
+                            noise=NoiseConfig(p=0.3, p_cnot=0.47), shots=10)
+    outcomes = []
+    for seed in range(40):
+        gaps.clear()
+        try:
+            witness_monte_carlo(dataclasses.replace(config, seed=seed))
+            aborted = False
+        except NonterminatingSampling as exc:
+            aborted = True
+            assert f"no successful run in {window} attempts" in str(exc)
+        assert len(gaps) == 1 and len(gaps[0]) == 5  # the projected branch's runs
+        assert aborted == bool(gaps[0].max() >= window)
+        outcomes.append(aborted)
+    assert any(outcomes) and not all(outcomes)
+
+    path = tmp_path / "abort.json"
+    path.write_text(json.dumps({"framework": "SQD", "fragment": ["E1", "E2"],
+                                "noise": {"p": 0.3, "p_cnot": 0.47}, "shots": 10,
+                                "seed": outcomes.index(True)}))
+    capsys.readouterr()
+    assert main(["witness", "--config", str(path)]) == 4
+    assert f"no successful run in {window} attempts" in capsys.readouterr().err
+
+    # At the boundary: a window equal to the largest drawn gap aborts, one
+    # more attempt lets the run complete.
+    for seed in range(5):
+        run = dataclasses.replace(config, seed=seed)
+        set_window(10**9)
+        gaps.clear()
+        witness_monte_carlo(run)
+        largest = int(gaps[0].max())
+        set_window(largest)
+        with pytest.raises(NonterminatingSampling):
+            witness_monte_carlo(run)
+        set_window(largest + 1)
+        witness_monte_carlo(run)
+
+    # A success probability p_cnot^4 that underflows to 0 aborts as well.
+    with pytest.raises(NonterminatingSampling):
+        witness_monte_carlo(dataclasses.replace(config, noise=NoiseConfig(p_cnot=1e-100)))
+
+    # Without hardware discarding no gap is drawn, even with a window of one.
+    set_window(1)
+    gaps.clear()
+    report = witness_monte_carlo(dataclasses.replace(
+        config, noise=NoiseConfig(p=0.3), shots=4000))
+    assert report.successful_runs == 4000 and gaps == []
 
 
 def test_run_witness_dispatch():
