@@ -2,7 +2,9 @@
 
 The cases cover exact and Monte Carlo witness runs on both frameworks, every
 noise mode and CNOT model, an explicit branch split, the Monte Carlo abort
-message, the shipped sweeps and the structure checks of the shipped states.
+message, the shipped sweeps, sweeps in Monte Carlo mode, with a custom
+subspace and with noisy CNOTs, and the structure checks of the shipped
+states.
 Any refactor of the pipeline or the sampler must keep these bytes.
 
 Regenerate the data file (only when an output change is intended) with::
@@ -79,6 +81,32 @@ WITNESS_CASES = {
         "shots": 50, "seed": 2},
 }
 
+_S = 2 ** -0.5
+# E1 takes the parity spans of the preset, E2 the Bell spans
+# {Phi+, Psi+} and {Phi-, Psi-}.
+_BELL_PARITY_SUBSPACE = {
+    "environments": {"E1": ["E1_1", "E1_2"], "E2": ["E2_1", "E2_2"]},
+    "basis_vectors": {
+        "E1": [[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]],
+               [[[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]],
+        "E2": [[[[_S, 0], [0, 0], [0, 0], [_S, 0]], [[0, 0], [_S, 0], [_S, 0], [0, 0]]],
+               [[[_S, 0], [0, 0], [0, 0], [-_S, 0]], [[0, 0], [_S, 0], [-_S, 0], [0, 0]]]],
+    },
+}
+
+SWEEP_CASES = {
+    "sweep_sqd_mc_two_fragments": {
+        "framework": "SQD", "noise_mode": "depolarize_local", "p_values": [0.1, 0.5, 0.9],
+        "fragments": [["E1"], ["E1", "E2"]], "shots": 3000, "seed": 41},
+    "sweep_sqd_exact_custom_subspace": {
+        "framework": "SQD", "p_values": [0.0, 0.25, 0.5, 1.0],
+        "fragments": [["E1"], ["E2"], ["E1", "E2"]], "subspace": _BELL_PARITY_SUBSPACE},
+    "sweep_sqd_exact_local_noisy_parity": {
+        "framework": "SQD", "noise_mode": "depolarize_local",
+        "cnot_model": "noisy_prep_parity", "f": 0.85, "p_cnot": 0.8,
+        "p_values": [0.0, 0.3, 0.7, 1.0], "fragments": [["E1"], ["E2"], ["E1", "E2"]]},
+}
+
 CLI_CASES = {
     "sweep_sqd_exact": ["sweep", "--config", "configs/sweep_sqd_exact.json"],
     "sweep_isbs_exact": ["sweep", "--config", "configs/sweep_isbs_exact.json"],
@@ -103,16 +131,17 @@ def _run(argv: list[str]) -> dict:
 def _run_case(name: str) -> dict:
     if name in CLI_CASES:
         return _run(CLI_CASES[name])
-    config = WITNESS_CASES[name]
+    command = "sweep" if name in SWEEP_CASES else "witness"
+    config = SWEEP_CASES.get(name) or WITNESS_CASES[name]
     if isinstance(config, str):
-        return _run(["witness", "--config", config])
+        return _run([command, "--config", config])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.json"
         path.write_text(json.dumps(config))
-        return _run(["witness", "--config", str(path)])
+        return _run([command, "--config", str(path)])
 
 
-ALL_CASES = sorted([*WITNESS_CASES, *CLI_CASES])
+ALL_CASES = sorted([*WITNESS_CASES, *SWEEP_CASES, *CLI_CASES])
 
 
 @pytest.fixture(scope="module")
