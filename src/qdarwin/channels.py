@@ -79,7 +79,7 @@ def apply_gate(rho: DensityOperator, unitary: np.ndarray,
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvariantViolation(f"unitary must be square, got shape {u.shape}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > TOL.unitarity:
+    if not dev <= TOL.unitarity:
         raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
     u_full = embed_operator(rho.layout, u, targets)
     return DensityOperator._trusted(rho.layout, u_full @ rho.matrix @ u_full.conj().T)

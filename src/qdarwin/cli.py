@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .hilbert import InvariantViolation
 from .info import check_structure
-from .protocol import NonterminatingSampling, cost_model, run_witness
+from .protocol import NonterminatingSampling, cost_model, run_witness, run_witnesses
 from .serialize import (
     ConfigError,
     config_from_dict,
@@ -76,16 +76,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else data.get("output_path")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"field 'output_path': expected a path, got {out!r}")
-    rows = []
-    reports = []
-    for p, fragment, config in points:
-        report = run_witness(config)
-        rows.append(report_to_sweep_row(p, fragment, report))
-        reports.append(report)
+    reports = run_witnesses([config for _, _, config in points])
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
     else:
-        text = sweep_rows_to_csv(rows)
+        text = sweep_rows_to_csv([report_to_sweep_row(p, fragment, report)
+                                  for (p, fragment, _), report in zip(points, reports)])
     _write_out(text, out)
     return EXIT_OK
 

@@ -121,7 +121,7 @@ class PureState:
                 f"amplitude length {amps.shape[0]} != layout dim {layout.total_dim}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > TOL.pure_norm:
+        if not abs(norm_sq - 1.0) <= TOL.pure_norm:
             raise InvariantViolation(f"state vector norm^2 = {norm_sq} is not 1")
         amps.flags.writeable = False
         object.__setattr__(self, "layout", layout)
@@ -153,13 +153,13 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise InvariantViolation(f"matrix shape {mat.shape} != layout dim ({d}, {d})")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > TOL.hermiticity:
+        if not herm_dev <= TOL.hermiticity:
             raise InvariantViolation(f"matrix is not Hermitian (max dev {herm_dev:.3e})")
         low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-        if low < -TOL.psd_min_eig:
+        if not low >= -TOL.psd_min_eig:
             raise InvariantViolation(f"matrix has negative eigenvalue {low:.3e}")
         tr = float(np.trace(mat).real)
-        if tr < -TOL.trace_lower_slack or tr > 1.0 + TOL.trace_upper_slack:
+        if not -TOL.trace_lower_slack <= tr <= 1.0 + TOL.trace_upper_slack:
             raise InvariantViolation(f"trace {tr} outside [0, 1]")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
@@ -282,7 +282,7 @@ def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=np.complex128)
     dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > TOL.hermiticity:
+    if not dev <= TOL.hermiticity:
         raise InvariantViolation(f"matrix is not Hermitian (max dev {dev:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
     return eigs[::-1].copy()

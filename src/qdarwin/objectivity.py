@@ -58,7 +58,7 @@ class ObjectiveSubspaceSpec:
             raise InvariantViolation("system basis must be a square matrix of kets")
         d_s = basis.shape[0]
         dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d_s))))
-        if dev > TOL.projector:
+        if not dev <= TOL.projector:
             raise InvariantViolation(
                 f"system basis does not resolve the identity (max dev {dev:.3e})"
             )
@@ -88,13 +88,13 @@ class ObjectiveSubspaceSpec:
             for i, p in enumerate(pis):
                 if p.shape != (dim, dim):
                     raise InvariantViolation(f"projector shapes differ in {name!r}")
-                if float(np.max(np.abs(p - p.conj().T))) > TOL.projector:
+                if not float(np.max(np.abs(p - p.conj().T))) <= TOL.projector:
                     raise InvariantViolation(f"projector {name!r}[{i}] is not Hermitian")
-                if float(np.max(np.abs(p @ p - p))) > TOL.projector:
+                if not float(np.max(np.abs(p @ p - p))) <= TOL.projector:
                     raise InvariantViolation(f"projector {name!r}[{i}] is not idempotent")
             for i in range(d_s):
                 for j in range(i + 1, d_s):
-                    if float(np.max(np.abs(pis[i] @ pis[j]))) > TOL.projector:
+                    if not float(np.max(np.abs(pis[i] @ pis[j]))) <= TOL.projector:
                         raise InvariantViolation(
                             f"projectors {name!r}[{i}] and [{j}] are not disjoint"
                         )
@@ -249,12 +249,12 @@ def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:
                 raise InvariantViolation(
                     f"subspace environment {name!r} dimension differs from the system's"
                 )
-            if abs(float(np.trace(p).real) - 1.0) > TOL.isbs_projector:
+            if not abs(float(np.trace(p).real) - 1.0) <= TOL.isbs_projector:
                 raise InvariantViolation(
                     f"subspace projector {name!r}[{i}] is not rank-1; not a basis-style spec"
                 )
             want = np.outer(spec.system_ket(i), spec.system_ket(i).conj())
-            if float(np.max(np.abs(p - want))) > TOL.isbs_projector:
+            if not float(np.max(np.abs(p - want))) <= TOL.isbs_projector:
                 raise InvariantViolation(
                     f"subspace projector {name!r}[{i}] is not aligned with the system basis"
                 )

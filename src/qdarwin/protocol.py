@@ -21,11 +21,14 @@ failures discard projected-branch runs and cost attempts, drawn as geometric
 gaps.  Each branch draws from its own seeded stream, so results are
 bit-reproducible for a given seed.  States are validated where they enter
 the pipeline and where they leave it; the CP maps in between build their
-outputs unchecked.
+outputs unchecked.  ``run_witnesses`` runs a list of configs, such as a
+sweep's points, preparing each distinct noise setting and resolving each
+distinct context once; its reports equal one call per config.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -191,7 +194,7 @@ class ProtocolConfig:
                     f"replacement layout {list(self.replacement.layout.labels)} != "
                     f"unaccessed subsystems {list(unaccessed)}")
             if isinstance(self.replacement, DensityOperator) \
-                    and abs(self.replacement.trace - 1.0) > TOL.entropy_trace:
+                    and not abs(self.replacement.trace - 1.0) <= TOL.entropy_trace:
                 raise InvariantViolation(
                     f"replacement trace {self.replacement.trace} is not 1")
         if self.unitary is not None:
@@ -312,7 +315,9 @@ class CostComparison:
 
 @dataclass(frozen=True, eq=False)
 class _Context:
-    config: ProtocolConfig
+    """What a config's fragment, spec, replacement and unitary fix, whatever
+    its noise, shots or seed."""
+
     layout: TensorLayout
     spec: ObjectiveSubspaceSpec
     fragment: tuple[str, ...]
@@ -320,6 +325,7 @@ class _Context:
     ef_members: tuple[str, ...]
     replacement: DensityOperator | None
     unitary: np.ndarray
+    outcome_labels: tuple[str, ...]
 
 
 def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray:
@@ -378,9 +384,9 @@ def _resolve_context(config: ProtocolConfig,
                 replacement = replacement.to_density()
     unitary = _resolve_unitary(config, layout)
     return _Context(
-        config=config, layout=layout, spec=spec, fragment=fragment,
-        sf_labels=sf_labels, ef_members=ef_members, replacement=replacement,
-        unitary=unitary,
+        layout=layout, spec=spec, fragment=fragment, sf_labels=sf_labels,
+        ef_members=ef_members, replacement=replacement, unitary=unitary,
+        outcome_labels=_outcome_labels(layout, sf_labels),
     )
 
 
@@ -462,7 +468,8 @@ def prepare_initial(config: ProtocolConfig) -> DensityOperator:
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch(rho_t: DensityOperator, ctx: _Context, apply_gamma: bool) -> np.ndarray:
+def _branch(config: ProtocolConfig, rho: DensityOperator, ctx: _Context,
+            apply_gamma: bool) -> np.ndarray:
     """Computational-basis outcome probabilities of one branch over the full
     register.
 
@@ -472,7 +479,6 @@ def _branch(rho_t: DensityOperator, ctx: _Context, apply_gamma: bool) -> np.ndar
     depolarizing CNOTs) before the objectivity operation; then the final
     unitary.  A null projected state yields the all-zero vector.
     """
-    config, rho = ctx.config, rho_t
     if ctx.ef_members:
         rho = point_channel(rho, ctx.ef_members, ctx.replacement)
     if apply_gamma:
@@ -492,7 +498,7 @@ def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
                apply_gamma: bool) -> np.ndarray:
     """Exact outcome probabilities of one branch over the full register (see
     ``_branch``), with the context resolved on ``rho_t``'s layout."""
-    return _branch(rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
+    return _branch(config, rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
 
 
 def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,
@@ -509,16 +515,9 @@ def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,
 
 
 def _outcome_labels(layout: TensorLayout, sf_labels: Sequence[str]) -> tuple[str, ...]:
-    sub = layout.subset(sf_labels)
-    labels = []
-    for index in range(sub.total_dim):
-        digits = []
-        rem = index
-        for dim in reversed(sub.dims):
-            digits.append(rem % dim)
-            rem //= dim
-        labels.append("".join(str(d) for d in reversed(digits)))
-    return tuple(labels)
+    """One digit string per outcome of the ``sf_labels`` register, in index order."""
+    digits = itertools.product(*(range(dim) for dim in layout.subset(sf_labels).dims))
+    return tuple("".join(str(d) for d in outcome) for outcome in digits)
 
 
 def _max_subset(differences: np.ndarray) -> float:
@@ -528,18 +527,17 @@ def _max_subset(differences: np.ndarray) -> float:
     return max(positive, -negative)
 
 
-def _report(ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray, p_g: np.ndarray,
-            stderr: float | None, successful_runs: int) -> WitnessReport:
+def _report(config: ProtocolConfig, ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray,
+            p_g: np.ndarray, stderr: float | None, successful_runs: int) -> WitnessReport:
     """Report of either mode.  The accompanying non-objectivity measure is
     computed on the system-fragment marginal of the prepared state ``rho_t``
     (post-noise, pre-point-channel)."""
-    config = ctx.config
     rho_sf = partial_trace(rho_t, set(ctx.sf_labels))
     diffs = p_id - p_g
     return WitnessReport(
         framework=config.framework,
         fragment=ctx.fragment,
-        outcome_labels=_outcome_labels(ctx.layout, ctx.sf_labels),
+        outcome_labels=ctx.outcome_labels,
         p_identity=p_id,
         p_gamma=p_g,
         witness_single=np.abs(diffs),
@@ -557,20 +555,15 @@ def _report(ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray, p_g: np.nda
 # Exact mode
 # ---------------------------------------------------------------------------
 
-def witness_exact(config: ProtocolConfig) -> WitnessReport:
+def _exact(config: ProtocolConfig, rho_t: DensityOperator, ctx: _Context) -> WitnessReport:
     """Evaluate the witness from exact branch probability vectors.
 
     The lower-bound invariant (witness <= measure) is asserted whenever the
     objectivity operation itself is noiseless.
     """
-    if config.shots != 0:
-        raise InvariantViolation("exact mode requires shots = 0")
-    ctx = _resolve_context(config)
-    rho_t = prepare_initial(config)
-    v_id = _branch(rho_t, ctx, apply_gamma=False)
-    v_g = _branch(rho_t, ctx, apply_gamma=True)
-    report = _report(ctx, rho_t, _marginalize_to_sf(v_id, ctx.layout, ctx.sf_labels),
-                     _marginalize_to_sf(v_g, ctx.layout, ctx.sf_labels), None, 0)
+    p_id, p_g = (_marginalize_to_sf(_branch(config, rho_t, ctx, gamma), ctx.layout,
+                                    ctx.sf_labels) for gamma in (False, True))
+    report = _report(config, ctx, rho_t, p_id, p_g, None, 0)
     witness, measure = report.witness_max_subset, report.measure
     if config.cnot_model != CNOT_NOISY_PREP_PARITY \
             and witness > measure + TOL.witness_bound_slack:
@@ -584,8 +577,8 @@ def witness_exact(config: ProtocolConfig) -> WitnessReport:
 # Monte Carlo mode
 # ---------------------------------------------------------------------------
 
-def _sample_branch(ctx: _Context, rho_t: DensityOperator, apply_gamma: bool,
-                   wanted: int, branch_tag: int) -> tuple[np.ndarray, int]:
+def _sample_branch(config: ProtocolConfig, ctx: _Context, rho_t: DensityOperator,
+                   apply_gamma: bool, wanted: int, branch_tag: int) -> tuple[np.ndarray, int]:
     """Counts over SF outcomes and the null-run count of ``wanted`` successful
     runs of one branch.
 
@@ -598,8 +591,8 @@ def _sample_branch(ctx: _Context, rho_t: DensityOperator, apply_gamma: bool,
     runs; the failures before each success are geometric, and the run
     aborts if a gap reaches ``TOL.mc_abort_window``.
     """
-    config = ctx.config
-    pmf = _marginalize_to_sf(_branch(rho_t, ctx, apply_gamma), ctx.layout, ctx.sf_labels)
+    pmf = _marginalize_to_sf(_branch(config, rho_t, ctx, apply_gamma), ctx.layout,
+                             ctx.sf_labels)
     pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))
     pmf /= pmf.sum()  # the total is at least 1; multinomial rejects a sum above 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, branch_tag)))
@@ -633,7 +626,8 @@ def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
     return float(np.std(stats, ddof=1))
 
 
-def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
+def _monte_carlo(config: ProtocolConfig, rho_t: DensityOperator,
+                 ctx: _Context) -> WitnessReport:
     """Estimate the witness from simulated experimental runs.
 
     Each branch's successful runs are drawn from its exact outcome
@@ -642,17 +636,58 @@ def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
     same subset maximization as exact mode, and the standard error comes
     from a seeded bootstrap over run outcomes.
     """
+    n_id, n_g = config.split_shots()
+    counts_id, _ = _sample_branch(config, ctx, rho_t, False, n_id, 0)
+    counts_g, null_g = _sample_branch(config, ctx, rho_t, True, n_g, 1)
+    stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
+    return _report(config, ctx, rho_t, counts_id / n_id, counts_g / n_g, stderr,
+                   n_id + n_g)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
+    """The report of each config, in order, by its shot count's mode.
+
+    The only place prepared states and contexts are made.  Each distinct
+    preparation (framework, noise, CNOT model) and each distinct context
+    (framework, selected fragment, and the spec, replacement and unitary
+    objects) is evaluated once per call, on first use, so every report and
+    the first error equal those of one call per config.
+    """
+    configs = tuple(configs)  # held for the call, so the ids below stay unique
+    states: dict[tuple, DensityOperator] = {}
+    contexts: dict[tuple, _Context] = {}
+    reports = []
+    for config in configs:
+        unitary = config.unitary
+        key = (config.framework, config.spec.select(config.fragment), id(config.spec),
+               id(config.replacement),
+               id(unitary) if isinstance(unitary, np.ndarray) else unitary)
+        if key not in contexts:
+            contexts[key] = _resolve_context(config)
+        prep = (config.framework, config.noise, config.cnot_model)
+        if prep not in states:
+            states[prep] = _prepare(*prep)
+        mode = _exact if config.shots == 0 else _monte_carlo
+        reports.append(mode(config, states[prep], contexts[key]))
+    return reports
+
+
+def witness_exact(config: ProtocolConfig) -> WitnessReport:
+    """Exact-mode report of one config (see ``_exact``)."""
+    if config.shots != 0:
+        raise InvariantViolation("exact mode requires shots = 0")
+    return run_witnesses([config])[0]
+
+
+def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
+    """Monte Carlo report of one config (see ``_monte_carlo``)."""
     if config.shots <= 0:
         raise InvariantViolation("Monte Carlo mode requires shots > 0")
-    n_id, n_g = config.split_shots()
-    ctx = _resolve_context(config)
-
-    rho_t = prepare_initial(config)
-    counts_id, _ = _sample_branch(ctx, rho_t, False, n_id, 0)
-    counts_g, null_g = _sample_branch(ctx, rho_t, True, n_g, 1)
-
-    stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
-    return _report(ctx, rho_t, counts_id / n_id, counts_g / n_g, stderr, n_id + n_g)
+    return run_witnesses([config])[0]
 
 
 def run_witness(config: ProtocolConfig) -> WitnessReport:

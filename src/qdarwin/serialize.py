@@ -122,8 +122,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
 
 
 def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec | None:
-    if value is None:
-        return None
+    if value is None or isinstance(value, ObjectiveSubspaceSpec):
+        return value
     if isinstance(value, str):
         return spec_by_name(value)
     if isinstance(value, Mapping):
@@ -258,7 +258,9 @@ def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
 
     Each point's config is ``config_from_dict`` of the witness document the
     sweep describes at that point, so a sweep accepts and rejects exactly
-    what a witness config does.
+    what a witness config does.  The first point resolves ``subspace`` and
+    the later ones share its spec, and with it their contexts in
+    ``run_witnesses``.
     """
     _check_keys(data, _SWEEP_KEYS, "")
     p_values, fragments = data.get("p_values"), data.get("fragments")
@@ -276,6 +278,7 @@ def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
                     seed_override)
             except ConfigError as exc:
                 raise ConfigError(f"sweep point p={p!r}, fragment={fragment!r}: {exc}") from exc
+            witness["subspace"] = config.subspace  # one spec for every point
             points.append((config.noise.p, config.fragment, config))
     ps = [p for p, _, _ in points[:len(p_values)]]
     if ps != sorted(ps):

@@ -114,8 +114,7 @@ class CoinPlan:
         return self.n_noise + self.n_prep + self.n_parity + int(self.use_hardware) + 1
 
 
-def coin_plan(ctx, apply_gamma: bool) -> CoinPlan:
-    config = ctx.config
+def coin_plan(config, ctx, apply_gamma: bool) -> CoinPlan:
     n_checks = 2 * len(ctx.fragment)  # two CNOTs per parity check
     return CoinPlan(
         n_noise=1 if config.noise.mode == "mix_global" else len(ctx.layout),
@@ -136,12 +135,12 @@ def _base_state(framework: str, layout: TensorLayout) -> DensityOperator:
     return PureState(layout, amps).to_density()
 
 
-def realization_pmf(ctx, apply_gamma: bool, noise_bits, prep_bits,
+def realization_pmf(config, ctx, apply_gamma: bool, noise_bits, prep_bits,
                     parity_bits) -> np.ndarray:
     """Outcome pmf over the system-fragment register, null mass last, of the
     realization with these 0/1 coins (1 = the noise event happens): the
     pipeline with each coin as the weight of its step."""
-    config, layout = ctx.config, ctx.layout
+    layout = ctx.layout
     rho = _base_state(config.framework, layout)
     if config.framework == "SQD":  # the ideal model draws no CNOT coins
         for pair, bit in zip((["S", "E1_1"], ["S", "E2_1"]), tuple(prep_bits) or (0, 0)):
@@ -166,8 +165,8 @@ def realization_pmf(ctx, apply_gamma: bool, noise_bits, prep_bits,
     return np.append(pmf, max(1.0 - pmf.sum(), 0.0))
 
 
-def reference_sample_branch(ctx, apply_gamma: bool, wanted: int, branch_tag: int,
-                            cache: dict | None = None):
+def reference_sample_branch(config, ctx, apply_gamma: bool, wanted: int,
+                            branch_tag: int, cache: dict | None = None):
     """Simulate one branch run by run until ``wanted`` runs succeed.
 
     Each attempt draws one row of uniforms (see ``CoinPlan``): its coins pick
@@ -177,8 +176,7 @@ def reference_sample_branch(ctx, apply_gamma: bool, wanted: int, branch_tag: int
     ``cache`` maps coin tuples to CDFs and may be shared across calls on the
     same context and branch.  Returns (counts over SF outcomes, null count).
     """
-    config = ctx.config
-    plan = coin_plan(ctx, apply_gamma)
+    plan = coin_plan(config, ctx, apply_gamma)
     n_outcomes = int(np.prod([ctx.layout.dim_of(lab) for lab in ctx.sf_labels]))
     tally = np.zeros(n_outcomes + 1, dtype=np.int64)
     cache = {} if cache is None else cache
@@ -206,7 +204,7 @@ def reference_sample_branch(ctx, apply_gamma: bool, wanted: int, branch_tag: int
             key = (tuple(noise_bits[r]), tuple(gate_bits[r, :plan.n_prep]),
                    tuple(gate_bits[r, plan.n_prep:]))
             if key not in cache:
-                cdf = np.cumsum(realization_pmf(ctx, apply_gamma, *key))
+                cdf = np.cumsum(realization_pmf(config, ctx, apply_gamma, *key))
                 cache[key] = cdf / cdf[-1] if cdf[-1] > 0 else cdf
             tally[min(int(np.searchsorted(cache[key], u[r, -1], side="right")),
                       n_outcomes)] += 1

@@ -6,7 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdarwin import NoiseConfig, maximally_mixed, prepare_initial_isbs, prepare_initial_sqd, sqd_layout
+from qdarwin import (
+    DensityOperator,
+    InvariantViolation,
+    NoiseConfig,
+    ObjectiveSubspaceSpec,
+    ProtocolConfig,
+    PureState,
+    apply_gate,
+    eigvals_hermitian,
+    maximally_mixed,
+    prepare_initial_isbs,
+    prepare_initial_sqd,
+    sqd_layout,
+)
 from qdarwin.cli import main
 from qdarwin.protocol import DEFAULT_SEED
 from qdarwin.serialize import (
@@ -16,6 +29,8 @@ from qdarwin.serialize import (
     state_from_dict,
     state_to_dict,
 )
+
+from conftest import qubits
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -448,6 +463,56 @@ def test_check_rejects_invalid_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--state", str(path))
     assert code == 3
     assert "Hermitian" in err
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input
+# ---------------------------------------------------------------------------
+
+_NAN = float("nan")
+_RANK1 = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+def _spec(basis=np.eye(2), projectors=_RANK1):
+    return ObjectiveSubspaceSpec("S", basis, {"E1": ("E1",)}, {"E1": projectors})
+
+
+def _nan_state_file(tmp_path):
+    matrix = [[[0.5 * (i == j < 2), 0.0] for j in range(4)] for i in range(4)]
+    matrix[3][3][0] = _NAN
+    return write_config(tmp_path, "nan_state.json",
+                        {"layout": [["S", 2], ["E1", 2]], "matrix": matrix})
+
+
+# Each check compares as ``not value <= bound``, which NaN fails.  The
+# projector checks after Hermiticity see no NaN: an overflow there gives inf.
+_NON_FINITE = {
+    "pure_state": lambda tmp: PureState(qubits("S"), [_NAN, 1.0]),
+    "density_operator_nan": lambda tmp: DensityOperator(qubits("S"), [[_NAN, 0], [0, 1]]),
+    "density_operator_inf": lambda tmp: DensityOperator(qubits("S"),
+                                                        [[0.5, np.inf], [np.inf, 0.5]]),
+    "eigvals_hermitian": lambda tmp: eigvals_hermitian(np.array([[_NAN, 0], [0, 1]])),
+    "spec_basis": lambda tmp: _spec(basis=[[1, 0], [0, _NAN]]),
+    "spec_hermiticity": lambda tmp: _spec(projectors=(np.diag([1.0, _NAN]), _RANK1[1])),
+    "apply_gate": lambda tmp: apply_gate(maximally_mixed(qubits("S")),
+                                         np.diag([_NAN, 1.0]), ["S"]),
+    "replacement": lambda tmp: ProtocolConfig(fragment=("E1",), replacement=DensityOperator(
+        qubits("E2_1", "E2_2"), np.diag([_NAN, 1.0, 0.0, 0.0]))),
+    "cli_check_state": lambda tmp: ["check", "--state", _nan_state_file(tmp)],
+    "cli_witness_replacement": lambda tmp: ["witness", "--config", write_config(
+        tmp, "w.json", {"fragment": ["E1"], "replacement": _replacement(
+            [["E2_1", 2], ["E2_2", 2]], _NAN)})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_entries_are_rejected(case, tmp_path, capsys):
+    if case.startswith("cli_"):  # the CLI maps the violation to exit 3
+        code, _, err = run_cli(capsys, *_NON_FINITE[case](tmp_path))
+        assert (code, err.split(":")[0]) == (3, "invariant violation")
+        return
+    with pytest.raises(InvariantViolation):
+        _NON_FINITE[case](tmp_path)
 
 
 # ---------------------------------------------------------------------------

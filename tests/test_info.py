@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import entr
 
 from qdarwin import (
     DensityOperator,
@@ -106,28 +107,28 @@ def _grid_discord_oracle(rho: DensityOperator, n_theta: int, n_phi: int) -> floa
     tt, pp = tt.ravel(), pp.ravel()
     c, s = np.cos(tt / 2), np.sin(tt / 2)
     phase = np.exp(1j * pp)
-    best = np.full(tt.shape, np.inf)
+    # Row (a, c) holds the E block <a|rho|c>, so one product with the
+    # coefficients conj(k_a) k_c gives every conditional state <k|rho|k>.
+    # Grid points run along the last axis: BLAS runs (d_E^2, 4) @ (4, g)
+    # several times faster than the (g, 4) @ (4, d_E^2) form.
+    blocks = rho4.transpose(0, 2, 1, 3).reshape(d_s * d_s, d_e * d_e)
     total = np.zeros(tt.shape)
-    for kets in (np.stack([c, phase * s], axis=1),
-                 np.stack([s, -phase * c], axis=1)):
-        cond = np.einsum("ga,abcd,gc->gbd", kets.conj(), rho4, kets, optimize=True)
-        p = np.einsum("gbb->g", cond).real
+    for kets in (np.stack([c, phase * s]), np.stack([s, -phase * c])):
+        coef = (kets.conj()[:, None, :] * kets[None, :, :]).reshape(d_s * d_s, -1)
+        cond = (blocks.T @ coef).reshape(d_e, d_e, -1)
+        p = np.einsum("bbg->g", cond).real
         if d_e == 2:
             # Closed-form 2x2 Hermitian eigenvalues.
-            mean = 0.5 * (cond[:, 0, 0].real + cond[:, 1, 1].real)
-            radius = np.sqrt(
-                (0.5 * (cond[:, 0, 0].real - cond[:, 1, 1].real)) ** 2
-                + np.abs(cond[:, 0, 1]) ** 2
-            )
-            eigs = np.stack([mean - radius, mean + radius], axis=1)
+            mean = 0.5 * (cond[0, 0].real + cond[1, 1].real)
+            radius = np.sqrt((0.5 * (cond[0, 0].real - cond[1, 1].real)) ** 2
+                             + np.abs(cond[0, 1]) ** 2)
+            eigs = np.stack([mean - radius, mean + radius])
         else:
-            eigs = np.linalg.eigvalsh(
-                0.5 * (cond + np.conj(np.swapaxes(cond, 1, 2))))
-        lam = np.clip(eigs.real, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam_n = lam / p[:, None]
-            terms = np.where(lam_n > 1e-12, -lam_n * np.log2(np.where(lam_n > 1e-12, lam_n, 1.0)), 0.0)
-        total += np.where(p > 1e-12, p * terms.sum(axis=1), 0.0)
+            cond = np.moveaxis(cond, 2, 0)
+            eigs = np.linalg.eigvalsh(0.5 * (cond + np.conj(np.swapaxes(cond, 1, 2)))).T
+        lam = np.clip(eigs, 0.0, None)
+        # p H(lam / p) = sum entr(lam) - entr(p), in nats.
+        total += (entr(lam).sum(axis=0) - entr(np.clip(p, 0.0, None))) / np.log(2.0)
     best = float(np.min(total))
     return max(0.0, best + h_s - h_se)
 

@@ -1,9 +1,11 @@
 """Witness protocol: preparation, branches, exact and Monte Carlo modes,
 and the tomography cost model."""
 
+import collections
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from qdarwin import (
     prepare_initial_sqd,
     run_branch,
     run_witness,
+    run_witnesses,
     sqd_layout,
     witness_exact,
     witness_monte_carlo,
@@ -541,7 +544,7 @@ def test_exact_mode_is_the_expectation_of_the_realizations(config):
     exact = witness_exact(config)
     p, gate_noise = config.noise.p, 1.0 - config.noise.f
     for apply_gamma, expected in ((False, exact.p_identity), (True, exact.p_gamma)):
-        plan = coin_plan(ctx, apply_gamma)
+        plan = coin_plan(config, ctx, apply_gamma)
         n_coins = plan.n_noise + plan.n_prep + plan.n_parity
         assert 2 ** n_coins <= 64
         total = np.zeros_like(expected)
@@ -550,7 +553,7 @@ def test_exact_mode_is_the_expectation_of_the_realizations(config):
             gate_bits = coins[plan.n_noise:]
             weight = np.prod([p if b else 1.0 - p for b in noise_bits]) * np.prod(
                 [gate_noise if b else config.noise.f for b in gate_bits])
-            pmf = realization_pmf(ctx, apply_gamma, noise_bits,
+            pmf = realization_pmf(config, ctx, apply_gamma, noise_bits,
                                   gate_bits[:plan.n_prep], gate_bits[plan.n_prep:])
             total += weight * pmf[:-1]
         assert np.max(np.abs(total - expected)) < 1e-12
@@ -622,8 +625,8 @@ def test_sampler_and_run_by_run_oracle_draw_the_exact_pmf(config):
                                            (n_g, report.p_gamma))):
             counts = np.rint(p * wanted)
             sampled[tag] += np.append(counts, wanted - counts.sum())
-            counts, null = reference_sample_branch(_resolve_context(run), tag == 1,
-                                                   wanted, tag, caches[tag])
+            counts, null = reference_sample_branch(run, ctx, tag == 1, wanted, tag,
+                                                   caches[tag])
             oracle[tag] += np.append(counts, null)
     for tag, pmf in enumerate(pmfs):
         assert sampled[tag].sum() == oracle[tag].sum() == _CHI2_SEEDS * (n_id, n_g)[tag]
@@ -723,6 +726,85 @@ def test_report_round_trip():
         shots=500, seed=8))
     again = WitnessReport.from_dict(report.to_dict())
     assert again == report
+
+
+# ---------------------------------------------------------------------------
+# run_witnesses
+# ---------------------------------------------------------------------------
+
+# One shared object per (framework, fragment), so configs can share contexts.
+_REPLACEMENTS = {
+    ("SQD", ("E1",)): DensityOperator(qubits("E2_1", "E2_2"), np.diag([0.4, 0.3, 0.2, 0.1])),
+    ("SQD", ("E2",)): PureState(qubits("E1_1", "E1_2"), [0.5, 0.5, 0.5, 0.5]),
+    ("ISBS", ("E1", "E2", "E3")): DensityOperator(qubits("E4"), [[0.7, 0.2], [0.2, 0.3]]),
+}
+
+
+_FRAGMENTS = {"SQD": [("E1",), ("E2",), ("E1", "E2")],
+              "ISBS": [("E1",), ("E1", "E2", "E3"), ("E1", "E2", "E3", "E4")]}
+
+
+@st.composite
+def _config_lists(draw):
+    """Config lists that repeat preparations and contexts: each list draws
+    its noise from a pool of one or two, over both frameworks and noise
+    modes, every CNOT model, shared replacements, two unitary presets, and
+    exact and Monte Carlo shots."""
+    noises = draw(st.lists(st.builds(
+        NoiseConfig, p=st.sampled_from([0.3, 0.7]),
+        mode=st.sampled_from(["mix_global", "depolarize_local"]),
+        f=st.sampled_from([0.8, 0.9]), p_cnot=st.sampled_from([1.0, 0.8])),
+        min_size=1, max_size=2))
+    configs = []
+    for _ in range(draw(st.integers(2, 8))):
+        framework = draw(st.sampled_from(["SQD", "ISBS"]))
+        sqd = framework == "SQD"
+        fragment = draw(st.sampled_from(_FRAGMENTS[framework]))
+        noise = draw(st.sampled_from(noises))
+        replacement = _REPLACEMENTS.get((framework, fragment))
+        configs.append(ProtocolConfig(
+            framework=framework, fragment=fragment,
+            noise=noise if sqd else dataclasses.replace(noise, p_cnot=1.0),
+            cnot_model=draw(st.sampled_from(
+                ["ideal", "noisy_prep", "noisy_prep_parity"] if sqd else ["ideal"])),
+            replacement=replacement if draw(st.booleans()) else None,
+            unitary=draw(st.sampled_from([None, "all_hadamards"])),
+            shots=draw(st.sampled_from([0, 0, 300, 1001])), seed=draw(st.integers(0, 3))))
+    return configs
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(configs=_config_lists())
+def test_run_witnesses_equals_one_call_per_config(configs):
+    assert run_witnesses(configs) == [run_witness(config) for config in configs]
+
+
+@pytest.mark.parametrize("name, n_p, n_fragments", [
+    ("sweep_sqd_exact", 11, 2), ("sweep_isbs_exact", 11, 4)])
+def test_sweep_prepares_each_p_and_resolves_each_fragment_once(
+        name, n_p, n_fragments, monkeypatch, capsys):
+    calls = collections.Counter()
+
+    def spy(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    class Checked(DensityOperator):
+        def __init__(self, *args):
+            calls["DensityOperator"] += 1
+            super().__init__(*args)
+
+    for fn in (protocol._prepare, protocol._resolve_context, protocol._branch):
+        monkeypatch.setattr(protocol, fn.__name__, spy(fn))
+    monkeypatch.setattr(protocol, "DensityOperator", Checked)
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    assert main(["sweep", "--config", str(config)]) == 0
+    points = n_p * n_fragments
+    # The prepared state's entry check once per p, two branch exits per point.
+    assert calls == {"_prepare": n_p, "_resolve_context": n_fragments,
+                     "_branch": 2 * points, "DensityOperator": n_p + 2 * points}
 
 
 # ---------------------------------------------------------------------------
