@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -141,6 +142,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdarwin",
@@ -190,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -12,6 +12,8 @@ those two representatives.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -260,39 +262,36 @@ def _nuclear_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def _conditional_blocks(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
-                        fragment_labels: list[str]) -> tuple[list[float], list[DensityOperator | None], float]:
-    """Per-index probabilities, renormalized conditional fragment states, and
-    the largest off-diagonal system-block magnitude."""
-    sys_label = spec.system_label
-    d_s = spec.system_dim
-    frag_layout = rho.layout.subset(fragment_labels)
-    d_f = frag_layout.total_dim
+def _conditional_blocks(rho: DensityOperator,
+                        spec: ObjectiveSubspaceSpec) -> tuple[list[DensityOperator], float]:
+    """Conditional states of the subsystems other than the system, one per
+    spec basis index of probability above ``TOL.conditional_skip``, and the
+    largest off-diagonal system-block magnitude.
 
-    mat = permute_subsystems(rho.matrix, rho.layout, [sys_label] + fragment_labels)
-    basis = spec.system_basis
-    # Rotate the system into the preferred basis, then read off blocks.
-    rot = np.kron(basis.conj().T, np.eye(d_f))
-    mat = rot @ mat @ rot.conj().T
-    blocks = mat.reshape(d_s, d_f, d_s, d_f)
-
-    max_offdiag = 0.0
-    for i in range(d_s):
-        for j in range(d_s):
-            if i != j:
-                max_offdiag = max(max_offdiag, float(np.max(np.abs(blocks[i, :, j, :]))))
-
-    probs: list[float] = []
-    conds: list[DensityOperator | None] = []
+    The blocks are read through ``_system_first`` with the system rotated
+    into the spec's preferred basis.
+    """
+    rho4 = _system_first(rho, spec.system_label)
+    d_s, d_f = rho4.shape[:2]
+    rot = np.kron(spec.system_basis.conj().T, np.eye(d_f))
+    blocks = (rot @ rho4.reshape(d_s * d_f, -1) @ rot.conj().T).reshape(rho4.shape)
+    offdiag = np.abs(blocks).max(axis=(1, 3))
+    np.fill_diagonal(offdiag, 0.0)
+    frag_layout = rho.layout.subset(
+        [lab for lab in rho.layout.labels if lab != spec.system_label])
+    conds = []
     for i in range(d_s):
         block = blocks[i, :, i, :]
         p = float(np.trace(block).real)
-        probs.append(p)
         if p > TOL.conditional_skip:
             conds.append(DensityOperator(frag_layout, block / p))
-        else:
-            conds.append(None)
-    return probs, conds, max_offdiag
+    return conds, float(offdiag.max())
+
+
+def _max_overlap(states: list[np.ndarray]) -> float:
+    """Largest nuclear norm of the product of two of ``states``."""
+    return max((_nuclear_norm(a @ b) for a, b in itertools.combinations(states, 2)),
+               default=0.0)
 
 
 def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
@@ -353,45 +352,29 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
 
 def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
                        names: list[str]) -> tuple[bool, bool, dict[str, float]]:
-    """Block-structure and pure-product-conditional checks on a reduced state."""
-    sys_label = spec.system_label
-    frag_members = [lab for lab in rho_sf.layout.labels if lab != sys_label]
-    _, conds, max_offdiag = _conditional_blocks(rho_sf, spec, frag_members)
+    """Block-structure and pure-product-conditional checks on a reduced state.
 
-    max_overlap = 0.0
-    present = [c for c in conds if c is not None]
-    for a in range(len(conds)):
-        for b in range(a + 1, len(conds)):
-            if conds[a] is not None and conds[b] is not None:
-                max_overlap = max(
-                    max_overlap, _nuclear_norm(conds[a].matrix @ conds[b].matrix)
-                )
-    # Same orthogonality requirement on each single environment's marginal.
-    for name in names:
-        env_members = spec.members_of([name])
-        margs = [
-            partial_trace(c, set(env_members)) if c is not None else None
-            for c in conds
-        ]
-        for a in range(len(margs)):
-            for b in range(a + 1, len(margs)):
-                if margs[a] is not None and margs[b] is not None:
-                    max_overlap = max(
-                        max_overlap, _nuclear_norm(margs[a].matrix @ margs[b].matrix)
-                    )
-
+    Each conditional state's single-environment marginals are taken once;
+    the orthogonality check pairs them up per environment, and the product
+    check rebuilds the conditional state from them.
+    """
+    conds, max_offdiag = _conditional_blocks(rho_sf, spec)
+    marginals = [[partial_trace(c, set(spec.members_of([name]))).matrix for c in conds]
+                 for name in names]
+    # The joint conditional states and each environment's marginals must be
+    # pairwise orthogonal.
+    max_overlap = max(_max_overlap(states)
+                      for states in [[c.matrix for c in conds], *marginals])
     bipartite_sbs = (max_offdiag <= TOL.block_diagonal
                      and max_overlap <= TOL.conditional_orthogonality)
 
     max_impurity = 0.0
     max_product_gap = 0.0
-    for c in present:
+    for k, c in enumerate(conds):
         eigs = np.linalg.eigvalsh(_herm(c.matrix))
         max_impurity = max(max_impurity, float(np.sum(eigs[:-1].clip(min=0.0))))
-        product = np.array([[1.0 + 0.0j]])
-        for name in names:
-            env_members = spec.members_of([name])
-            product = np.kron(product, partial_trace(c, set(env_members)).matrix)
+        product = functools.reduce(np.kron, [margs[k] for margs in marginals],
+                                   np.array([[1.0 + 0.0j]]))
         max_product_gap = max(max_product_gap, float(np.max(np.abs(c.matrix - product))))
     isbs = (bipartite_sbs
             and max_impurity <= TOL.conditional_purity

@@ -8,7 +8,9 @@ probability differences of the two branches; the subset maximization over
 outcomes never needs extra measurement settings.
 
 Both modes run one pipeline, ``_prepare`` followed by ``_branch``, on
-single states.  Every noise event in it replaces some photons by I/d with a
+single states, and one evaluation, ``_evaluate``: it computes each branch's
+pmf once, and exact mode reports it while Monte Carlo mode draws from it.
+Every noise event in the pipeline replaces some photons by I/d with a
 weight: global mixing or local depolarization of strength p, depolarizing
 preparation CNOTs that keep their output with weight f, and parity checks
 whose two depolarizing CNOTs scramble the checked environment with weight
@@ -245,21 +247,7 @@ class WitnessReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WitnessReport):
             return NotImplemented
-        return (
-            self.framework == other.framework
-            and self.fragment == other.fragment
-            and self.outcome_labels == other.outcome_labels
-            and np.array_equal(self.p_identity, other.p_identity)
-            and np.array_equal(self.p_gamma, other.p_gamma)
-            and np.array_equal(self.witness_single, other.witness_single)
-            and self.witness_max_subset == other.witness_max_subset
-            and self.measure == other.measure
-            and self.stderr_max_subset == other.stderr_max_subset
-            and self.successful_runs == other.successful_runs
-            and self.shots == other.shots
-            and self.seed == other.seed
-            and self.mode == other.mode
-        )
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -460,10 +448,6 @@ def prepare_initial_isbs(noise: NoiseConfig,
     return _prepare(FRAMEWORK_ISBS, noise, cnot_model)
 
 
-def prepare_initial(config: ProtocolConfig) -> DensityOperator:
-    return _prepare(config.framework, config.noise, config.cnot_model)
-
-
 # ---------------------------------------------------------------------------
 # Branch evaluation
 # ---------------------------------------------------------------------------
@@ -527,60 +511,11 @@ def _max_subset(differences: np.ndarray) -> float:
     return max(positive, -negative)
 
 
-def _report(config: ProtocolConfig, ctx: _Context, rho_t: DensityOperator, p_id: np.ndarray,
-            p_g: np.ndarray, stderr: float | None, successful_runs: int) -> WitnessReport:
-    """Report of either mode.  The accompanying non-objectivity measure is
-    computed on the system-fragment marginal of the prepared state ``rho_t``
-    (post-noise, pre-point-channel)."""
-    rho_sf = partial_trace(rho_t, set(ctx.sf_labels))
-    diffs = p_id - p_g
-    return WitnessReport(
-        framework=config.framework,
-        fragment=ctx.fragment,
-        outcome_labels=ctx.outcome_labels,
-        p_identity=p_id,
-        p_gamma=p_g,
-        witness_single=np.abs(diffs),
-        witness_max_subset=_max_subset(diffs),
-        measure=nonobjectivity_measure(rho_sf, ctx.spec),
-        stderr_max_subset=stderr,
-        successful_runs=successful_runs,
-        shots=config.shots,
-        seed=config.seed,
-        mode="exact" if config.shots == 0 else "monte_carlo",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact mode
-# ---------------------------------------------------------------------------
-
-def _exact(config: ProtocolConfig, rho_t: DensityOperator, ctx: _Context) -> WitnessReport:
-    """Evaluate the witness from exact branch probability vectors.
-
-    The lower-bound invariant (witness <= measure) is asserted whenever the
-    objectivity operation itself is noiseless.
-    """
-    p_id, p_g = (_marginalize_to_sf(_branch(config, rho_t, ctx, gamma), ctx.layout,
-                                    ctx.sf_labels) for gamma in (False, True))
-    report = _report(config, ctx, rho_t, p_id, p_g, None, 0)
-    witness, measure = report.witness_max_subset, report.measure
-    if config.cnot_model != CNOT_NOISY_PREP_PARITY \
-            and witness > measure + TOL.witness_bound_slack:
-        raise InvariantViolation(
-            f"witness {witness} exceeds measure {measure} beyond tolerance"
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo mode
-# ---------------------------------------------------------------------------
-
-def _sample_branch(config: ProtocolConfig, ctx: _Context, rho_t: DensityOperator,
-                   apply_gamma: bool, wanted: int, branch_tag: int) -> tuple[np.ndarray, int]:
+def _sample_branch(config: ProtocolConfig, ctx: _Context, pmf: np.ndarray,
+                   projected: bool, wanted: int) -> tuple[np.ndarray, int]:
     """Counts over SF outcomes and the null-run count of ``wanted`` successful
-    runs of one branch.
+    runs of one branch, whose exact SF pmf is ``pmf``; each branch draws
+    from its own stream of the config's seed.
 
     Given its noise coins, a run's outcome follows that realization's pmf,
     with the projection's missing trace as the null outcome.  Every coin is
@@ -591,13 +526,11 @@ def _sample_branch(config: ProtocolConfig, ctx: _Context, rho_t: DensityOperator
     runs; the failures before each success are geometric, and the run
     aborts if a gap reaches ``TOL.mc_abort_window``.
     """
-    pmf = _marginalize_to_sf(_branch(config, rho_t, ctx, apply_gamma), ctx.layout,
-                             ctx.sf_labels)
     pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))
     pmf /= pmf.sum()  # the total is at least 1; multinomial rejects a sum above 1
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, branch_tag)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(projected))))
     tally = rng.multinomial(wanted, pmf)
-    if apply_gamma and config.noise.p_cnot < 1.0:
+    if projected and config.noise.p_cnot < 1.0:
         success = config.noise.p_cnot ** (2 * len(ctx.fragment))  # two CNOTs per check
         # An underflowed success probability draws the longest gaps instead.
         gaps = rng.geometric(max(success, np.finfo(float).tiny), size=wanted) - 1
@@ -626,22 +559,49 @@ def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
     return float(np.std(stats, ddof=1))
 
 
-def _monte_carlo(config: ProtocolConfig, rho_t: DensityOperator,
-                 ctx: _Context) -> WitnessReport:
-    """Estimate the witness from simulated experimental runs.
+def _evaluate(config: ProtocolConfig, rho_t: DensityOperator,
+              ctx: _Context) -> WitnessReport:
+    """The report of ``config`` in its shot count's mode.
 
-    Each branch's successful runs are drawn from its exact outcome
-    distribution (see ``_sample_branch``); objectivity-projection misses are
-    recorded as the null outcome.  Empirical branch probabilities feed the
-    same subset maximization as exact mode, and the standard error comes
-    from a seeded bootstrap over run outcomes.
+    Each branch's exact SF pmf comes from one ``_branch`` run, the measure
+    from the SF marginal of the prepared state ``rho_t``.  Exact mode reports
+    the pmfs and asserts witness <= measure whenever the objectivity
+    operation itself is noiseless.  Monte Carlo mode reports the frequencies
+    of runs drawn from them (see ``_sample_branch``), with a seeded bootstrap
+    standard error.
     """
-    n_id, n_g = config.split_shots()
-    counts_id, _ = _sample_branch(config, ctx, rho_t, False, n_id, 0)
-    counts_g, null_g = _sample_branch(config, ctx, rho_t, True, n_g, 1)
-    stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
-    return _report(config, ctx, rho_t, counts_id / n_id, counts_g / n_g, stderr,
-                   n_id + n_g)
+    p_id, p_g = (_marginalize_to_sf(_branch(config, rho_t, ctx, gamma), ctx.layout,
+                                    ctx.sf_labels) for gamma in (False, True))
+    measure = nonobjectivity_measure(partial_trace(rho_t, set(ctx.sf_labels)), ctx.spec)
+    stderr, successful_runs = None, 0
+    if config.shots:
+        n_id, n_g = config.split_shots()
+        counts_id, _ = _sample_branch(config, ctx, p_id, False, n_id)
+        counts_g, null_g = _sample_branch(config, ctx, p_g, True, n_g)
+        stderr = _bootstrap_stderr(counts_id, n_id, counts_g, null_g, n_g, config.seed)
+        p_id, p_g, successful_runs = counts_id / n_id, counts_g / n_g, n_id + n_g
+    diffs = p_id - p_g
+    witness = _max_subset(diffs)
+    if config.shots == 0 and config.cnot_model != CNOT_NOISY_PREP_PARITY \
+            and witness > measure + TOL.witness_bound_slack:
+        raise InvariantViolation(
+            f"witness {witness} exceeds measure {measure} beyond tolerance"
+        )
+    return WitnessReport(
+        framework=config.framework,
+        fragment=ctx.fragment,
+        outcome_labels=ctx.outcome_labels,
+        p_identity=p_id,
+        p_gamma=p_g,
+        witness_single=np.abs(diffs),
+        witness_max_subset=witness,
+        measure=measure,
+        stderr_max_subset=stderr,
+        successful_runs=successful_runs,
+        shots=config.shots,
+        seed=config.seed,
+        mode="exact" if config.shots == 0 else "monte_carlo",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,20 +631,19 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
         prep = (config.framework, config.noise, config.cnot_model)
         if prep not in states:
             states[prep] = _prepare(*prep)
-        mode = _exact if config.shots == 0 else _monte_carlo
-        reports.append(mode(config, states[prep], contexts[key]))
+        reports.append(_evaluate(config, states[prep], contexts[key]))
     return reports
 
 
 def witness_exact(config: ProtocolConfig) -> WitnessReport:
-    """Exact-mode report of one config (see ``_exact``)."""
+    """Exact-mode report of one config (see ``_evaluate``)."""
     if config.shots != 0:
         raise InvariantViolation("exact mode requires shots = 0")
     return run_witnesses([config])[0]
 
 
 def witness_monte_carlo(config: ProtocolConfig) -> WitnessReport:
-    """Monte Carlo report of one config (see ``_monte_carlo``)."""
+    """Monte Carlo report of one config (see ``_evaluate``)."""
     if config.shots <= 0:
         raise InvariantViolation("Monte Carlo mode requires shots > 0")
     return run_witnesses([config])[0]
@@ -719,8 +678,15 @@ def cost_model(m_envs: int, c: int, p_cnot: float, f_cnot: float = 1.0) -> CostC
     if not 0.0 < f_cnot <= 1.0:
         raise InvariantViolation(f"f_cnot {f_cnot} outside (0, 1]")
     effective = p_cnot * f_cnot
+    try:
+        witness = c + c * (1.0 / effective) ** (2 * m_envs)
+    except OverflowError:
+        witness = math.inf
+    if not witness < math.inf:
+        raise InvariantViolation(
+            f"witness run count overflows a float (m_envs = {m_envs}, c = {c}, "
+            f"p_cnot = {p_cnot}, f_cnot = {f_cnot})")
     tomography = c * 3 ** (1 + 2 * m_envs)
-    witness = c + c * (1.0 / effective) ** (2 * m_envs)
     return CostComparison(
         tomography_runs=int(tomography),
         witness_runs=float(witness),

@@ -3,8 +3,9 @@
 State files carry a layout descriptor plus the row-major complex matrix as
 [re, im] pairs, so they are bit-exact, language-neutral and diff-able.
 Config parsing reports the offending field by name on any malformed input,
-including a key outside its document's table of allowed keys and an integer
-field given as anything but a JSON integer.  A sweep document is a witness
+including a key outside its document's table of allowed keys, an integer
+field given as anything but a JSON integer and a float field given as
+anything but a JSON number.  A sweep document is a witness
 config's keys plus ``p_values``, ``fragments``, the noise keys
 ``noise_mode``/``f``/``p_cnot`` and an optional ``output_path``; each of its
 points is parsed as the witness config it describes, so ``config_from_dict``
@@ -162,9 +163,11 @@ def _optional(data: Mapping[str, Any], key: str, kind, default, path: str):
         return default
     if kind is int and not _is_integer(data[key]):
         raise ConfigError(f"field '{path}{key}': expected an integer, got {data[key]!r}")
+    if kind is float and not (_is_integer(data[key]) or isinstance(data[key], float)):
+        raise ConfigError(f"field '{path}{key}': expected a number, got {data[key]!r}")
     try:
         return kind(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field '{path}{key}': {exc}") from exc
 
 

@@ -332,6 +332,18 @@ def _replacement(layout, trace=1.0):
                  "branch_shots": [10, 10]}, "branch_shots"),
     ("witness", {"fragment": ["E1"], "noise": {"p": 0.3}, "shots": 0,
                  "branch_shots": [10, 10]}, "branch_shots"),
+
+    # Float fields take JSON numbers only: no bool, no numeric string.
+    ("witness", {"fragment": ["E1"], "noise": {"p": True}}, "field 'noise.p'"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": "0.3"}}, "field 'noise.p'"),
+    ("witness", {"fragment": ["E1"], "cnot_model": "noisy_prep",
+                 "noise": {"p": 0.3, "f": "0.9"}}, "field 'noise.f'"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 0.3, "p_cnot": False}, "shots": 100},
+     "field 'noise.p_cnot'"),
+    ("witness", {"fragment": ["E1"], "noise": {"p": 10 ** 400}}, "field 'noise.p'"),
+    ("sweep", {"p_values": [0.1, "0.3"], "fragments": [["E1"]]}, "field 'noise.p'"),
+    ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "cnot_model": "noisy_prep",
+               "f": True}, "field 'noise.f'"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -542,6 +554,15 @@ def test_cost_large_fragment_break_even(capsys):
                            "--p-cnot", "0.34", "--format", "json")
     assert code == 0
     assert json.loads(out)["witness_wins"] is True
+
+
+def test_cost_overflow_is_an_invariant_violation(capsys):
+    # (1 / 0.5)^1200 witness runs overflow a float: exit 3 naming the inputs.
+    code, out, err = run_cli(capsys, "cost", "--m-envs", "600", "--c", "1",
+                             "--p-cnot", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "m_envs = 600" in err and "p_cnot = 0.5" in err
 
 
 # ---------------------------------------------------------------------------

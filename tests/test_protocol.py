@@ -634,9 +634,10 @@ def test_sampler_and_run_by_run_oracle_draw_the_exact_pmf(config):
         assert _chi2_pvalue(oracle[tag], pmf) >= _CHI2_LEVEL, ("oracle", tag)
 
 
-def _spy_on_gaps(monkeypatch):
-    """Record the failure gaps the sampler draws: each geometric draw minus 1."""
-    gaps, real = [], np.random.default_rng
+def _spy_on_rng(monkeypatch, method, record):
+    """Make every generator the sampler seeds call ``record(args, kwargs,
+    result)`` after each call of its ``method``."""
+    real = np.random.default_rng
 
     class Spy:
         def __init__(self, seed):
@@ -645,12 +646,46 @@ def _spy_on_gaps(monkeypatch):
         def __getattr__(self, name):
             return getattr(self._rng, name)
 
-        def geometric(self, *args, **kwargs):
-            draws = self._rng.geometric(*args, **kwargs)
-            gaps.append(draws - 1)
-            return draws
+    def spied(self, *args, **kwargs):
+        result = getattr(self._rng, method)(*args, **kwargs)
+        record(args, kwargs, result)
+        return result
 
+    setattr(Spy, method, spied)
     monkeypatch.setattr(np.random, "default_rng", Spy)
+
+
+@pytest.mark.parametrize("config", [
+    ProtocolConfig(framework="SQD", fragment=("E1", "E2"),
+                   noise=NoiseConfig(p=0.3, mode="depolarize_local"), shots=600),
+    ProtocolConfig(framework="ISBS", fragment=("E1", "E2", "E3"),
+                   noise=NoiseConfig(p=0.45), shots=600),
+    ProtocolConfig(framework="SQD", fragment=("E1",), cnot_model="noisy_prep_parity",
+                   noise=NoiseConfig(p=0.2, f=0.8, p_cnot=0.9), shots=600),
+], ids=["sqd", "isbs", "noisy_prep_parity"])
+def test_monte_carlo_branches_draw_from_the_exact_pmfs(monkeypatch, config):
+    # Each branch's multinomial draw takes, bit for bit, the pmf exact mode
+    # reports for the same config, with the null mass appended.  These pmfs
+    # sum to at most 1, so the sampler's normalization divides by 1.
+    drawn = []
+
+    def record(args, kwargs, _):
+        if "size" not in kwargs:  # the bootstrap resamples in batches
+            drawn.append(np.array(args[1]))
+
+    _spy_on_rng(monkeypatch, "multinomial", record)
+    witness_monte_carlo(config)
+    exact = witness_exact(dataclasses.replace(config, shots=0))
+    assert len(drawn) == 2
+    for pvals, pmf in zip(drawn, (exact.p_identity, exact.p_gamma)):
+        assert np.array_equal(pvals[:-1], pmf)
+
+
+def _spy_on_gaps(monkeypatch):
+    """Record the failure gaps the sampler draws: each geometric draw minus 1."""
+    gaps = []
+    _spy_on_rng(monkeypatch, "geometric",
+                lambda args, kwargs, draws: gaps.append(draws - 1))
     return gaps
 
 
