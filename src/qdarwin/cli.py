@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-invariant violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -104,15 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not fragment:
         raise ConfigError("field 'fragment': no spec environment is present in the state")
     verdict = check_structure(rho, spec, fragment)
-    payload = {
-        "fragment": fragment,
-        "qd": verdict.qd,
-        "sqd": verdict.sqd,
-        "bipartite_sbs": verdict.bipartite_sbs,
-        "isbs": verdict.isbs,
-        "tolerances": verdict.tolerances,
-        "details": verdict.details,
-    }
+    payload = {"fragment": fragment, **dataclasses.asdict(verdict)}
     _write_out(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return EXIT_OK
 
@@ -120,13 +113,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_cost(args: argparse.Namespace) -> int:
     result = cost_model(args.m_envs, args.c, args.p_cnot, args.f_cnot)
     if args.format == "json":
-        payload = {
-            "tomography_runs": result.tomography_runs,
-            "witness_runs": result.witness_runs,
-            "witness_wins": result.witness_wins,
-            "crossover_p": result.crossover_p,
-        }
-        _write_out(json.dumps(payload, sort_keys=True, indent=2), args.out)
+        _write_out(json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2),
+                   args.out)
         return EXIT_OK
     lines = [
         f"environments (M):       {args.m_envs}",

@@ -2,12 +2,12 @@
 
 All information quantities are in bits (logarithm base 2).  The discord
 minimization searches rank-1 projective qubit measurements parameterized by
-Bloch angles: a coarse grid seed followed by local simplex refinement.  Each
-outcome's conditional state enters only through its nonzero spectrum, so a
-state of rank r below d_E is searched on r x r Gram blocks.  The grid seed
-covers half the sphere, because (theta, phi) and (pi - theta, phi + pi) are
-one measurement with its outcomes swapped; the reported angles are one of
-those two representatives.
+Bloch angles: a coarse grid seed refined by an in-repo Nelder-Mead simplex
+(`minimize`, scipy's defaults).  Each outcome's conditional state enters
+only through its nonzero spectrum, so a state of rank r below d_E is
+searched on r x r Gram blocks.  The grid seed covers half the sphere,
+because (theta, phi) and (pi - theta, phi + pi) are one measurement with its
+outcomes swapped; the reported angles are one of those two representatives.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .hilbert import (
     DensityOperator,
@@ -110,6 +109,77 @@ def mutual_information(rho: DensityOperator, part_a: Iterable[str],
 # Discord minimization
 # ---------------------------------------------------------------------------
 
+class SimplexResult(NamedTuple):
+    """Best vertex of a simplex search, its value and the evaluation count."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+class _EvaluationCap(Exception):
+    """The simplex search reached its evaluation cap."""
+
+
+def minimize(fun: Callable, x0: np.ndarray, xatol: float, fatol: float) -> SimplexResult:
+    """Nelder-Mead simplex search (Nelder and Mead, Comput. J. 7, 308, 1965),
+    step for step as scipy.optimize.minimize(method="Nelder-Mead") with its
+    defaults: coefficients 1, 2, 1/2, 1/2; initial steps of 5 % (0.00025 for
+    a zero coordinate); the xatol/fatol test before each iteration; at most
+    200 n iterations and 200 n evaluations, and no evaluation once the count
+    reaches the cap, even mid-iteration.  Each evaluation gets a copy of x.
+    """
+    n = len(x0)
+    cap = 200 * n
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        if nfev >= cap:
+            raise _EvaluationCap
+        nfev += 1
+        return fun(np.copy(x))
+
+    sim = np.array([x0] * (n + 1), dtype=float)
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    for _ in range(2):  # as in scipy: argsort need not keep ties in place
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while nfev < cap and iterations < cap:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside or inside, or else shrink towards sim[0]
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return SimplexResult(sim[0], np.min(fsim), nfev)
+
+
 def _system_first(rho: DensityOperator, system: str) -> np.ndarray:
     """State tensor reshaped to (d_S, d_E, d_S, d_E) with the system leading."""
     order = [system] + [lab for lab in rho.layout.labels if lab != system]
@@ -194,10 +264,11 @@ def quantum_discord(rho: DensityOperator, system: str,
     Gram blocks (see `_outcome_blocks`).  The measurement at (theta, phi) is
     the one at (pi - theta, phi + pi) with its outcomes swapped, and theta = 0
     fixes it for every phi, so the grid seed (`_grid_seed_angles`) evaluates
-    only the rows 0 < theta < pi/2 and the point (0, 0).  The reported angles are one of
-    the two equivalent representatives: the seed has theta < pi/2, and the
-    simplex refinement may leave that range.  Grid ties break toward the
-    lexicographically smallest angles.  Only qubit systems are supported.
+    only the rows 0 < theta < pi/2 and the point (0, 0); grid ties break
+    toward the lexicographically smallest angles.  The seed is refined by the
+    in-repo Nelder-Mead search `minimize`, with scipy's defaults.  The angles
+    are one of the two equivalent representatives: the seed has theta < pi/2,
+    and the refinement may leave that range.  Only qubit systems are supported.
     """
     env = set(environment)
     wanted = env | {system}
@@ -221,8 +292,7 @@ def quantum_discord(rho: DensityOperator, system: str,
         return float(_conditional_entropy_batch(
             blocks, np.array([x[0]]), np.array([x[1]]))[0])
 
-    res = minimize(objective, x0=np.array([t0, p0]), method="Nelder-Mead",
-                   options={"fatol": TOL.discord_ftol, "xatol": 1e-6})
+    res = minimize(objective, np.array([t0, p0]), xatol=1e-6, fatol=TOL.discord_ftol)
     cond_entropy = min(float(grid[best]), float(res.fun))
     angles = (t0, p0) if grid[best] <= res.fun else (float(res.x[0]), float(res.x[1]))
 

@@ -686,7 +686,12 @@ def cost_model(m_envs: int, c: int, p_cnot: float, f_cnot: float = 1.0) -> CostC
         raise InvariantViolation(
             f"witness run count overflows a float (m_envs = {m_envs}, c = {c}, "
             f"p_cnot = {p_cnot}, f_cnot = {f_cnot})")
-    tomography = c * 3 ** (1 + 2 * m_envs)
+    # Python prints an int of at most 4 300 digits by default.  3^17201 has
+    # more, so a larger m_envs is capped there before the power is built.
+    tomography = c * 3 ** (1 + 2 * min(m_envs, 8600))
+    if tomography >= 10 ** 4300:
+        raise InvariantViolation("tomography run count has more than 4300 digits "
+                                 f"(m_envs = {m_envs}, c = {c})")
     return CostComparison(
         tomography_runs=int(tomography),
         witness_runs=float(witness),

@@ -62,15 +62,20 @@ def state_from_dict(data: Mapping[str, Any]) -> DensityOperator:
         layout = TensorLayout([(str(lab), int(dim)) for lab, dim in data["layout"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'layout': {exc}") from exc
+    return DensityOperator(layout, _complex_matrix(data.get("matrix"), "matrix"))
+
+
+def _complex_matrix(value: Any, field: str) -> np.ndarray:
+    """A rectangular list of rows of [re, im] pairs of JSON numbers as a
+    complex array; anything else, bools and numeric strings included, is a
+    `ConfigError` naming ``field``."""
     try:
-        rows = data["matrix"]
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'matrix': {exc}") from exc
-    return DensityOperator(layout, matrix)
+        if any(type(re) is bool or type(im) is bool for row in value for re, im in row):
+            raise TypeError("expected [re, im] pairs of numbers, got a bool")
+        return np.array([[complex(re, im) for re, im in row] for row in value],
+                        dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field '{field}': {exc}") from exc
 
 
 def save_state(rho: DensityOperator, path: str | Path) -> None:
@@ -102,22 +107,19 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
             str(name): tuple(str(m) for m in members)
             for name, members in data["environments"].items()
         }
-        raw = data["basis_vectors"]
         vectors = {
-            str(name): [
-                [np.array([complex(re, im) for re, im in vec]) for vec in index_vectors]
-                for index_vectors in per_index
-            ]
-            for name, per_index in raw.items()
+            str(name): [_complex_matrix(index_vectors, f"subspace.basis_vectors.{name}")
+                        for index_vectors in per_index]
+            for name, per_index in data["basis_vectors"].items()
         }
         if "system_basis" in data:
-            system_basis = np.array(
-                [[complex(re, im) for re, im in row] for row in data["system_basis"]]
-            )
+            system_basis = _complex_matrix(data["system_basis"], "subspace.system_basis")
         else:
             dim = len(next(iter(vectors.values())))
             system_basis = np.eye(dim, dtype=np.complex128)
         return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'subspace': {exc}") from exc
 
@@ -197,12 +199,7 @@ def config_from_dict(data: Mapping[str, Any],
     noise = noise_from_dict(data.get("noise", {}))
     unitary: Any = data.get("unitary")
     if unitary is not None and not isinstance(unitary, str):
-        try:
-            unitary = np.array(
-                [[complex(re, im) for re, im in row] for row in unitary]
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'unitary': {exc}") from exc
+        unitary = _complex_matrix(unitary, "unitary")
     shots = _optional(data, "shots", int, 0, "")
     seed = _optional(data, "seed", int, DEFAULT_SEED, "")
     if seed_override is not None:

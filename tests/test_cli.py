@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +480,59 @@ def test_check_rejects_invalid_state(tmp_path, capsys):
     assert "Hermitian" in err
 
 
+def _identity_pairs(d, first=(1, 0)):
+    """[re, im] rows of the d x d identity, with ``first`` as its (0, 0) entry."""
+    rows = [[[1.0 * (i == j), 0] for j in range(d)] for i in range(d)]
+    rows[0][0] = list(first)
+    return rows
+
+
+def _kets_with(first):
+    """``_E1_KETS`` with ``first`` as the first entry of its first ket."""
+    kets = json.loads(json.dumps(_E1_KETS))
+    kets[0][0][0] = list(first)
+    return kets
+
+
+_E1_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E1_KETS}}
+
+
+@pytest.mark.parametrize("command, document, field", [
+    pytest.param("check", {"layout": [["S", 2]], "matrix": _identity_pairs(2, (True, 0))},
+                 "field 'matrix'", id="state-matrix-bool"),
+    pytest.param("check", {"layout": [["S", 2]], "matrix": _identity_pairs(2, ("1", 0))},
+                 "field 'matrix'", id="state-matrix-string"),
+    pytest.param("check", {"layout": [["S", 2]], "matrix": [[[1, 0, 0], [0, 0]]] * 2},
+                 "field 'matrix'", id="state-matrix-triple"),
+    pytest.param("witness", {"fragment": ["E1"],
+                             "unitary": _identity_pairs(32, (1, False))},
+                 "field 'unitary'", id="unitary-bool"),
+    pytest.param("witness", {"fragment": ["E1"], "unitary": _identity_pairs(32, (10 ** 400, 0))},
+                 "field 'unitary'", id="unitary-huge-int"),
+    pytest.param("witness", {"fragment": ["E1"], "replacement": {
+        "layout": [["E2_1", 2], ["E2_2", 2]], "matrix": _identity_pairs(4, (True, 0))}},
+                 "field 'matrix'", id="replacement-matrix-bool"),
+    pytest.param("witness", {"fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "system_basis": _identity_pairs(2, (True, 0))}},
+                 "field 'subspace.system_basis'", id="system-basis-bool"),
+    pytest.param("witness", {"fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "basis_vectors": {"E1": _kets_with((True, 0))}}},
+                 "field 'subspace.basis_vectors.E1'", id="basis-vectors-bool"),
+    pytest.param("witness", {"fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "basis_vectors": {"E1": _kets_with((1, "0"))}}},
+                 "field 'subspace.basis_vectors.E1'", id="basis-vectors-string"),
+])
+def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, command, document, field):
+    # Every matrix field is parsed by one rule: [re, im] pairs of JSON numbers.
+    # A bool is not read as 1, nor a string as a number.
+    path = write_config(tmp_path, "doc.json", document)
+    flag = "--state" if command == "check" else "--config"
+    code, out, err = run_cli(capsys, command, flag, path)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
 # ---------------------------------------------------------------------------
 # Non-finite input
 # ---------------------------------------------------------------------------
@@ -563,6 +619,44 @@ def test_cost_overflow_is_an_invariant_violation(capsys):
     assert code == 3
     assert out == ""
     assert "m_envs = 600" in err and "p_cnot = 0.5" in err
+
+
+def test_cost_unprintable_tomography_count_is_an_invariant_violation(capsys):
+    # 3^10001 tomography runs have more digits than Python prints by default:
+    # exit 3 naming the inputs, not a ValueError traceback.
+    code, out, err = run_cli(capsys, "cost", "--m-envs", "5000", "--c", "1",
+                             "--p-cnot", "1")
+    assert code == 3
+    assert out == ""
+    assert "m_envs = 5000" in err and "c = 1" in err
+
+
+# ---------------------------------------------------------------------------
+# Import footprint
+# ---------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import json, sys
+import qdarwin.cli
+out = sys.argv[1]
+codes = [qdarwin.cli.main(argv + ["--out", out]) for argv in (
+    ["witness", "--config", "configs/witness_sqd_e1.json"],
+    ["sweep", "--config", "configs/sweep_isbs_exact.json"],
+    ["check", "--state", "states/ghz5.json", "--subspace", "computational"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def test_cli_runs_never_import_scipy(tmp_path):
+    # The package needs numpy only: importing the CLI, a witness run, a sweep
+    # and a structure check (whose discord refinement is the in-repo simplex)
+    # load no scipy module in a fresh interpreter.
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out")],
+                          cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], []]
 
 
 # ---------------------------------------------------------------------------

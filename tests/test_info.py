@@ -1,8 +1,11 @@
 """Entropy, mutual information, discord, Holevo, and structure checkers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize as scipy_minimize
 from scipy.special import entr
 
 from qdarwin import (
@@ -26,6 +29,7 @@ from qdarwin import (
     von_neumann_entropy,
 )
 
+from qdarwin import info
 from qdarwin.info import (
     _DISCORD_GRID_PHI,
     _DISCORD_GRID_THETA,
@@ -34,8 +38,11 @@ from qdarwin.info import (
     _outcome_blocks,
     _system_first,
 )
+from qdarwin.serialize import load_state
 
 from conftest import qubits, random_density, random_unitary
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bell():
@@ -288,6 +295,57 @@ def test_discord_grid_seed_reaches_the_full_sphere_minimum(seed, d_e, rank):
     sphere = _conditional_entropy_batch(blocks, tt.ravel(), pp.ravel()).min()
     seed_grid = _conditional_entropy_batch(blocks, *_grid_seed_angles()).min()
     assert abs(seed_grid - sphere) < 1e-12
+
+
+def _discord_refinements(monkeypatch) -> list[tuple]:
+    """The (objective, x0, xatol, fatol) of each discord refinement on seeded
+    random S x E states (d_E 2-16, ranks 1 to 2 d_E) and the shipped states."""
+    calls = []
+
+    def record(fun, x0, xatol, fatol):
+        calls.append((fun, x0, xatol, fatol))
+        return info.SimplexResult(x0, np.inf, 0)
+
+    monkeypatch.setattr(info, "minimize", record)
+    rng = np.random.default_rng(1965)
+    for d_e in (2, 3, 4, 5, 8, 16):
+        for rank in sorted({1, 2, d_e, 2 * d_e}):
+            quantum_discord(random_density(TensorLayout([("S", 2), ("E", d_e)]), rng, rank),
+                            "S", {"E"})
+    for name in ("sqd_initial", "ghz5", "maximally_mixed_sqd"):
+        rho = load_state(REPO_ROOT / "states" / f"{name}.json")
+        quantum_discord(rho, rho.layout.labels[0], rho.layout.labels[1:])
+    monkeypatch.undo()
+    return calls
+
+
+def _scripted_objective():
+    """Returns 1, 2, 3, 1.5, 1.2 on its first five calls, 0 on its 400th and
+    5 otherwise: after two accepted reflections every iteration shrinks, and
+    the 400th call is the first of a shrink's two evaluations."""
+    calls = iter(range(1, 1000))
+    return lambda x: {1: 1.0, 2: 2.0, 3: 3.0, 4: 1.5, 5: 1.2, 400: 0.0}.get(next(calls), 5.0)
+
+
+def test_simplex_matches_scipy_nelder_mead_bit_for_bit(monkeypatch):
+    # The refinement is a copy of scipy's Nelder-Mead with its defaults: the
+    # same vertex bytes, value and evaluation count on every discord
+    # objective, and on two objectives that never converge and stop at the
+    # 400-evaluation cap mid-iteration: f(x) = x[0], whose 400th evaluation is
+    # a reflection whose expansion the cap skips, and a scripted objective
+    # whose cap falls inside a shrink that moves a vertex ahead of the best.
+    cases = [(lambda fun=fun: fun, x0, xatol, fatol)
+             for fun, x0, xatol, fatol in _discord_refinements(monkeypatch)]
+    assert len(cases) == 26
+    cases += [(lambda: (lambda x: x[0]), np.array([0.3, 0.0]), 0.0, 0.0),
+              (_scripted_objective, np.array([0.3, 0.0]), 0.0, 0.0)]
+    for make, x0, xatol, fatol in cases:
+        ours = info.minimize(make(), x0, xatol=xatol, fatol=fatol)
+        ref = scipy_minimize(make(), x0=x0, method="Nelder-Mead",
+                             options={"xatol": xatol, "fatol": fatol})
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun and ours.nfev == ref.nfev
+    assert [ours.nfev, ours.fun] == [400, 0.0]
 
 
 # ---------------------------------------------------------------------------
