@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .hilbert import InvariantViolation
 from .info import check_structure
-from .protocol import NonterminatingSampling, cost_model, run_witness, run_witnesses
+from .protocol import (_EXPERIMENTS, FRAMEWORK_SQD, NonterminatingSampling, cost_model,
+                       run_witness, run_witnesses)
 from .serialize import (
     ConfigError,
     config_from_dict,
@@ -90,9 +91,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     rho = load_state(args.state)
-    if args.subspace in ("parity2", "computational"):
+    try:
         spec = spec_by_name(args.subspace)
-    else:
+    except ConfigError:  # not a preset name: a spec file
         spec = spec_from_dict(_read_json(args.subspace))
     if args.fragment:
         fragment = [f.strip() for f in args.fragment.split(",") if f.strip()]
@@ -156,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="structure-check a state file")
     check.add_argument("--state", required=True, help="state JSON file")
-    check.add_argument("--subspace", default="parity2",
-                       help="'parity2', 'computational', or a spec JSON path")
+    presets = [experiment.preset for experiment in _EXPERIMENTS.values()]
+    check.add_argument("--subspace", default=_EXPERIMENTS[FRAMEWORK_SQD].preset,
+                       help=", ".join(map(repr, presets)) + ", or a spec JSON path")
     check.add_argument("--fragment", default=None,
                        help="comma-separated environment names (default: all)")
     check.add_argument("--out", default=None, help="output path (default stdout)")

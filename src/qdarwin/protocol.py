@@ -26,6 +26,13 @@ the pipeline and where they leave it; the CP maps in between build their
 outputs unchecked.  ``run_witnesses`` runs a list of configs, such as a
 sweep's points, preparing each distinct noise setting and resolving each
 distinct context once; its reports equal one call per config.
+
+The two experiments differ only in their setup, one ``_EXPERIMENTS`` record
+per framework: the register, the preset subspace and its CLI name
+(``parity2`` for SQD, ``computational`` for ISBS), the equal-weight base
+state, the preparation CNOTs (the ISBS GHZ state has none, so it takes no
+CNOT noise) and the default unitary preset.  No other code branches on a
+framework or a preset name.
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,19 +105,28 @@ def isbs_layout() -> TensorLayout:
     return TensorLayout([("S", 2), ("E1", 2), ("E2", 2), ("E3", 2), ("E4", 2)])
 
 
-@lru_cache(maxsize=None)
-def default_spec(framework: str) -> ObjectiveSubspaceSpec:
-    """The framework's preset spec: one shared, read-only instance each, so
-    the projectors its objectivity operation embeds are memoized once."""
-    if framework == FRAMEWORK_SQD:
-        return parity_spec(2)
-    if framework == FRAMEWORK_ISBS:
-        return computational_spec(4)
-    raise InvariantViolation(f"unknown framework {framework!r}")
+class _Experiment(NamedTuple):
+    """One framework's experiment (see the module docstring)."""
+
+    layout: TensorLayout  # the register
+    preset: str  # the CLI name of ``spec``
+    spec: ObjectiveSubspaceSpec  # the preset subspace: shared, read-only, memoized
+    base: tuple[int, ...]  # register indices of the equal-weight base state
+    cnots: tuple[tuple[str, str], ...]  # preparation CNOTs, (control, target)
+    unitary: str  # the default unitary preset
+    basis_only: bool  # a custom subspace must be a basis spec
 
 
-def default_layout(framework: str) -> TensorLayout:
-    return sqd_layout() if framework == FRAMEWORK_SQD else isbs_layout()
+_EXPERIMENTS = {
+    # |+> on the system and a four-photon GHZ state on the environments; the
+    # CNOTs copy the system onto each environment's parity.
+    FRAMEWORK_SQD: _Experiment(
+        sqd_layout(), "parity2", parity_spec(2), (0b00000, 0b01111, 0b10000, 0b11111),
+        (("S", "E1_1"), ("S", "E2_1")), UNITARY_ALTERNATING, False),
+    FRAMEWORK_ISBS: _Experiment(  # a five-photon GHZ state
+        isbs_layout(), "computational", computational_spec(4), (0b00000, 0b11111),
+        (), UNITARY_ALL, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +142,8 @@ class ProtocolConfig:
     overrides the split; its two entries must add up to ``shots``.
     ``unitary`` may be a preset name or an explicit unitary matrix over the
     whole register, or with a custom ``subspace`` over that spec's
-    subsystems (see ``run_branch``); ``subspace`` defaults to the parity
-    preset (subspace framework) or the computational basis (basis
-    framework).  ``replacement``, the state the point channel
+    subsystems (see ``run_branch``); ``subspace`` defaults to the
+    framework's preset.  ``replacement``, the state the point channel
     installs, must be normalized and span the unaccessed environments in
     layout order.  Construction rejects every field value the pipeline would
     fail on or silently mis-run, and keeps the resolved subspace as the
@@ -148,7 +162,8 @@ class ProtocolConfig:
     branch_shots: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.framework not in (FRAMEWORK_SQD, FRAMEWORK_ISBS):
+        experiment = _EXPERIMENTS.get(self.framework)
+        if experiment is None:
             raise InvariantViolation(f"unknown framework {self.framework!r}")
         if not self.fragment:
             raise InvariantViolation("fragment must be nonempty")
@@ -168,20 +183,17 @@ class ProtocolConfig:
         elif self.shots == 1:
             raise InvariantViolation("shots = 1 leaves a branch without runs: "
                                      "Monte Carlo mode needs at least 2")
-        if self.framework == FRAMEWORK_ISBS and self.cnot_model != CNOT_IDEAL:
+        if not experiment.cnots and (self.cnot_model != CNOT_IDEAL or self.noise.p_cnot < 1):
             raise InvariantViolation(
-                f"cnot_model {self.cnot_model!r} needs the SQD framework: "
-                "the ISBS GHZ state is prepared without CNOTs")
-        if self.framework == FRAMEWORK_ISBS and self.noise.p_cnot < 1.0:
-            raise InvariantViolation(
-                f"p_cnot {self.noise.p_cnot} < 1 needs the SQD framework: "
-                "ISBS runs no parity-check CNOTs")
-        spec = self.subspace if self.subspace is not None else default_spec(self.framework)
+                f"the {self.framework} experiment has no CNOTs: it takes cnot_model "
+                f"{CNOT_IDEAL!r} and p_cnot 1 only, not {self.cnot_model!r} and "
+                f"{self.noise.p_cnot}")
+        spec = self.subspace if self.subspace is not None else experiment.spec
         spec.select(self.fragment)
-        if self.framework == FRAMEWORK_ISBS and self.subspace is not None:
-            require_basis_spec(spec)  # the default ISBS spec is one by construction
+        if experiment.basis_only and self.subspace is not None:
+            require_basis_spec(spec)  # the preset is one by construction
         object.__setattr__(self, "spec", spec)
-        layout = default_layout(self.framework)
+        layout = experiment.layout
         labels = {spec.system_label, *spec.members_of(spec.environment_names)}
         outside = labels - set(layout.labels)
         if outside:
@@ -322,7 +334,7 @@ def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray
     within ``TOL.unitarity``."""
     choice = config.unitary
     if choice is None:
-        choice = UNITARY_ALTERNATING if config.framework == FRAMEWORK_SQD else UNITARY_ALL
+        choice = _EXPERIMENTS[config.framework].unitary
     if isinstance(choice, str):
         if choice not in (UNITARY_ALTERNATING, UNITARY_ALL):
             raise InvariantViolation(f"unknown unitary preset {choice!r}")
@@ -356,7 +368,7 @@ def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray
 
 def _resolve_context(config: ProtocolConfig,
                      layout: TensorLayout | None = None) -> _Context:
-    layout = layout if layout is not None else default_layout(config.framework)
+    layout = layout if layout is not None else _EXPERIMENTS[config.framework].layout
     spec = config.spec
     fragment = spec.select(config.fragment)
     ef_members = _unaccessed(layout, spec, fragment)
@@ -382,45 +394,24 @@ def _resolve_context(config: ProtocolConfig,
 # State preparation
 # ---------------------------------------------------------------------------
 
-def _sqd_base_state() -> DensityOperator:
-    """System in |+>, environments in a four-photon GHZ state."""
-    layout = sqd_layout()
-    amps = np.zeros(32, dtype=np.complex128)
-    # |0>(|0000> + |1111>) / 2 + |1>(|0000> + |1111>) / 2 before the CNOTs.
-    amps[0b00000] = 0.5
-    amps[0b01111] = 0.5
-    amps[0b10000] = 0.5
-    amps[0b11111] = 0.5
-    return PureState(layout, amps).to_density()
-
-
-def _isbs_base_state() -> DensityOperator:
-    """Five-photon GHZ state."""
-    amps = np.zeros(32, dtype=np.complex128)
-    amps[0] = 1.0 / math.sqrt(2.0)
-    amps[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(isbs_layout(), amps).to_density()
-
-
-_SQD_PREP_CNOTS = (("S", "E1_1"), ("S", "E2_1"))
-
-
 def _prepare(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
     """Initial state as a mixture over the noise events of the preparation.
 
-    Each SQD preparation CNOT keeps its ideal output with weight f (1 in the
-    ideal model) and otherwise replaces its two qubits by I/4; then the
-    added noise replaces the whole register (global mixing) or each photon
-    in turn (local depolarization) by I/d with weight p.  The ISBS GHZ state
-    is prepared without CNOTs, so ``cnot_model`` only applies to SQD.
+    Each preparation CNOT of the framework's experiment keeps its ideal
+    output with weight f (1 in the ideal model) and otherwise replaces its
+    two qubits by I/4; then the added noise replaces the whole register
+    (global mixing) or each photon in turn (local depolarization) by I/d
+    with weight p.
     """
-    rho = _sqd_base_state() if framework == FRAMEWORK_SQD else _isbs_base_state()
-    if framework == FRAMEWORK_SQD:
-        f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
-        for pair in _SQD_PREP_CNOTS:
-            if f:  # a fully replaced pair keeps no trace of the gate
-                rho = apply_gate(rho, CNOT, pair)
-            rho = depolarize_subsystems(rho, pair, f, 1.0 - f)
+    experiment = _EXPERIMENTS[framework]
+    amps = np.zeros(experiment.layout.total_dim, dtype=np.complex128)
+    amps[list(experiment.base)] = 1.0 / math.sqrt(len(experiment.base))
+    rho = PureState(experiment.layout, amps).to_density()
+    f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
+    for pair in experiment.cnots:
+        if f:  # a fully replaced pair keeps no trace of the gate
+            rho = apply_gate(rho, CNOT, pair)
+        rho = depolarize_subsystems(rho, pair, f, 1.0 - f)
     labels = rho.layout.labels
     for site in [labels] if noise.mode == "mix_global" else [(lab,) for lab in labels]:
         rho = depolarize_subsystems(rho, site, 1.0 - noise.p, noise.p)
@@ -429,22 +420,15 @@ def _prepare(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOper
 
 def prepare_initial_sqd(noise: NoiseConfig,
                         cnot_model: str = CNOT_IDEAL) -> DensityOperator:
-    """Branching system-environment state of the two-environment experiment.
-
-    The system starts in |+>, the four environment photons in a GHZ state;
-    CNOTs from the system onto the first photon of each environment correlate
-    the system with the environment parities.  The configured noise (global
-    mixing or local depolarization of strength p) is applied afterwards.
-    """
+    """Branching system-environment state of the SQD experiment (see
+    ``_EXPERIMENTS``) followed by the configured noise."""
     return _prepare(FRAMEWORK_SQD, noise, cnot_model)
 
 
 def prepare_initial_isbs(noise: NoiseConfig,
                          cnot_model: str = CNOT_IDEAL) -> DensityOperator:
-    """Five-photon GHZ state followed by the configured noise.
-
-    The GHZ state is prepared without CNOTs, so ``cnot_model`` has no effect.
-    """
+    """Five-photon GHZ state followed by the configured noise; it is
+    prepared without CNOTs, so ``cnot_model`` has no effect."""
     return _prepare(FRAMEWORK_ISBS, noise, cnot_model)
 
 

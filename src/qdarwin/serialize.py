@@ -22,19 +22,14 @@ import numpy as np
 
 from .channels import NoiseConfig
 from .hilbert import DensityOperator, InvariantViolation, TensorLayout
-from .objectivity import (
-    ObjectiveSubspaceSpec,
-    computational_spec,
-    parity_spec,
-    spec_from_basis_vectors,
-)
+from .objectivity import ObjectiveSubspaceSpec, spec_from_basis_vectors
 from .protocol import (
+    _EXPERIMENTS,
     DEFAULT_SEED,
     CNOT_IDEAL,
     ProtocolConfig,
     WitnessReport,
     _resolve_unitary,
-    default_layout,
 )
 
 
@@ -91,10 +86,10 @@ def load_state(path: str | Path) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 def spec_by_name(name: str) -> ObjectiveSubspaceSpec:
-    if name == "parity2":
-        return parity_spec(2)
-    if name == "computational":
-        return computational_spec(4)
+    """The shared preset subspace that the experiment table names ``name``."""
+    for experiment in _EXPERIMENTS.values():
+        if experiment.preset == name:
+            return experiment.spec
     raise ConfigError(f"field 'subspace': unknown preset {name!r}")
 
 
@@ -236,7 +231,7 @@ def config_from_dict(data: Mapping[str, Any],
         raise ConfigError(f"config rejected: {exc}") from exc
     if isinstance(unitary, np.ndarray):
         try:  # a witness run always spans the framework's register
-            _resolve_unitary(config, default_layout(framework))
+            _resolve_unitary(config, _EXPERIMENTS[framework].layout)
         except InvariantViolation as exc:
             raise ConfigError(f"field 'unitary': {exc}") from exc
     return config

@@ -41,6 +41,7 @@ from qdarwin import protocol
 from qdarwin.objectivity import require_basis_spec
 from qdarwin.cli import main
 from qdarwin.protocol import _marginalize_to_sf, _max_subset, _resolve_context
+from qdarwin.serialize import config_from_dict, spec_by_name
 from qdarwin.tolerances import TOL
 
 from conftest import (
@@ -454,17 +455,22 @@ def test_config_resolves_its_spec_once_and_replace_resolves_again():
 
 def test_default_isbs_spec_is_a_basis_spec():
     # ProtocolConfig checks only a user-supplied ISBS subspace.
-    require_basis_spec(protocol.default_spec(protocol.FRAMEWORK_ISBS))
+    require_basis_spec(protocol._EXPERIMENTS[protocol.FRAMEWORK_ISBS].spec)
 
 
 @pytest.mark.parametrize("framework", ["SQD", "ISBS"])
 def test_default_spec_is_one_read_only_instance(framework):
     # Every config of a framework shares the preset, and with it the memo of
-    # embedded projectors, so nothing may mutate it.
+    # embedded projectors, so nothing may mutate it.  A config or a `check`
+    # that names the preset gets the same instance.
     configs = [ProtocolConfig(framework=framework, noise=NoiseConfig(p=p))
                for p in (0.1, 0.2)]
-    spec = protocol.default_spec(framework)
+    experiment = protocol._EXPERIMENTS[framework]
+    spec = experiment.spec
     assert all(config.spec is spec for config in configs)
+    assert spec_by_name(experiment.preset) is spec
+    named = config_from_dict({"framework": framework, "subspace": experiment.preset})
+    assert named.spec is spec
     name = spec.environment_names[0]
     with pytest.raises(TypeError):
         spec.projectors[name] = spec.projectors[name]
