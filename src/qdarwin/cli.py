@@ -21,6 +21,7 @@ from .serialize import (
     ConfigError,
     config_from_dict,
     load_state,
+    read_json,
     report_to_json,
     report_to_sweep_row,
     spec_by_name,
@@ -33,15 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_NONTERMINATING = 4
-
-
-def _read_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -62,7 +54,7 @@ def _report_csv(report, p: float) -> str:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    data = _read_json(args.config)
+    data = read_json(args.config)
     config = config_from_dict(data, seed_override=args.seed)
     report = run_witness(config)
     if args.format == "csv":
@@ -74,7 +66,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    data = _read_json(args.config)
+    data = read_json(args.config)
     points = sweep_from_dict(data, seed_override=args.seed)
     out = args.out if args.out is not None else data.get("output_path")
     if out is not None and not isinstance(out, str):
@@ -94,7 +86,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         spec = spec_by_name(args.subspace)
     except ConfigError:  # not a preset name: a spec file
-        spec = spec_from_dict(_read_json(args.subspace))
+        spec = spec_from_dict(read_json(args.subspace))
     if args.fragment:
         fragment = [f.strip() for f in args.fragment.split(",") if f.strip()]
         try:

@@ -53,11 +53,20 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 
 def state_from_dict(data: Mapping[str, Any]) -> DensityOperator:
+    """A document not of a state's shape is a `ConfigError` naming the field;
+    a well-formed matrix that is not a state is an `InvariantViolation`."""
+    _check_keys(data, _STATE_KEYS, "")
     try:
-        layout = TensorLayout([(str(lab), int(dim)) for lab, dim in data["layout"]])
+        if not all(isinstance(lab, str) and _is_integer(dim) for lab, dim in data["layout"]):
+            raise TypeError("expected [label, dimension] pairs of a string and an integer")
+        layout = TensorLayout(data["layout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'layout': {exc}") from exc
-    return DensityOperator(layout, _complex_matrix(data.get("matrix"), "matrix"))
+    matrix = _complex_matrix(data.get("matrix"), "matrix")
+    d = layout.total_dim
+    if matrix.shape != (d, d):
+        raise ConfigError(f"field 'matrix': shape {matrix.shape} != layout dim ({d}, {d})")
+    return DensityOperator(layout, matrix)
 
 
 def _complex_matrix(value: Any, field: str) -> np.ndarray:
@@ -77,8 +86,19 @@ def save_state(rho: DensityOperator, path: str | Path) -> None:
     Path(path).write_text(json.dumps(state_to_dict(rho), sort_keys=True))
 
 
+def read_json(path: str | Path) -> Any:
+    """The JSON document at ``path``, read as UTF-8; a file that cannot be
+    read or decoded, or is not JSON, is a `ConfigError` naming ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_state(path: str | Path) -> DensityOperator:
-    return state_from_dict(json.loads(Path(path).read_text()))
+    return state_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +158,14 @@ _WITNESS_KEYS = {"framework", "fragment", "noise", "unitary", "replacement", "sh
                  "seed", "cnot_model", "subspace", "branch_shots"}
 _NOISE_KEYS = {"p", "mode", "f", "p_cnot"}
 _SUBSPACE_KEYS = {"system_label", "system_basis", "environments", "basis_vectors"}
+_STATE_KEYS = {"layout", "matrix"}
 
 
 def _check_keys(data: Any, allowed: set[str], path: str) -> None:
     """Reject a document that is not an object or has a key outside
     ``allowed``; ``path`` prefixes the field names in the message."""
     if not isinstance(data, Mapping):
-        raise ConfigError(f"field '{path.rstrip('.') or 'config'}': expected an object")
+        raise ConfigError(f"field '{path.rstrip('.') or 'document'}': expected an object")
     for key in data:
         if key not in allowed:
             raise ConfigError(f"field '{path}{key}': unknown key")

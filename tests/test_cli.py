@@ -347,6 +347,12 @@ def _replacement(layout, trace=1.0):
     ("sweep", {"p_values": [0.1, "0.3"], "fragments": [["E1"]]}, "field 'noise.p'"),
     ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "cnot_model": "noisy_prep",
                "f": True}, "field 'noise.f'"),
+    # A subspace is a preset name or a spec object; a fragment is a name or a
+    # nonempty list of names.
+    ("witness", {"fragment": ["E1"], "subspace": "parity3"},
+     "field 'subspace': unknown preset 'parity3'"),
+    ("witness", {"fragment": ["E1"], "subspace": 5}, "field 'subspace'"),
+    ("witness", {"fragment": 5}, "field 'fragment'"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -364,6 +370,8 @@ def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, 
                  id="subspace1-None-subspace"),
     # The spec has E1, but the GHZ state has no E1_1 or E1_2.
     pytest.param("ghz5", "parity2", "E1", "fragment", id="ghz5-parity2-E1-fragment"),
+    # Nor does it hold either environment of the spec.
+    pytest.param("ghz5", "parity2", None, "fragment", id="ghz5-parity2-None-fragment"),
 ])
 def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, state, subspace,
                                                   fragment, field):
@@ -377,6 +385,62 @@ def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, state, subsp
     assert code == 2
     assert out == ""
     assert field in err
+
+
+_SHIPPED_WITNESS = {"framework": "SQD", "fragment": ["E1"], "noise": {"p": 0.4}}
+
+
+@pytest.mark.parametrize("config, equivalent", [
+    pytest.param(_SHIPPED_WITNESS, {**_SHIPPED_WITNESS, "subspace": "parity2"},
+                 id="sqd-parity2-exact"),
+    pytest.param({**_SHIPPED_WITNESS, "shots": 3000, "seed": 5},
+                 {**_SHIPPED_WITNESS, "shots": 3000, "seed": 5, "subspace": "parity2"},
+                 id="sqd-parity2-monte-carlo"),
+    pytest.param({"framework": "ISBS", "fragment": ["E1", "E2"], "noise": {"p": 0.3}},
+                 {"framework": "ISBS", "fragment": ["E1", "E2"], "noise": {"p": 0.3},
+                  "subspace": "computational"}, id="isbs-computational-exact"),
+    pytest.param({"framework": "ISBS", "fragment": ["E3"], "shots": 2000, "seed": 9},
+                 {"framework": "ISBS", "fragment": ["E3"], "shots": 2000, "seed": 9,
+                  "subspace": "computational"}, id="isbs-computational-monte-carlo"),
+    pytest.param(_SHIPPED_WITNESS, {**_SHIPPED_WITNESS, "fragment": "E1"},
+                 id="fragment-string"),
+])
+def test_equivalent_configs_give_identical_bytes(tmp_path, capsys, config, equivalent):
+    # Naming a framework's preset subspace is the same as leaving it out, and
+    # a bare fragment name is the same as a one-name list.
+    outputs = [run_cli(capsys, "witness", "--config", write_config(tmp_path, name, doc))
+               for name, doc in (("a.json", config), ("b.json", equivalent))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("sweep", [
+    "configs/sweep_sqd_exact.json",
+    "configs/sweep_isbs_exact.json",
+    {"framework": "SQD", "noise_mode": "depolarize_local", "cnot_model": "noisy_prep",
+     "f": 0.9, "p_cnot": 0.8, "p_values": [0.1, 0.6], "fragments": [["E1"], ["E2"]],
+     "shots": 2000, "seed": 3},
+], ids=["sqd-exact", "isbs-exact", "sqd-monte-carlo"])
+def test_sweep_json_reports_equal_witness_outputs(tmp_path, capsys, sweep):
+    # Each report of `sweep --format json` is the `witness` report of its point.
+    if isinstance(sweep, str):
+        sweep = json.loads((REPO_ROOT / sweep).read_text())
+    code, out, _ = run_cli(capsys, "sweep", "--config", write_config(tmp_path, "s.json", sweep),
+                           "--format", "json")
+    assert code == 0
+    base = {key: sweep[key] for key in ("framework", "shots", "seed", "cnot_model")
+            if key in sweep}
+    noise = {name: sweep[key] for key, name in
+             (("noise_mode", "mode"), ("f", "f"), ("p_cnot", "p_cnot")) if key in sweep}
+    expected = []
+    for fragment in sweep["fragments"]:
+        for p in sweep["p_values"]:
+            point = write_config(tmp_path, "w.json", {
+                **base, "fragment": fragment, "noise": {**noise, "p": p}})
+            code, witness_out, _ = run_cli(capsys, "witness", "--config", point)
+            assert code == 0
+            expected.append(json.loads(witness_out))
+    assert json.loads(out) == expected
 
 
 def test_sweep_isbs_families(tmp_path, capsys):
@@ -528,6 +592,82 @@ def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, command, docume
     path = write_config(tmp_path, "doc.json", document)
     flag = "--state" if command == "check" else "--config"
     code, out, err = run_cli(capsys, command, flag, path)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+def _unreadable(tmp_path, kind):
+    """A path that is missing, a directory, not UTF-8, or not JSON."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"fragment": ["E1\xff"]}')
+    elif kind == "not-json":
+        path.write_text('{"fragment": ["E1"],}')
+    return str(path)
+
+
+_GHZ5 = str(REPO_ROOT / "states" / "ghz5.json")
+
+
+@pytest.mark.parametrize("argv, kind", [
+    pytest.param(["check", "--state", "{}"], "missing", id="state-missing"),
+    pytest.param(["check", "--state", "{}"], "directory", id="state-directory"),
+    pytest.param(["check", "--state", "{}"], "non-utf8", id="state-non-utf8"),
+    pytest.param(["check", "--state", "{}"], "not-json", id="state-not-json"),
+    pytest.param(["check", "--state", _GHZ5, "--subspace", "{}"], "directory",
+                 id="subspace-directory"),
+    pytest.param(["witness", "--config", "{}"], "directory", id="config-directory"),
+    pytest.param(["witness", "--config", "{}"], "non-utf8", id="config-non-utf8"),
+    pytest.param(["sweep", "--config", "{}"], "non-utf8", id="sweep-non-utf8"),
+    pytest.param(["witness", "--config", "{}"], "not-json", id="config-not-json"),
+])
+def test_unreadable_documents_exit_as_config_errors(tmp_path, capsys, argv, kind):
+    # Every document the CLI reads goes through one reader: a file it cannot
+    # open, decode or parse is a config error naming the path.
+    path = _unreadable(tmp_path, kind)
+    code, out, err = run_cli(capsys, *(path if a == "{}" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and path in err
+
+
+def _state_mutations():
+    """Named edits that put a state document out of its declared shape."""
+    def edit_layout(index, value):
+        def edit(doc):
+            doc["layout"][0][index] = value
+        return edit
+    return {
+        "unknown-key": (lambda doc: doc.update(note="x"), "field 'note': unknown key"),
+        "float-dimension": (edit_layout(1, 2.0), "field 'layout'"),
+        "fractional-dimension": (edit_layout(1, 2.5), "field 'layout'"),
+        "bool-dimension": (edit_layout(1, True), "field 'layout'"),
+        "integer-label": (edit_layout(0, 5), "field 'layout'"),
+        "missing-row": (lambda doc: doc["matrix"].pop(), "field 'matrix'"),
+    }
+
+
+@pytest.mark.parametrize("target", ["check", "replacement"])
+@pytest.mark.parametrize("mutation", sorted(_state_mutations()))
+def test_state_documents_are_strict(tmp_path, capsys, target, mutation):
+    # A state file and a witness `replacement` are parsed by one rule: a
+    # document not of a state's shape exits 2 naming the field.
+    edit, field = _state_mutations()[mutation]
+    if target == "check":
+        doc = json.loads(Path(_GHZ5).read_text())
+        edit(doc)
+        argv = ["check", "--state", write_config(tmp_path, "state.json", doc),
+                "--subspace", "computational"]
+    else:
+        doc = _replacement([["E2_1", 2], ["E2_2", 2]])
+        edit(doc)
+        argv = ["witness", "--config", write_config(
+            tmp_path, "w.json", {"fragment": ["E1"], "replacement": doc})]
+        field = f"field 'replacement': {field}"
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert field in err
