@@ -31,8 +31,8 @@ The two experiments differ only in their setup, one ``_EXPERIMENTS`` record
 per framework: the register, the preset subspace and its CLI name
 (``parity2`` for SQD, ``computational`` for ISBS), the equal-weight base
 state, the preparation CNOTs (the ISBS GHZ state has none, so it takes no
-CNOT noise) and the default unitary preset.  No other code branches on a
-framework or a preset name.
+CNOT noise), the default unitary preset and whether a custom subspace must
+be a basis spec.  No other code branches on a framework or a preset name.
 """
 
 from __future__ import annotations

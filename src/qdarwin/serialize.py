@@ -91,7 +91,7 @@ def read_json(path: str | Path) -> Any:
     read or decoded, or is not JSON, is a `ConfigError` naming ``path``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

@@ -598,7 +598,8 @@ def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, command, docume
 
 
 def _unreadable(tmp_path, kind):
-    """A path that is missing, a directory, not UTF-8, or not JSON."""
+    """A path that is missing, a directory, not UTF-8, not JSON, or JSON nested
+    deeper than the parser recurses."""
     path = tmp_path / f"{kind}.json"
     if kind == "directory":
         path.mkdir()
@@ -606,6 +607,8 @@ def _unreadable(tmp_path, kind):
         path.write_bytes(b'{"fragment": ["E1\xff"]}')
     elif kind == "not-json":
         path.write_text('{"fragment": ["E1"],}')
+    elif kind == "too-deep":
+        path.write_text("[" * 10_000 + "]" * 10_000)
     return str(path)
 
 
@@ -623,6 +626,7 @@ _GHZ5 = str(REPO_ROOT / "states" / "ghz5.json")
     pytest.param(["witness", "--config", "{}"], "non-utf8", id="config-non-utf8"),
     pytest.param(["sweep", "--config", "{}"], "non-utf8", id="sweep-non-utf8"),
     pytest.param(["witness", "--config", "{}"], "not-json", id="config-not-json"),
+    pytest.param(["witness", "--config", "{}"], "too-deep", id="config-too-deep"),
 ])
 def test_unreadable_documents_exit_as_config_errors(tmp_path, capsys, argv, kind):
     # Every document the CLI reads goes through one reader: a file it cannot
