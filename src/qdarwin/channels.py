@@ -23,6 +23,7 @@ from .hilbert import (
     embed_operator,
     partial_trace,
     permute_subsystems,
+    require_unitary,
 )
 from .tolerances import TOL
 
@@ -75,13 +76,7 @@ def _check_unit_interval(value: float, name: str) -> None:
 def apply_gate(rho: DensityOperator, unitary: np.ndarray,
                targets: Sequence[str]) -> DensityOperator:
     """Conjugate ``rho`` by a unitary embedded on the target subsystems."""
-    u = np.asarray(unitary, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvariantViolation(f"unitary must be square, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if not dev <= TOL.unitarity:
-        raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
-    u_full = embed_operator(rho.layout, u, targets)
+    u_full = embed_operator(rho.layout, require_unitary(unitary), targets)
     return DensityOperator._trusted(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
 
 

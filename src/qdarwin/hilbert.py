@@ -17,8 +17,8 @@ the public constructor, so a broken stage still raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,10 +28,6 @@ from .tolerances import TOL
 
 class InvariantViolation(ValueError):
     """A numerical invariant of a domain type or operation was violated."""
-
-
-def _prod(values: Iterable[int]) -> int:
-    return reduce(lambda a, b: a * b, values, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +57,7 @@ class TensorLayout:
             if dim < 1:
                 raise InvariantViolation(f"subsystem {label!r} has dim {dim} < 1")
         dims = tuple(dim for _, dim in subs)
-        total = _prod(dims)
+        total = math.prod(dims)
         if total > self.MAX_TOTAL_DIM:
             raise InvariantViolation(
                 f"total dimension {total} exceeds the supported maximum "
@@ -152,10 +148,7 @@ class DensityOperator:
         d = layout.total_dim
         if mat.shape != (d, d):
             raise InvariantViolation(f"matrix shape {mat.shape} != layout dim ({d}, {d})")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm_dev <= TOL.hermiticity:
-            raise InvariantViolation(f"matrix is not Hermitian (max dev {herm_dev:.3e})")
-        low = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+        low = float(eigvals_hermitian(mat)[-1])  # finite and Hermitian, or it raises
         if not low >= -TOL.psd_min_eig:
             raise InvariantViolation(f"matrix has negative eigenvalue {low:.3e}")
         tr = float(np.trace(mat).real)
@@ -218,11 +211,11 @@ def embed_operator(layout: TensorLayout, op: np.ndarray, targets: Sequence[str])
     dims_t = [layout.dim_of(lab) for lab in targets]
     dims_r = [layout.dim_of(lab) for lab in rest]
     op = np.asarray(op, dtype=np.complex128)
-    dt = _prod(dims_t)
+    dt = math.prod(dims_t)
     if op.shape != (dt, dt):
         raise InvariantViolation(f"operator shape {op.shape} != target dim ({dt}, {dt})")
 
-    full = np.kron(op, np.eye(_prod(dims_r), dtype=np.complex128))
+    full = np.kron(op, np.eye(math.prod(dims_r), dtype=np.complex128))
     # Axes currently ordered (targets..., rest...); permute to canonical order.
     scrambled = TensorLayout(list(zip(targets + rest, dims_t + dims_r)))
     return permute_subsystems(full, scrambled, layout.labels)
@@ -278,14 +271,29 @@ def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, descending.
 
     The input is symmetrized as (M + M^dag)/2 before decomposition to
-    suppress accumulated floating-point asymmetry.
+    suppress accumulated floating-point asymmetry.  A matrix with a NaN or
+    infinite entry is rejected before it is compared with its adjoint.
     """
     h = np.asarray(h, dtype=np.complex128)
+    if not np.isfinite(h).all():
+        raise InvariantViolation("matrix has a non-finite entry")
     dev = float(np.max(np.abs(h - h.conj().T)))
     if not dev <= TOL.hermiticity:
         raise InvariantViolation(f"matrix is not Hermitian (max dev {dev:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
     return eigs[::-1].copy()
+
+
+def require_unitary(matrix: np.ndarray, d: int | None = None) -> np.ndarray:
+    """``matrix`` as a complex array, if it is square (``d`` by ``d`` when
+    ``d`` is given) and unitary within ``TOL.unitarity``."""
+    u = np.asarray(matrix, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or d not in (None, u.shape[0]):
+        raise InvariantViolation(f"unitary shape {u.shape} is not {(d, d) if d else 'square'}")
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if not dev <= TOL.unitarity:  # NaN entries fail too
+        raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
+    return u
 
 
 def trace_norm(matrix: np.ndarray) -> float:

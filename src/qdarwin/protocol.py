@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ from .hilbert import (
     TensorLayout,
     computational_ket,
     partial_trace,
+    require_unitary,
 )
 from .objectivity import (
     ObjectiveSubspaceSpec,
@@ -141,13 +142,13 @@ class ProtocolConfig:
     runs are split evenly between the two branches unless ``branch_shots``
     overrides the split; its two entries must add up to ``shots``.
     ``unitary`` may be a preset name or an explicit unitary matrix over the
-    whole register, or with a custom ``subspace`` over that spec's
-    subsystems (see ``run_branch``); ``subspace`` defaults to the
-    framework's preset.  ``replacement``, the state the point channel
-    installs, must be normalized and span the unaccessed environments in
-    layout order.  Construction rejects every field value the pipeline would
-    fail on or silently mis-run, and keeps the resolved subspace as the
-    non-field attribute ``spec``, so ``dataclasses.replace`` resolves again.
+    framework's whole register, whatever the ``subspace``; ``subspace``
+    defaults to the framework's preset.  ``replacement``, the state the
+    point channel installs, must be normalized and span the unaccessed
+    environments in layout order.  Construction rejects every field value
+    the pipeline would fail on or silently mis-run, and keeps the resolved
+    subspace as the non-field attribute ``spec``, so ``dataclasses.replace``
+    resolves again.
     """
 
     framework: str = FRAMEWORK_SQD
@@ -194,8 +195,8 @@ class ProtocolConfig:
             require_basis_spec(spec)  # the preset is one by construction
         object.__setattr__(self, "spec", spec)
         layout = experiment.layout
-        labels = {spec.system_label, *spec.members_of(spec.environment_names)}
-        outside = labels - set(layout.labels)
+        outside = {spec.system_label, *spec.members_of(spec.environment_names)} \
+            - set(layout.labels)
         if outside:
             raise InvariantViolation(
                 f"subspace labels {sorted(outside)} are not in the "
@@ -212,10 +213,7 @@ class ProtocolConfig:
                 raise InvariantViolation(
                     f"replacement trace {self.replacement.trace} is not 1")
         if self.unitary is not None:
-            full = (layout.total_dim, layout.total_dim)
-            if self.subspace is not None and np.shape(self.unitary) != full:
-                layout = layout.subset(labels)
-            _resolve_unitary(self, layout)
+            _resolve_unitary(self)
 
     def split_shots(self) -> tuple[int, int]:
         if self.branch_shots is not None:
@@ -262,41 +260,24 @@ class WitnessReport:
         return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        return {
-            "framework": self.framework,
-            "fragment": list(self.fragment),
-            "outcome_labels": list(self.outcome_labels),
-            "p_identity": [float(x) for x in self.p_identity],
-            "p_gamma": [float(x) for x in self.p_gamma],
-            "witness_single": [float(x) for x in self.witness_single],
-            "witness_max_subset": float(self.witness_max_subset),
-            "measure": float(self.measure),
-            "stderr_max_subset": (None if self.stderr_max_subset is None
-                                  else float(self.stderr_max_subset)),
-            "successful_runs": int(self.successful_runs),
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-            "mode": self.mode,
-        }
+        return {f.name: _REPORT_CODECS[f.type][0](getattr(self, f.name))
+                for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "WitnessReport":
-        return WitnessReport(
-            framework=str(data["framework"]),
-            fragment=tuple(data["fragment"]),
-            outcome_labels=tuple(data["outcome_labels"]),
-            p_identity=np.asarray(data["p_identity"], dtype=float),
-            p_gamma=np.asarray(data["p_gamma"], dtype=float),
-            witness_single=np.asarray(data["witness_single"], dtype=float),
-            witness_max_subset=float(data["witness_max_subset"]),
-            measure=float(data["measure"]),
-            stderr_max_subset=(None if data["stderr_max_subset"] is None
-                               else float(data["stderr_max_subset"])),
-            successful_runs=int(data["successful_runs"]),
-            shots=int(data["shots"]),
-            seed=int(data["seed"]),
-            mode=str(data["mode"]),
-        )
+        return WitnessReport(**{f.name: _REPORT_CODECS[f.type][1](data[f.name])
+                                for f in fields(WitnessReport)})
+
+
+# (to JSON, from JSON) for each annotation of a ``WitnessReport`` field.
+_REPORT_CODECS = {
+    "str": (str, str),
+    "int": (int, int),
+    "float": (float, float),
+    "float | None": (lambda v: None if v is None else float(v),) * 2,
+    "tuple[str, ...]": (list, tuple),
+    "np.ndarray": (lambda v: [float(x) for x in v], lambda v: np.asarray(v, dtype=float)),
+}
 
 
 @dataclass(frozen=True)
@@ -328,13 +309,13 @@ class _Context:
     outcome_labels: tuple[str, ...]
 
 
-def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray:
-    """The final unitary over ``layout``, and the only copy of its rules: a
-    known preset name, or a (d, d) matrix for this layout that is unitary
-    within ``TOL.unitarity``."""
-    choice = config.unitary
-    if choice is None:
-        choice = _EXPERIMENTS[config.framework].unitary
+def _resolve_unitary(config: ProtocolConfig) -> np.ndarray:
+    """The final unitary over the framework's register, and the only copy of
+    its rules: a known preset name, or a matrix over the whole register that
+    ``require_unitary`` accepts."""
+    experiment = _EXPERIMENTS[config.framework]
+    layout = experiment.layout
+    choice = experiment.unitary if config.unitary is None else config.unitary
     if isinstance(choice, str):
         if choice not in (UNITARY_ALTERNATING, UNITARY_ALL):
             raise InvariantViolation(f"unknown unitary preset {choice!r}")
@@ -356,19 +337,11 @@ def _resolve_unitary(config: ProtocolConfig, layout: TensorLayout) -> np.ndarray
             else:
                 u = np.kron(u, np.eye(dim, dtype=np.complex128))
         return u
-    u = np.asarray(choice, dtype=np.complex128)
-    d = layout.total_dim
-    if u.shape != (d, d):
-        raise InvariantViolation(f"custom unitary shape {u.shape} != ({d}, {d})")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if not dev <= TOL.unitarity:  # NaN entries fail too
-        raise InvariantViolation(f"custom unitary is not unitary (max dev {dev:.3e})")
-    return u
+    return require_unitary(choice, layout.total_dim)
 
 
-def _resolve_context(config: ProtocolConfig,
-                     layout: TensorLayout | None = None) -> _Context:
-    layout = layout if layout is not None else _EXPERIMENTS[config.framework].layout
+def _resolve_context(config: ProtocolConfig) -> _Context:
+    layout = _EXPERIMENTS[config.framework].layout
     spec = config.spec
     fragment = spec.select(config.fragment)
     ef_members = _unaccessed(layout, spec, fragment)
@@ -382,7 +355,7 @@ def _resolve_context(config: ProtocolConfig,
             replacement = config.replacement
             if isinstance(replacement, PureState):
                 replacement = replacement.to_density()
-    unitary = _resolve_unitary(config, layout)
+    unitary = _resolve_unitary(config)
     return _Context(
         layout=layout, spec=spec, fragment=fragment, sf_labels=sf_labels,
         ef_members=ef_members, replacement=replacement, unitary=unitary,
@@ -465,8 +438,12 @@ def _branch(config: ProtocolConfig, rho: DensityOperator, ctx: _Context,
 def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
                apply_gamma: bool) -> np.ndarray:
     """Exact outcome probabilities of one branch over the full register (see
-    ``_branch``), with the context resolved on ``rho_t``'s layout."""
-    return _branch(config, rho_t, _resolve_context(config, rho_t.layout), apply_gamma)
+    ``_branch``); ``rho_t`` must be a state on the framework's register."""
+    ctx = _resolve_context(config)
+    if rho_t.layout != ctx.layout:
+        raise InvariantViolation(f"state layout {list(rho_t.layout.labels)} is not "
+                                 f"the {config.framework} register")
+    return _branch(config, rho_t, ctx, apply_gamma)
 
 
 def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,

@@ -14,6 +14,7 @@ is the only config parser.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,7 +30,6 @@ from .protocol import (
     CNOT_IDEAL,
     ProtocolConfig,
     WitnessReport,
-    _resolve_unitary,
 )
 
 
@@ -213,9 +213,9 @@ def config_from_dict(data: Mapping[str, Any],
         raise ConfigError("field 'fragment': expected a nonempty list of environments")
     fragment = tuple(str(f) for f in fragment_raw)
     noise = noise_from_dict(data.get("noise", {}))
-    unitary: Any = data.get("unitary")
+    unitary, matrix = data.get("unitary"), None
     if unitary is not None and not isinstance(unitary, str):
-        unitary = _complex_matrix(unitary, "unitary")
+        unitary, matrix = None, _complex_matrix(unitary, "unitary")
     shots = _optional(data, "shots", int, 0, "")
     seed = _optional(data, "seed", int, DEFAULT_SEED, "")
     if seed_override is not None:
@@ -250,9 +250,9 @@ def config_from_dict(data: Mapping[str, Any],
         )
     except InvariantViolation as exc:
         raise ConfigError(f"config rejected: {exc}") from exc
-    if isinstance(unitary, np.ndarray):
-        try:  # a witness run always spans the framework's register
-            _resolve_unitary(config, _EXPERIMENTS[framework].layout)
+    if matrix is not None:
+        try:  # the rest is valid, so the matrix is at fault
+            config = dataclasses.replace(config, unitary=matrix)
         except InvariantViolation as exc:
             raise ConfigError(f"field 'unitary': {exc}") from exc
     return config

@@ -18,11 +18,13 @@ from qdarwin import (
     ProtocolConfig,
     average_gate_fidelity,
     cost_model,
+    embed_operator,
     mix_with_noise,
     nonobjectivity_measure,
     partial_trace,
     prepare_initial_sqd,
     run_branch,
+    sqd_layout,
     verify_equal_dimension_reduction,
     witness_exact,
     witness_monte_carlo,
@@ -30,6 +32,8 @@ from qdarwin import (
 from qdarwin.protocol import _marginalize_to_sf, _max_subset, _resolve_context
 
 from conftest import qubits, random_density, random_subspace_spec, random_unitary
+
+_SF = ("S", "E1_1", "E1_2")  # the system and fragment E1 on the SQD register
 
 
 class Budget:
@@ -101,19 +105,19 @@ def test_criterion_3_full_fragment_nonobjectivity():
 def test_criterion_4_witness_bounded_by_measure(rng):
     with Budget("criterion 4 (lower-bound property)", 60.0):
         violations = 0
+        lay = sqd_layout()
         for k in range(200):
-            if k % 2 == 0:
-                lay = qubits("S", "E1_1", "E1_2")
+            if k % 2 == 0:  # a spec of E1 alone and a unitary on S and E1
                 envs = {"E1": ("E1_1", "E1_2")}
+                unitary = embed_operator(lay, random_unitary(8, rng), _SF)
             else:
-                lay = qubits("S", "E1_1", "E1_2", "E2_1", "E2_2")
                 envs = {"E1": ("E1_1", "E1_2"), "E2": ("E2_1", "E2_2")}
+                unitary = random_unitary(lay.total_dim, rng)
             spec = random_subspace_spec(rng, envs)
             config = ProtocolConfig(
-                framework="SQD", fragment=("E1",), subspace=spec,
-                unitary=random_unitary(lay.total_dim, rng))
+                framework="SQD", fragment=("E1",), subspace=spec, unitary=unitary)
             rho = random_density(lay, rng)
-            ctx = _resolve_context(config, lay)
+            ctx = _resolve_context(config)
             v_id = _marginalize_to_sf(
                 run_branch(rho, config, False), lay, ctx.sf_labels)
             v_g = _marginalize_to_sf(
@@ -131,15 +135,16 @@ def test_criterion_4_witness_bounded_by_measure(rng):
 
 def test_criterion_5_subset_maximization_formula(rng):
     with Budget("criterion 5 (subset formula vs brute force)", 30.0):
-        for _ in range(50):
-            lay = qubits("S", "E1_1", "E1_2")  # three-qubit register
+        lay = sqd_layout()
+        for _ in range(50):  # 2^8 subsets of the outcomes of S and E1
             spec = random_subspace_spec(rng, {"E1": ("E1_1", "E1_2")})
             config = ProtocolConfig(
                 framework="SQD", fragment=("E1",), subspace=spec,
-                unitary=random_unitary(8, rng))
+                unitary=embed_operator(lay, random_unitary(8, rng), _SF))
             rho = random_density(lay, rng)
-            diffs = (run_branch(rho, config, False)
-                     - run_branch(rho, config, True))
+            v_id, v_g = (_marginalize_to_sf(run_branch(rho, config, gamma), lay, _SF)
+                         for gamma in (False, True))
+            diffs = v_id - v_g
             brute = 0.0
             for mask in range(1, 2 ** diffs.size):
                 chosen = np.array(

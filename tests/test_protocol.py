@@ -25,6 +25,7 @@ from qdarwin import (
     apply_gate,
     cost_model,
     depolarize_local,
+    embed_operator,
     nonobjectivity_measure,
     partial_trace,
     point_channel,
@@ -55,6 +56,9 @@ from conftest import (
     realization_pmf,
     reference_sample_branch,
 )
+
+
+_SF = ("S", "E1_1", "E1_2")  # the system and fragment E1 on the SQD register
 
 
 def branching_amplitudes():
@@ -273,21 +277,19 @@ def test_witness_bounded_by_measure_on_random_instances(rng):
     # Random states, random subspace splits, random register unitaries and
     # random outcome subsets never violate the lower-bound relation.
     checked = 0
+    lay = sqd_layout()
     while checked < 60:
-        if checked % 2 == 0:
-            lay = qubits("S", "E1_1", "E1_2")
+        if checked % 2 == 0:  # a spec of E1 alone and a unitary on S and E1
             envs = {"E1": ("E1_1", "E1_2")}
-            fragment = ("E1",)
+            unitary = embed_operator(lay, random_unitary(8, rng), _SF)
         else:
-            lay = qubits("S", "E1_1", "E1_2", "E2_1", "E2_2")
             envs = {"E1": ("E1_1", "E1_2"), "E2": ("E2_1", "E2_2")}
-            fragment = ("E1",)
+            unitary = random_unitary(lay.total_dim, rng)
         spec = random_subspace_spec(rng, envs)
         config = ProtocolConfig(
-            framework="SQD", fragment=fragment, subspace=spec,
-            unitary=random_unitary(lay.total_dim, rng))
+            framework="SQD", fragment=("E1",), subspace=spec, unitary=unitary)
         rho = random_density(lay, rng)
-        ctx = _resolve_context(config, lay)
+        ctx = _resolve_context(config)
         v_id = _marginalize_to_sf(run_branch(rho, config, False), lay, ctx.sf_labels)
         v_g = _marginalize_to_sf(run_branch(rho, config, True), lay, ctx.sf_labels)
         diffs = v_id - v_g
@@ -299,17 +301,33 @@ def test_witness_bounded_by_measure_on_random_instances(rng):
         checked += 1
 
 
+def test_config_rejects_a_unitary_sized_to_its_spec():
+    # A custom subspace over S and E1 does not shrink the register: a witness
+    # run spans all five photons, so the unitary must be 32 x 32.
+    spec = random_subspace_spec(np.random.default_rng(3), {"E1": ("E1_1", "E1_2")})
+    with pytest.raises(InvariantViolation, match=r"unitary shape \(8, 8\) is not \(32, 32\)"):
+        ProtocolConfig(framework="SQD", fragment=("E1",), subspace=spec, unitary=np.eye(8))
+    ProtocolConfig(framework="SQD", fragment=("E1",), subspace=spec, unitary=np.eye(32))
+
+
+def test_run_branch_rejects_a_state_off_the_register(rng):
+    config = ProtocolConfig(framework="SQD", fragment=("E1",))
+    for layout in (qubits("S", "E1_1", "E1_2"), qubits("S", "E1", "E2", "E3", "E4")):
+        with pytest.raises(InvariantViolation, match="is not the SQD register"):
+            run_branch(random_density(layout, rng), config, apply_gamma=False)
+
+
 def test_subset_formula_matches_brute_force(rng):
-    # All 2^n outcome subsets, for registers up to three qubits.
+    # All 2^8 subsets of the outcomes of the system and fragment E1.
     instances = 0
+    lay = sqd_layout()
     while instances < 50:
-        lay = qubits("S", "E1_1", "E1_2")
         spec = random_subspace_spec(rng, {"E1": ("E1_1", "E1_2")})
         config = ProtocolConfig(framework="SQD", fragment=("E1",), subspace=spec,
-                                unitary=random_unitary(8, rng))
+                                unitary=embed_operator(lay, random_unitary(8, rng), _SF))
         rho = random_density(lay, rng)
-        v_id = run_branch(rho, config, False)
-        v_g = run_branch(rho, config, True)
+        v_id = _marginalize_to_sf(run_branch(rho, config, False), lay, _SF)
+        v_g = _marginalize_to_sf(run_branch(rho, config, True), lay, _SF)
         diffs = v_id - v_g
         best = 0.0
         for mask in range(1, 2 ** diffs.size):
