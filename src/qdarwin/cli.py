@@ -85,10 +85,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     rho = load_state(args.state)
     try:
         spec = spec_by_name(args.subspace)
-    except ConfigError:  # not a preset name: a spec file
+    except ConfigError:  # not a preset name: a spec file, if there is one
+        if not Path(args.subspace).exists():
+            raise
         spec = spec_from_dict(read_json(args.subspace))
     if args.fragment:
         fragment = [f.strip() for f in args.fragment.split(",") if f.strip()]
+        if not fragment:
+            raise ConfigError("field 'fragment': expected a nonempty list of environments")
         try:
             rho.layout.subset(spec.members_of(fragment))
         except InvariantViolation as exc:

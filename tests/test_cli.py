@@ -372,6 +372,12 @@ def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, 
     pytest.param("ghz5", "parity2", "E1", "fragment", id="ghz5-parity2-E1-fragment"),
     # Nor does it hold either environment of the spec.
     pytest.param("ghz5", "parity2", None, "fragment", id="ghz5-parity2-None-fragment"),
+    # A name that is neither a preset nor a file is a misspelt preset.
+    pytest.param("sqd_initial", "parity3", None,
+                 "field 'subspace': unknown preset 'parity3'", id="parity3-None-subspace"),
+    pytest.param("sqd_initial", "parity2", ",",
+                 "field 'fragment': expected a nonempty list of environments",
+                 id="parity2-empty-fragment"),
 ])
 def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, state, subspace,
                                                   fragment, field):
@@ -689,10 +695,11 @@ def _spec(basis=np.eye(2), projectors=_RANK1):
     return ObjectiveSubspaceSpec("S", basis, {"E1": ("E1",)}, {"E1": projectors})
 
 
-def _nan_state_file(tmp_path):
+def _state_file(tmp_path, entry):
+    """A two-qubit state file whose last diagonal entry is ``entry``."""
     matrix = [[[0.5 * (i == j < 2), 0.0] for j in range(4)] for i in range(4)]
-    matrix[3][3][0] = _NAN
-    return write_config(tmp_path, "nan_state.json",
+    matrix[3][3][0] = entry
+    return write_config(tmp_path, "state.json",
                         {"layout": [["S", 2], ["E1", 2]], "matrix": matrix})
 
 
@@ -708,9 +715,14 @@ _NON_FINITE = {
     "spec_hermiticity": lambda tmp: _spec(projectors=(np.diag([1.0, _NAN]), _RANK1[1])),
     "apply_gate": lambda tmp: apply_gate(maximally_mixed(qubits("S")),
                                          np.diag([_NAN, 1.0]), ["S"]),
+    "apply_gate_inf": lambda tmp: apply_gate(maximally_mixed(qubits("S")),
+                                             np.diag([np.inf, 1.0]), ["S"]),
     "replacement": lambda tmp: ProtocolConfig(fragment=("E1",), replacement=DensityOperator(
         qubits("E2_1", "E2_2"), np.diag([_NAN, 1.0, 0.0, 0.0]))),
-    "cli_check_state": lambda tmp: ["check", "--state", _nan_state_file(tmp)],
+    "cli_check_state": lambda tmp: ["check", "--state", _state_file(tmp, _NAN)],
+    # An entry json reads as inf (1e400 or Infinity) is rejected before the
+    # Hermiticity check would form inf - inf.
+    "cli_check_state_inf": lambda tmp: ["check", "--state", _state_file(tmp, np.inf)],
     "cli_witness_replacement": lambda tmp: ["witness", "--config", write_config(
         tmp, "w.json", {"fragment": ["E1"], "replacement": _replacement(
             [["E2_1", 2], ["E2_2", 2]], _NAN)})],
