@@ -2,9 +2,9 @@
 
 The cases cover exact and Monte Carlo witness runs on both frameworks, every
 noise mode and CNOT model, an explicit branch split, the Monte Carlo abort
-message, the shipped sweeps, sweeps in Monte Carlo mode, with a custom
-subspace and with noisy CNOTs, and the structure checks of the shipped
-states.
+message, the shipped configs in both output formats, sweeps in Monte Carlo
+mode, with a custom subspace and with noisy CNOTs, and the structure checks
+of the shipped states.
 Any refactor of the pipeline or the sampler must keep these bytes.
 
 Regenerate the data file (only when an output change is intended) with::
@@ -110,6 +110,12 @@ SWEEP_CASES = {
 CLI_CASES = {
     "sweep_sqd_exact": ["sweep", "--config", "configs/sweep_sqd_exact.json"],
     "sweep_isbs_exact": ["sweep", "--config", "configs/sweep_isbs_exact.json"],
+    "sweep_isbs_exact_json": ["sweep", "--config", "configs/sweep_isbs_exact.json",
+                              "--format", "json"],
+    "witness_sqd_e1_csv": ["witness", "--config", "configs/witness_sqd_e1.json",
+                           "--format", "csv"],
+    "witness_mc_noisy_csv": ["witness", "--config", "configs/witness_mc_noisy.json",
+                             "--format", "csv"],
     "check_sqd_initial": ["check", "--state", "states/sqd_initial.json",
                           "--subspace", "parity2"],
     "check_ghz5": ["check", "--state", "states/ghz5.json", "--subspace", "computational"],
