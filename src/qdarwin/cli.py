@@ -48,36 +48,33 @@ def _write_out(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _report_csv(report, p: float) -> str:
-    row = report_to_sweep_row(p, report.fragment, report)
-    return sweep_rows_to_csv([row])
+def _write_reports(args: argparse.Namespace, configs: list, reports: list,
+                   out: str | None) -> None:
+    """Write ``witness`` or ``sweep`` output: a CSV row per (config, report)
+    pair, or JSON, an object for ``witness`` and a list for ``sweep``."""
+    if args.format == "csv":
+        text = sweep_rows_to_csv([report_to_sweep_row(config, report)
+                                  for config, report in zip(configs, reports)])
+    elif args.command == "witness":
+        text = report_to_json(reports[0])
+    else:
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+    _write_out(text, out)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    data = read_json(args.config)
-    config = config_from_dict(data, seed_override=args.seed)
-    report = run_witness(config)
-    if args.format == "csv":
-        text = _report_csv(report, config.noise.p)
-    else:
-        text = report_to_json(report)
-    _write_out(text, args.out)
+    config = config_from_dict(read_json(args.config), seed_override=args.seed)
+    _write_reports(args, [config], [run_witness(config)], args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     data = read_json(args.config)
-    points = sweep_from_dict(data, seed_override=args.seed)
+    configs = sweep_from_dict(data, seed_override=args.seed)
     out = args.out if args.out is not None else data.get("output_path")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"field 'output_path': expected a path, got {out!r}")
-    reports = run_witnesses([config for _, _, config in points])
-    if args.format == "json":
-        text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-    else:
-        text = sweep_rows_to_csv([report_to_sweep_row(p, fragment, report)
-                                  for (p, fragment, _), report in zip(points, reports)])
-    _write_out(text, out)
+    _write_reports(args, configs, run_witnesses(configs), out)
     return EXIT_OK
 
 

@@ -3,13 +3,15 @@
 State files carry a layout descriptor plus the row-major complex matrix as
 [re, im] pairs, so they are bit-exact, language-neutral and diff-able.
 Config parsing reports the offending field by name on any malformed input,
-including a key outside its document's table of allowed keys, an integer
-field given as anything but a JSON integer and a float field given as
-anything but a JSON number.  A sweep document is a witness
-config's keys plus ``p_values``, ``fragments``, the noise keys
-``noise_mode``/``f``/``p_cnot`` and an optional ``output_path``; each of its
-points is parsed as the witness config it describes, so ``config_from_dict``
-is the only config parser.
+including a key outside its document's table of allowed keys and a scalar
+field given as the wrong JSON type: an integer field takes a JSON integer,
+a float field a JSON number and a string field a JSON string.  A config is
+built from the keys present, so an absent or null key takes the default of
+`ProtocolConfig` or `NoiseConfig`, the one place defaults are written.  A
+sweep document is a witness config's keys plus ``p_values``, ``fragments``,
+the noise keys ``noise_mode``/``f``/``p_cnot`` and an optional
+``output_path``; each of its points is the witness config it describes, so
+``config_from_dict`` is the only config parser.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ import numpy as np
 from .channels import NoiseConfig
 from .hilbert import DensityOperator, InvariantViolation, TensorLayout
 from .objectivity import ObjectiveSubspaceSpec, spec_from_basis_vectors
-from .protocol import (
-    _EXPERIMENTS,
-    DEFAULT_SEED,
-    CNOT_IDEAL,
-    ProtocolConfig,
-    WitnessReport,
-)
+from .protocol import _EXPERIMENTS, ProtocolConfig, WitnessReport
 
 
 class ConfigError(ValueError):
@@ -176,78 +172,73 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _optional(data: Mapping[str, Any], key: str, kind, default, path: str):
-    if key not in data or data[key] is None:
-        return default
-    if kind is int and not _is_integer(data[key]):
-        raise ConfigError(f"field '{path}{key}': expected an integer, got {data[key]!r}")
-    if kind is float and not (_is_integer(data[key]) or isinstance(data[key], float)):
-        raise ConfigError(f"field '{path}{key}': expected a number, got {data[key]!r}")
+# The JSON values a scalar field of each kind takes; a bool is none of them.
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
+
+
+def _optional(data: Mapping[str, Any], key: str, kind, path: str) -> dict[str, Any]:
+    """``{key: value}`` for a key that is present and not null, its value a
+    JSON ``kind``; ``{}`` otherwise, so the dataclass default applies."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    expected, json_types = _KINDS[kind]
     try:
-        return kind(data[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(value, bool) or not isinstance(value, json_types):
+            raise TypeError(f"expected {expected}, got {value!r}")
+        return {key: kind(value)}
+    except (TypeError, OverflowError) as exc:  # an integer too large for a float
         raise ConfigError(f"field '{path}{key}': {exc}") from exc
 
 
 def noise_from_dict(data: Mapping[str, Any], path: str = "noise.") -> NoiseConfig:
     _check_keys(data, _NOISE_KEYS, path)
     try:
-        return NoiseConfig(
-            p=_optional(data, "p", float, 0.0, path),
-            mode=_optional(data, "mode", str, "mix_global", path),
-            f=_optional(data, "f", float, 1.0, path),
-            p_cnot=_optional(data, "p_cnot", float, 1.0, path),
-        )
+        return NoiseConfig(**_optional(data, "p", float, path),
+                           **_optional(data, "mode", str, path),
+                           **_optional(data, "f", float, path),
+                           **_optional(data, "p_cnot", float, path))
     except InvariantViolation as exc:
         raise ConfigError(f"field '{path.rstrip('.')}': {exc}") from exc
 
 
 def config_from_dict(data: Mapping[str, Any],
                      seed_override: int | None = None) -> ProtocolConfig:
+    """A witness config from the keys present; ``seed_override`` replaces a valid seed."""
     _check_keys(data, _WITNESS_KEYS, "")
-    framework = _optional(data, "framework", str, "SQD", "")
-    fragment_raw = data.get("fragment", ["E1"])
-    if isinstance(fragment_raw, str):
-        fragment_raw = [fragment_raw]
-    if not isinstance(fragment_raw, Sequence) or not fragment_raw:
-        raise ConfigError("field 'fragment': expected a nonempty list of environments")
-    fragment = tuple(str(f) for f in fragment_raw)
-    noise = noise_from_dict(data.get("noise", {}))
-    unitary, matrix = data.get("unitary"), None
-    if unitary is not None and not isinstance(unitary, str):
-        unitary, matrix = None, _complex_matrix(unitary, "unitary")
-    shots = _optional(data, "shots", int, 0, "")
-    seed = _optional(data, "seed", int, DEFAULT_SEED, "")
+    fields = (_optional(data, "framework", str, "") | _optional(data, "shots", int, "")
+              | _optional(data, "seed", int, "") | _optional(data, "cnot_model", str, ""))
     if seed_override is not None:
-        seed = seed_override
-    cnot_model = _optional(data, "cnot_model", str, CNOT_IDEAL, "")
-    subspace = resolve_subspace(data.get("subspace"))
+        fields["seed"] = seed_override
+    if "fragment" in data:
+        fragment = [data["fragment"]] if isinstance(data["fragment"], str) else data["fragment"]
+        if not (isinstance(fragment, Sequence) and fragment
+                and all(isinstance(name, str) for name in fragment)):
+            raise ConfigError("field 'fragment': expected a nonempty list of environments")
+        fields["fragment"] = tuple(fragment)
+    if "noise" in data:
+        fields["noise"] = noise_from_dict(data["noise"])
+    unitary, matrix = data.get("unitary"), None
+    if isinstance(unitary, str):
+        fields["unitary"] = unitary
+    elif unitary is not None:
+        matrix = _complex_matrix(unitary, "unitary")
+    if data.get("subspace") is not None:
+        fields["subspace"] = resolve_subspace(data["subspace"])
     branch_shots = data.get("branch_shots")
     if branch_shots is not None:
         if not (isinstance(branch_shots, (list, tuple)) and len(branch_shots) == 2
                 and all(_is_integer(n) for n in branch_shots)):
             raise ConfigError(
                 f"field 'branch_shots': expected two integers, got {branch_shots!r}")
-        branch_shots = tuple(branch_shots)
-    replacement = None
+        fields["branch_shots"] = tuple(branch_shots)
     if data.get("replacement") is not None:
         try:
-            replacement = state_from_dict(data["replacement"])
+            fields["replacement"] = state_from_dict(data["replacement"])
         except ConfigError as exc:
             raise ConfigError(f"field 'replacement': {exc}") from exc
     try:
-        config = ProtocolConfig(
-            framework=framework,
-            fragment=fragment,
-            noise=noise,
-            unitary=unitary,
-            replacement=replacement,
-            shots=shots,
-            seed=seed,
-            cnot_model=cnot_model,
-            subspace=subspace,
-            branch_shots=branch_shots,
-        )
+        config = ProtocolConfig(**fields)
     except InvariantViolation as exc:
         raise ConfigError(f"config rejected: {exc}") from exc
     if matrix is not None:
@@ -268,9 +259,9 @@ _SWEEP_KEYS = {*_SWEEP_COPIED, *(key for key, _ in _SWEEP_NOISE),
                "p_values", "fragments", "output_path"}
 
 
-def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
-                    ) -> list[tuple[float, tuple[str, ...], ProtocolConfig]]:
-    """The (p, fragment, config) points of a sweep, fragment-major.
+def sweep_from_dict(data: Mapping[str, Any],
+                    seed_override: int | None = None) -> list[ProtocolConfig]:
+    """The witness configs of a sweep's points, fragment-major.
 
     Each point's config is ``config_from_dict`` of the witness document the
     sweep describes at that point, so a sweep accepts and rejects exactly
@@ -285,7 +276,7 @@ def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
             raise ConfigError(f"field '{key}': expected a nonempty list")
     witness = {key: data[key] for key in _SWEEP_COPIED if key in data}
     noise = {name: data[key] for key, name in _SWEEP_NOISE if key in data}
-    points = []
+    configs = []
     for fragment in fragments:
         for p in p_values:
             try:
@@ -295,11 +286,11 @@ def sweep_from_dict(data: Mapping[str, Any], seed_override: int | None = None,
             except ConfigError as exc:
                 raise ConfigError(f"sweep point p={p!r}, fragment={fragment!r}: {exc}") from exc
             witness["subspace"] = config.subspace  # one spec for every point
-            points.append((config.noise.p, config.fragment, config))
-    ps = [p for p, _, _ in points[:len(p_values)]]
+            configs.append(config)
+    ps = [config.noise.p for config in configs[:len(p_values)]]
     if ps != sorted(ps):
         raise ConfigError("field 'p_values': must be sorted ascending")
-    return points
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +327,17 @@ _SWEEP_HEADER_COMMENT = """\
 
 def sweep_rows_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     lines = [_SWEEP_HEADER_COMMENT.rstrip("\n"), ",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    for row in rows:  # str of a float is its repr: the shortest exact form
+        lines.append(",".join("" if row[col] is None else str(row[col])
+                              for col in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def report_to_sweep_row(p: float, fragment: Sequence[str],
-                        report: WitnessReport) -> dict[str, Any]:
+def report_to_sweep_row(config: ProtocolConfig, report: WitnessReport) -> dict[str, Any]:
+    """One run's CSV row: p from its config, the fragment (in spec order) from its report."""
     return {
-        "p": float(p),
-        "fragment": "+".join(fragment),
+        "p": float(config.noise.p),
+        "fragment": "+".join(report.fragment),
         "measure": float(report.measure),
         "witness_max_subset": float(report.witness_max_subset),
         "witness_single_min": float(np.min(report.witness_single)),

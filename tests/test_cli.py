@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -26,7 +27,9 @@ from qdarwin import (
 from qdarwin.cli import main
 from qdarwin.protocol import DEFAULT_SEED
 from qdarwin.serialize import (
+    config_from_dict,
     load_state,
+    noise_from_dict,
     report_from_json,
     save_state,
     state_from_dict,
@@ -142,6 +145,33 @@ def test_witness_csv_format(tmp_path, capsys):
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert rows[0].startswith("p,fragment,")
     assert rows[1].startswith("0.4,E1,")
+
+
+def test_sweep_and_witness_csv_rows_agree_on_fragment_order(tmp_path, capsys):
+    # Both commands write the fragment column in spec order, however the
+    # document lists the fragment.
+    sweep = write_config(tmp_path, "s.json", {"fragments": [["E2", "E1"]], "p_values": [0.2]})
+    witness = write_config(tmp_path, "w.json", {"fragment": ["E2", "E1"], "noise": {"p": 0.2}})
+    rows = []
+    for command, cfg in (("sweep", sweep), ("witness", witness)):
+        code, out, _ = run_cli(capsys, command, "--config", cfg, "--format", "csv")
+        assert code == 0
+        rows.append(out.splitlines()[-1])
+    assert rows[0] == rows[1]
+    assert rows[0].startswith("0.2,E1+E2,")
+
+
+@pytest.mark.parametrize("document", [
+    {},
+    {"framework": None, "unitary": None, "replacement": None, "shots": None, "seed": None,
+     "cnot_model": None, "subspace": None, "branch_shots": None,
+     "noise": {"p": None, "mode": None, "f": None, "p_cnot": None}},
+], ids=["absent", "null"])
+def test_absent_keys_take_the_dataclass_defaults(document):
+    parsed, default = config_from_dict(document), ProtocolConfig()
+    for f in dataclasses.fields(ProtocolConfig):
+        assert getattr(parsed, f.name) == getattr(default, f.name), f.name
+    assert noise_from_dict(document.get("noise", {})) == NoiseConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +383,11 @@ def _replacement(layout, trace=1.0):
      "field 'subspace': unknown preset 'parity3'"),
     ("witness", {"fragment": ["E1"], "subspace": 5}, "field 'subspace'"),
     ("witness", {"fragment": 5}, "field 'fragment'"),
+    # String fields take JSON strings only: no number turned into a name.
+    ("witness", {"framework": 5}, "field 'framework'"),
+    ("witness", {"cnot_model": 7}, "field 'cnot_model'"),
+    ("witness", {"noise": {"mode": 1}}, "field 'noise.mode'"),
+    ("witness", {"fragment": [1]}, "field 'fragment'"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -843,3 +878,26 @@ def test_shipped_states_match_generators():
     shipped_mm = load_state(REPO_ROOT / "states" / "maximally_mixed_sqd.json")
     assert np.max(np.abs(
         shipped_mm.matrix - maximally_mixed(sqd_layout()).matrix)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Benchmark entry points
+# ---------------------------------------------------------------------------
+
+def test_benchmark_entry_points(tmp_path):
+    # The benchmark's set-up probe and workload generators use the package
+    # this way; a change at the document boundary must fail here first.
+    from qdarwin.channels import NoiseConfig
+    from qdarwin.protocol import prepare_initial_isbs, prepare_initial_sqd
+    from qdarwin.serialize import config_from_dict, load_state, save_state, sweep_from_dict
+    from qdarwin.tolerances import TOL
+
+    for path in sorted((REPO_ROOT / "configs").glob("*.json")):
+        parse = sweep_from_dict if path.name.startswith("sweep") else config_from_dict
+        parse(json.loads(path.read_text()))
+    assert all(float(getattr(TOL, key)) > 0
+               for key in ("witness_bound_slack", "info_condition", "discord_ftol"))
+    for prepare in (prepare_initial_sqd, prepare_initial_isbs):
+        rho = prepare(NoiseConfig(p=0.2, mode="depolarize_local", f=0.8), "noisy_prep")
+        save_state(rho, tmp_path / "state.json")
+        assert np.array_equal(load_state(tmp_path / "state.json").matrix, rho.matrix)
