@@ -56,6 +56,8 @@ class ObjectiveSubspaceSpec:
         basis = np.array(system_basis, dtype=np.complex128)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise InvariantViolation("system basis must be a square matrix of kets")
+        if not np.isfinite(basis).all():  # checked first: B^dag B turns inf into NaN
+            raise InvariantViolation("system basis has a non-finite entry")
         d_s = basis.shape[0]
         dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d_s))))
         if not dev <= TOL.projector:
@@ -88,6 +90,8 @@ class ObjectiveSubspaceSpec:
             for i, p in enumerate(pis):
                 if p.shape != (dim, dim):
                     raise InvariantViolation(f"projector shapes differ in {name!r}")
+                if not np.isfinite(p).all():
+                    raise InvariantViolation(f"projector {name!r}[{i}] has a non-finite entry")
                 if not float(np.max(np.abs(p - p.conj().T))) <= TOL.projector:
                     raise InvariantViolation(f"projector {name!r}[{i}] is not Hermitian")
                 if not float(np.max(np.abs(p @ p - p))) <= TOL.projector:
@@ -178,6 +182,8 @@ def spec_from_basis_vectors(
         pis = []
         for vectors in per_index:
             vs = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
+            if not np.isfinite(vs).all():  # checked first: vs vs^dag turns inf into NaN
+                raise InvariantViolation(f"basis vectors of {name!r} have a non-finite entry")
             pis.append(vs @ vs.conj().T)
         projectors[name] = pis
     return ObjectiveSubspaceSpec(system_label, system_basis, environments, projectors)

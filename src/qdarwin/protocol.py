@@ -331,8 +331,6 @@ def _resolve_unitary(config: ProtocolConfig) -> np.ndarray:
         u = np.array([[1.0 + 0.0j]])
         for label, dim in layout.subsystems:
             if label in hadamard_labels:
-                if dim != 2:
-                    raise InvariantViolation("Hadamard presets need qubit subsystems")
                 u = np.kron(u, HADAMARD)
             else:
                 u = np.kron(u, np.eye(dim, dtype=np.complex128))
@@ -446,17 +444,13 @@ def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
     return _branch(config, rho_t, ctx, apply_gamma)
 
 
-def _marginalize_to_sf(vectors: np.ndarray, layout: TensorLayout,
+def _marginalize_to_sf(vector: np.ndarray, layout: TensorLayout,
                        sf_labels: Sequence[str]) -> np.ndarray:
-    """Sum the last axis of ``vectors``, indexed by the register's outcomes,
-    over the subsystems outside ``sf_labels``."""
+    """Sum ``vector``, indexed by the register's outcomes, over the
+    subsystems outside ``sf_labels``."""
     keep = set(sf_labels)
-    lead = vectors.shape[:-1]
-    tensor = vectors.reshape(lead + layout.dims)
-    axes = tuple(len(lead) + k for k, lab in enumerate(layout.labels) if lab not in keep)
-    if axes:
-        tensor = tensor.sum(axis=axes)
-    return tensor.reshape(lead + (-1,))
+    axes = tuple(k for k, lab in enumerate(layout.labels) if lab not in keep)
+    return vector.reshape(layout.dims).sum(axis=axes).reshape(-1)
 
 
 def _outcome_labels(layout: TensorLayout, sf_labels: Sequence[str]) -> tuple[str, ...]:

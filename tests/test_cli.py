@@ -748,6 +748,9 @@ _NON_FINITE = {
     "eigvals_hermitian": lambda tmp: eigvals_hermitian(np.array([[_NAN, 0], [0, 1]])),
     "spec_basis": lambda tmp: _spec(basis=[[1, 0], [0, _NAN]]),
     "spec_hermiticity": lambda tmp: _spec(projectors=(np.diag([1.0, _NAN]), _RANK1[1])),
+    # Rejected before B^dag B or the Hermiticity check would form inf - inf.
+    "spec_basis_inf": lambda tmp: _spec(basis=[[1, 0], [0, np.inf]]),
+    "spec_hermiticity_inf": lambda tmp: _spec(projectors=(np.diag([1.0, np.inf]), _RANK1[1])),
     "apply_gate": lambda tmp: apply_gate(maximally_mixed(qubits("S")),
                                          np.diag([_NAN, 1.0]), ["S"]),
     "apply_gate_inf": lambda tmp: apply_gate(maximally_mixed(qubits("S")),
@@ -761,14 +764,22 @@ _NON_FINITE = {
     "cli_witness_replacement": lambda tmp: ["witness", "--config", write_config(
         tmp, "w.json", {"fragment": ["E1"], "replacement": _replacement(
             [["E2_1", 2], ["E2_2", 2]], _NAN)})],
+    # A spanning vector of 1e400 is rejected before it is multiplied out.
+    "cli_witness_subspace_inf": lambda tmp: ["witness", "--config", write_config(
+        tmp, "w.json", {"fragment": ["E1"], "subspace": {
+            "environments": {"E1": ["E1_1", "E1_2"]},
+            "basis_vectors": {"E1": [_E1_KETS[0], [[[0, 0], [1e400, 0], [0, 0], [0, 0]]]]}}})],
 }
+# The CLI maps a violation to exit 3, and one inside a config field to exit 2.
+_CLI_EXIT = {"cli_witness_subspace_inf": (2, "config error")}
 
 
 @pytest.mark.parametrize("case", sorted(_NON_FINITE))
 def test_non_finite_entries_are_rejected(case, tmp_path, capsys):
-    if case.startswith("cli_"):  # the CLI maps the violation to exit 3
+    if case.startswith("cli_"):
         code, _, err = run_cli(capsys, *_NON_FINITE[case](tmp_path))
-        assert (code, err.split(":")[0]) == (3, "invariant violation")
+        assert (code, err.split(":")[0]) == _CLI_EXIT.get(case, (3, "invariant violation"))
+        assert "non-finite" in err
         return
     with pytest.raises(InvariantViolation):
         _NON_FINITE[case](tmp_path)
