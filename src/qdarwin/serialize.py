@@ -135,8 +135,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
         raise ConfigError(f"field 'subspace': {exc}") from exc
 
 
-def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec | None:
-    if value is None or isinstance(value, ObjectiveSubspaceSpec):
+def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec:
+    if isinstance(value, ObjectiveSubspaceSpec):
         return value
     if isinstance(value, str):
         return spec_by_name(value)
@@ -183,11 +183,11 @@ def _optional(data: Mapping[str, Any], key: str, kind, path: str) -> dict[str, A
     if value is None:
         return {}
     expected, json_types = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, json_types):
+        raise ConfigError(f"field '{path}{key}': expected {expected}, got {value!r}")
     try:
-        if isinstance(value, bool) or not isinstance(value, json_types):
-            raise TypeError(f"expected {expected}, got {value!r}")
         return {key: kind(value)}
-    except (TypeError, OverflowError) as exc:  # an integer too large for a float
+    except OverflowError as exc:  # an integer too large for a float
         raise ConfigError(f"field '{path}{key}': {exc}") from exc
 
 
