@@ -8,6 +8,8 @@ only through its nonzero spectrum, so a state of rank r below d_E is
 searched on r x r Gram blocks.  The grid seed covers half the sphere,
 because (theta, phi) and (pi - theta, phi + pi) are one measurement with its
 outcomes swapped; the reported angles are one of those two representatives.
+One kernel takes both outcomes at once and the grid in chunks of 4 MiB of
+conditional blocks, so the grid's memory does not grow with the angle count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ MEASUREMENT_CLASS = "rank1_projective_qubit"
 
 _DISCORD_GRID_THETA = 64
 _DISCORD_GRID_PHI = 128
+# Bytes of complex128 conditional blocks, both outcomes, per grid chunk.
+_DISCORD_CHUNK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +193,12 @@ def _system_first(rho: DensityOperator, system: str) -> np.ndarray:
     return matrix.reshape(d_s, d_e, d_s, d_e)
 
 
-def _measurement_kets(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal qubit measurement kets for arrays of Bloch angles."""
+def _measurement_kets(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Orthonormal qubit measurement kets of g Bloch angles, shape (2, g, 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     phase = np.exp(1j * phi)
-    m0 = np.stack([c, phase * s], axis=-1)
-    m1 = np.stack([s, -phase * c], axis=-1)
-    return m0, m1
+    return np.stack([np.stack([c, phase * s], axis=-1),
+                     np.stack([s, -phase * c], axis=-1)])
 
 
 def _outcome_blocks(rho4: np.ndarray) -> np.ndarray:
@@ -220,23 +223,30 @@ def _conditional_entropy_batch(blocks: np.ndarray, theta: np.ndarray,
                                phi: np.ndarray) -> np.ndarray:
     """sum_i p_i H(rho_E|i) for a batch of measurement angles.
 
-    ``blocks`` comes from `_outcome_blocks`; an outcome's blocks for the
-    whole batch are one (g x d_S^2) . (d_S^2 x k^2) matmul.
+    ``blocks`` comes from `_outcome_blocks`.  The angles are taken in chunks
+    whose k x k conditional blocks, both outcomes together, fit
+    ``_DISCORD_CHUNK_BYTES``; a chunk of g angles is one
+    (2g x d_S^2) . (d_S^2 x k^2) matmul and one eigvalsh on (2, g, k, k).
+    The outcomes are summed as 0.0 + h_0 + h_1, in that order.
     """
     k = blocks.shape[-1]
     flat = blocks.reshape(-1, k * k)
-    total = np.zeros(theta.shape, dtype=float)
-    for kets in _measurement_kets(theta, phi):
-        weights = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
-        cond = (weights @ flat).reshape(-1, k, k)
-        p = np.trace(cond, axis1=1, axis2=2).real
+    kets = _measurement_kets(theta, phi)
+    weights = (kets.conj()[..., :, None] * kets[..., None, :]).reshape(2, len(theta), -1)
+    step = max(1, _DISCORD_CHUNK_BYTES // (2 * flat[0].nbytes))
+    total = np.empty(theta.shape, dtype=float)
+    for start in range(0, len(theta), step):
+        w = weights[:, start:start + step]
+        cond = (w.reshape(-1, w.shape[-1]) @ flat).reshape(2, -1, k, k)
+        p = np.trace(cond, axis1=-2, axis2=-1).real
         eigs = np.linalg.eigvalsh(0.5 * (cond + np.conj(np.swapaxes(cond, -1, -2))))
         safe_p = np.where(p > TOL.conditional_skip, p, 1.0)
-        lam = eigs / safe_p[:, None]
+        lam = eigs / safe_p[..., None]
         lam = np.clip(lam.real, 0.0, None)
         terms = np.where(lam > TOL.entropy_eig_cutoff, -lam * np.log2(
             np.where(lam > TOL.entropy_eig_cutoff, lam, 1.0)), 0.0)
-        total += np.where(p > TOL.conditional_skip, p * terms.sum(axis=-1), 0.0)
+        h = np.where(p > TOL.conditional_skip, p * terms.sum(axis=-1), 0.0)
+        total[start:start + step] = (0.0 + h[0]) + h[1]
     return total
 
 
@@ -294,7 +304,8 @@ def quantum_discord(rho: DensityOperator, system: str,
 
     res = minimize(objective, np.array([t0, p0]), xatol=1e-6, fatol=TOL.discord_ftol)
     cond_entropy = min(float(grid[best]), float(res.fun))
-    angles = (t0, p0) if grid[best] <= res.fun else (float(res.x[0]), float(res.x[1]))
+    theta, phi = (t0, p0) if grid[best] <= res.fun else res.x
+    angles = (float(theta), float(phi))
 
     discord = cond_entropy + h_s - h_se
     return max(0.0, discord), angles

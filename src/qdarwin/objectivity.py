@@ -70,7 +70,7 @@ class ObjectiveSubspaceSpec:
         for name, members in env_items:
             if not members:
                 raise InvariantViolation(f"environment {name!r} has no subsystems")
-            overlap = seen & set(members)
+            overlap = (seen & set(members)) | {m for m in members if members.count(m) > 1}
             if overlap:
                 raise InvariantViolation(f"subsystems {sorted(overlap)} assigned twice")
             seen |= set(members)

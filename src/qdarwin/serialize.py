@@ -113,11 +113,14 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
     """Custom spec from lists of spanning basis vectors per environment per index."""
     _check_keys(data, _SUBSPACE_KEYS, "subspace.")
     try:
-        system_label = str(data.get("system_label", "S"))
-        environments = {
-            str(name): tuple(str(m) for m in members)
-            for name, members in data["environments"].items()
-        }
+        system_label = _optional(data, "system_label", str, "subspace.").get("system_label", "S")
+        environments = {}
+        for name, members in data["environments"].items():
+            if not (isinstance(members, (list, tuple))
+                    and all(isinstance(m, str) for m in members)):
+                raise ConfigError(f"field 'subspace.environments.{name}': "
+                                  f"expected a list of strings, got {members!r}")
+            environments[name] = tuple(members)
         vectors = {
             str(name): [_complex_matrix(index_vectors, f"subspace.basis_vectors.{name}")
                         for index_vectors in per_index]
@@ -131,7 +134,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
         return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'subspace': {exc}") from exc
 
 

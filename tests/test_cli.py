@@ -275,6 +275,7 @@ def test_sweep_unwritable_path(tmp_path, capsys, command):
 
 
 _E1_KETS = [[[[1, 0], [0, 0], [0, 0], [0, 0]]], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]
+_E1_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E1_KETS}}
 # Valid spec, but its environment kets |+>, |-> are not the system's basis.
 _PLUS_MINUS_SPEC = {"environments": {"E1": ["E1"]}, "basis_vectors": {"E1": [
     [[[2 ** -0.5, 0], [2 ** -0.5, 0]]], [[[2 ** -0.5, 0], [-(2 ** -0.5), 0]]]]}}
@@ -388,6 +389,15 @@ def _replacement(layout, trace=1.0):
     ("witness", {"cnot_model": 7}, "field 'cnot_model'"),
     ("witness", {"noise": {"mode": 1}}, "field 'noise.mode'"),
     ("witness", {"fragment": [1]}, "field 'fragment'"),
+    ("witness", {"fragment": ["E1"], "subspace": {**_E1_SPEC, "system_label": 5}},
+     "field 'subspace.system_label'"),
+    ("witness", {"fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "environments": {"E1": [1, 2]}}}, "field 'subspace.environments.E1'"),
+    ("witness", {"fragment": ["E1"], "subspace": {**_E1_SPEC, "environments": [["E1_1"]]}},
+     "field 'subspace'"),
+    ("witness", {"fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "environments": {"E1": ["E1_1", "E1_1"]}}},
+     "field 'subspace': subsystems ['E1_1'] assigned twice"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -597,9 +607,6 @@ def _kets_with(first):
     kets = json.loads(json.dumps(_E1_KETS))
     kets[0][0][0] = list(first)
     return kets
-
-
-_E1_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E1_KETS}}
 
 
 @pytest.mark.parametrize("command, document, field", [

@@ -1,5 +1,6 @@
 """Entropy, mutual information, discord, Holevo, and structure checkers."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from qdarwin.info import (
     _system_first,
 )
 from qdarwin.serialize import load_state
+from qdarwin.tolerances import TOL
 
 from conftest import qubits, random_density, random_unitary
 
@@ -295,6 +297,71 @@ def test_discord_grid_seed_reaches_the_full_sphere_minimum(seed, d_e, rank):
     sphere = _conditional_entropy_batch(blocks, tt.ravel(), pp.ravel()).min()
     seed_grid = _conditional_entropy_batch(blocks, *_grid_seed_angles()).min()
     assert abs(seed_grid - sphere) < 1e-12
+
+
+def _per_outcome_entropy_batch(blocks, theta, phi):
+    """The unchunked kernel: one outcome at a time over the whole batch,
+    summed in outcome order."""
+    k = blocks.shape[-1]
+    flat = blocks.reshape(-1, k * k)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    phase = np.exp(1j * phi)
+    total = np.zeros(theta.shape, dtype=float)
+    for kets in (np.stack([c, phase * s], axis=-1), np.stack([s, -phase * c], axis=-1)):
+        weights = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
+        cond = (weights @ flat).reshape(-1, k, k)
+        p = np.trace(cond, axis1=1, axis2=2).real
+        eigs = np.linalg.eigvalsh(0.5 * (cond + np.conj(np.swapaxes(cond, -1, -2))))
+        safe_p = np.where(p > TOL.conditional_skip, p, 1.0)
+        lam = np.clip((eigs / safe_p[:, None]).real, 0.0, None)
+        terms = np.where(lam > TOL.entropy_eig_cutoff, -lam * np.log2(
+            np.where(lam > TOL.entropy_eig_cutoff, lam, 1.0)), 0.0)
+        total += np.where(p > TOL.conditional_skip, p * terms.sum(axis=-1), 0.0)
+    return total
+
+
+def test_chunked_kernel_matches_the_per_outcome_kernel_bit_for_bit(rng):
+    # Chunking changes the row count of the BLAS matmul and stacking the
+    # outcomes changes the eigvalsh batch; neither may change a bit, on the
+    # grid (several chunks for k = 16) or on the single angles of the
+    # refinement.  Blocks of size k = 1, 2, 4, 8 and 16.
+    lay = TensorLayout([("S", 2), ("E", 16)])
+    states = [random_density(lay, rng, rank) for rank in (1, 2, 4, 8, None)]
+    states.append(maximally_mixed(qubits("S", "E1", "E2", "E3", "E4")))
+    tt, pp = _grid_seed_angles()
+    assert len(tt) * 2 * 16 * 16 * 16 > 2 * info._DISCORD_CHUNK_BYTES
+    for rho, k in zip(states, (1, 2, 4, 8, 16, 16)):
+        blocks = _outcome_blocks(_system_first(rho, "S"))
+        assert blocks.shape[-1] == k
+        assert (_conditional_entropy_batch(blocks, tt, pp).tobytes()
+                == _per_outcome_entropy_batch(blocks, tt, pp).tobytes())
+        for theta, phi in zip(rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2 * np.pi, 20)):
+            one = np.array([theta]), np.array([phi])
+            assert (_conditional_entropy_batch(blocks, *one).tobytes()
+                    == _per_outcome_entropy_batch(blocks, *one).tobytes())
+
+
+def test_discord_grid_memory_is_bounded():
+    # The grid is evaluated in chunks of bounded size; unchunked, the
+    # 16 x 16 blocks of this state peak at about 34 MB.
+    rho = maximally_mixed(qubits("S", "E1", "E2", "E3", "E4"))
+    env = {"E1", "E2", "E3", "E4"}
+    quantum_discord(rho, "S", env)
+    tracemalloc.start()
+    try:
+        quantum_discord(rho, "S", env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_minimizing_angles_are_plain_floats(rng):
+    # On the maximally mixed state the grid point wins; on a random state
+    # the refinement does.
+    for rho in (maximally_mixed(qubits("S", "E")), random_density(qubits("S", "E"), rng)):
+        angles = correlation_report(rho, "S", {"E"}).minimizing_measurement
+        assert [type(a) for a in angles] == [float, float]
 
 
 def _discord_refinements(monkeypatch) -> list[tuple]:
