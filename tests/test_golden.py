@@ -3,8 +3,8 @@
 The cases cover exact and Monte Carlo witness runs on both frameworks, every
 noise mode and CNOT model, an explicit branch split, the Monte Carlo abort
 message, the shipped configs in both output formats, sweeps in Monte Carlo
-mode, with a custom subspace and with noisy CNOTs, and the structure checks
-of the shipped states.
+mode, with a custom subspace and with noisy CNOTs, sweeps at the 0/1 noise
+weights, and the structure checks of the shipped states.
 Any refactor of the pipeline or the sampler must keep these bytes.
 
 Regenerate the data file (only when an output change is intended) with::
@@ -105,7 +105,21 @@ SWEEP_CASES = {
         "framework": "SQD", "noise_mode": "depolarize_local",
         "cnot_model": "noisy_prep_parity", "f": 0.85, "p_cnot": 0.8,
         "p_values": [0.0, 0.3, 0.7, 1.0], "fragments": [["E1"], ["E2"], ["E1", "E2"]]},
+    # The 0/1 weights of every noise step: p = 0 keeps the state, p = 1 and
+    # f = 0 replace it, f = 1 keeps the parity checks' environments.  JSON
+    # output pins the signed zeros of the pmfs, which the CSV columns hide.
+    "sweep_sqd_exact_noisy_parity_f1": {
+        "framework": "SQD", "cnot_model": "noisy_prep_parity", "f": 1.0,
+        "p_values": [0.0, 0.5, 1.0], "fragments": [["E1"], ["E1", "E2"]]},
+    "sweep_sqd_exact_noisy_parity_f0": {
+        "framework": "SQD", "cnot_model": "noisy_prep_parity", "f": 0.0,
+        "p_values": [0.0, 0.5, 1.0], "fragments": [["E1"], ["E1", "E2"]]},
+    "sweep_isbs_exact_local_edges": {
+        "framework": "ISBS", "noise_mode": "depolarize_local",
+        "p_values": [0.0, 0.5, 1.0], "fragments": [["E1"], ["E1", "E2", "E3", "E4"]]},
 }
+JSON_SWEEPS = {"sweep_sqd_exact_noisy_parity_f1", "sweep_sqd_exact_noisy_parity_f0",
+               "sweep_isbs_exact_local_edges"}
 
 CLI_CASES = {
     "sweep_sqd_exact": ["sweep", "--config", "configs/sweep_sqd_exact.json"],
@@ -139,12 +153,13 @@ def _run_case(name: str) -> dict:
         return _run(CLI_CASES[name])
     command = "sweep" if name in SWEEP_CASES else "witness"
     config = SWEEP_CASES.get(name) or WITNESS_CASES[name]
+    extra = ["--format", "json"] if name in JSON_SWEEPS else []
     if isinstance(config, str):
         return _run([command, "--config", config])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.json"
         path.write_text(json.dumps(config))
-        return _run([command, "--config", str(path)])
+        return _run([command, "--config", str(path), *extra])
 
 
 ALL_CASES = sorted([*WITNESS_CASES, *SWEEP_CASES, *CLI_CASES])
