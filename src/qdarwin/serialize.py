@@ -129,7 +129,11 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
         if "system_basis" in data:
             system_basis = _complex_matrix(data["system_basis"], "subspace.system_basis")
         else:
-            dim = len(next(iter(vectors.values())))
+            dim = len(next(iter(vectors.values()), []))
+            if not dim:
+                raise ConfigError("field 'subspace.basis_vectors': without a system_basis, the "
+                                  "first environment's list, one entry per index, sets the "
+                                  "system dimension, and it is missing or empty")
             system_basis = np.eye(dim, dtype=np.complex128)
         return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
     except ConfigError:

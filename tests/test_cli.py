@@ -645,6 +645,22 @@ def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, command, docume
     assert field in err
 
 
+@pytest.mark.parametrize("basis_vectors", [
+    pytest.param({}, id="no-environment"),
+    pytest.param({"E1": []}, id="empty-index-list"),
+])
+def test_basis_vectors_without_an_index_exit_as_config_errors(tmp_path, capsys,
+                                                              basis_vectors):
+    # Without a system_basis the first environment's list, one entry per
+    # index, sets the system dimension: a missing or empty one is a config
+    # error naming the field, not a traceback or a numpy message.
+    path = write_config(tmp_path, "w.json", {"fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": basis_vectors}})
+    code, out, err = run_cli(capsys, "witness", "--config", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: field 'subspace.basis_vectors'")
+
+
 def _unreadable(tmp_path, kind):
     """A path that is missing, a directory, not UTF-8, not JSON, or JSON nested
     deeper than the parser recurses."""
