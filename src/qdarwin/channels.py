@@ -6,6 +6,7 @@ and the pair depolarization that follows a noisy CNOT, whose average gate
 fidelity is given in closed form), and the point channel that discards part
 of the environment and installs a fresh uncorrelated state.  Depolarization
 is the point channel with I/d as the installed state, mixed with the input.
+Both are written once, on stacks (``replace_subsystems``, ``depolarize_stack``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .hilbert import (
     PureState,
     TensorLayout,
     embed_operator,
-    partial_trace,
     permute_subsystems,
     require_unitary,
+    trace_out,
 )
 from .tolerances import TOL
 
@@ -90,17 +91,29 @@ def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
     weights must be nonnegative with keep + noise <= 1, so the output is a CP
     map of ``rho`` and needs no further validation.
     """
-    if keep < 0 or noise < 0 or keep + noise > 1.0 + TOL.trace_upper_slack:
-        raise InvariantViolation(f"weights keep = {keep}, noise = {noise} are not "
-                                 "a subnormalized mixture")
-    if noise == 0:
-        return rho
-    sub = rho.layout.subset(labels)
-    d = sub.total_dim
-    replaced = point_channel(rho, labels, DensityOperator._trusted(sub, np.eye(d) / d))
-    if keep == 0:
-        return replaced
-    return DensityOperator._trusted(rho.layout, keep * rho.matrix + noise * replaced.matrix)
+    return DensityOperator._trusted(
+        rho.layout, depolarize_stack(rho.matrix, rho.layout, labels, keep, noise))
+
+
+def depolarize_stack(matrices: np.ndarray, layout: TensorLayout, labels: Sequence[str],
+                     keep, noise) -> np.ndarray:
+    """``depolarize_subsystems`` on each operator of ``matrices``, with
+    weights of the stack's leading shape; each row keeps the 0/1 shortcuts."""
+    keep, noise = np.asarray(keep, dtype=float), np.asarray(noise, dtype=float)
+    bad = (keep < 0) | (noise < 0) | (keep + noise > 1.0 + TOL.trace_upper_slack)
+    if bad.any():
+        raise InvariantViolation(f"weights keep = {keep[bad].flat[0]}, noise = "
+                                 f"{noise[bad].flat[0]} are not a subnormalized mixture")
+    if not noise.any():
+        return matrices
+    d = layout.subset(labels).total_dim
+    replaced = replace_subsystems(matrices, layout, labels,
+                                  np.asarray(np.eye(d) / d, dtype=np.complex128))
+    mixed = keep[..., None, None] * matrices
+    mixed += noise[..., None, None] * replaced
+    np.copyto(mixed, replaced, where=(keep == 0)[..., None, None])
+    np.copyto(mixed, matrices, where=(noise == 0)[..., None, None])
+    return mixed
 
 
 def average_gate_fidelity(f: float) -> float:
@@ -144,12 +157,20 @@ def point_channel(rho: DensityOperator, discard: Iterable[str],
             f"replacement layout {replacement.layout.labels} != discarded "
             f"subsystems {expected.labels}"
         )
-    keep = [lab for lab in rho.layout.labels if lab not in discard]
+    return DensityOperator._trusted(rho.layout, replace_subsystems(
+        rho.matrix, rho.layout, discard, replacement.matrix))
+
+
+def replace_subsystems(matrices: np.ndarray, layout: TensorLayout,
+                       discard: Sequence[str], replacement: np.ndarray) -> np.ndarray:
+    """``point_channel`` on each operator of ``matrices``, unchecked: the
+    ``replacement`` matrix spans the discarded subsystems in layout order."""
+    keep = [lab for lab in layout.labels if lab not in discard]
     if not keep:
-        return DensityOperator._trusted(rho.layout, replacement.matrix * rho.trace)
-    kept = partial_trace(rho, keep)
+        return replacement * np.trace(matrices, axis1=-2, axis2=-1).real[..., None, None]
     # The kept marginal times the replacement, as np.kron orders them, then
     # transposed back to canonical order.
-    product = TensorLayout(kept.layout.subsystems + expected.subsystems)
-    return DensityOperator._trusted(rho.layout, permute_subsystems(
-        np.kron(kept.matrix, replacement.matrix), product, rho.layout.labels))
+    kept = layout.subset(keep)
+    product = TensorLayout(kept.subsystems + layout.subset(discard).subsystems)
+    return permute_subsystems(np.kron(trace_out(matrices, layout, set(keep)), replacement),
+                              product, layout.labels)

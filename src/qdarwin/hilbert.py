@@ -11,8 +11,9 @@ copies and freezes the matrix without those checks.  It builds only outputs
 of CP maps (partial trace, subsystem replacement, unitary conjugation,
 projection sums) applied to operators that were already validated, which
 keep Hermiticity, positivity and a trace in [0, 1] up to rounding.  The
-witness pipeline passes its prepared state and each branch output through
-the public constructor, so a broken stage still raises.
+witness pipeline passes its prepared states and each branch output through
+the constructor's checks, ``require_density``, so a broken stage still
+raises.  The functions on plain arrays take a stack, ``(..., d, d)``, too.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ class TensorLayout:
 # ---------------------------------------------------------------------------
 
 def _as_complex(matrix: np.ndarray) -> np.ndarray:
-    out = np.asarray(matrix, dtype=np.complex128)
-    out = out.copy()
+    out = np.array(matrix, dtype=np.complex128)  # always a copy
     out.flags.writeable = False
     return out
 
@@ -148,12 +148,7 @@ class DensityOperator:
         d = layout.total_dim
         if mat.shape != (d, d):
             raise InvariantViolation(f"matrix shape {mat.shape} != layout dim ({d}, {d})")
-        low = float(eigvals_hermitian(mat)[-1])  # finite and Hermitian, or it raises
-        if not low >= -TOL.psd_min_eig:
-            raise InvariantViolation(f"matrix has negative eigenvalue {low:.3e}")
-        tr = float(np.trace(mat).real)
-        if not -TOL.trace_lower_slack <= tr <= 1.0 + TOL.trace_upper_slack:
-            raise InvariantViolation(f"trace {tr} outside [0, 1]")
+        require_density(mat)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
 
@@ -168,6 +163,17 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def require_density(matrices: np.ndarray) -> None:
+    """Raise unless every matrix of ``matrices`` is finite and Hermitian, has
+    no eigenvalue below -``TOL.psd_min_eig`` and a trace in [0, 1]."""
+    low = float(np.min(eigvals_hermitian(matrices)[..., -1]))  # finite and Hermitian
+    if not low >= -TOL.psd_min_eig:
+        raise InvariantViolation(f"matrix has negative eigenvalue {low:.3e}")
+    for tr in np.trace(matrices, axis1=-2, axis2=-1).real.reshape(-1).tolist():
+        if not -TOL.trace_lower_slack <= tr <= 1.0 + TOL.trace_upper_slack:
+            raise InvariantViolation(f"trace {tr} outside [0, 1]")
 
 
 def computational_ket(layout: TensorLayout, digits: Sequence[int]) -> PureState:
@@ -234,9 +240,10 @@ def permute_subsystems(matrix: np.ndarray, layout: TensorLayout,
     if sorted(order) != sorted(layout.labels):
         raise InvariantViolation(f"order {list(order)} is not a permutation of "
                                  f"{list(layout.labels)}")
-    perm = [layout.axis_of(lab) for lab in order]
-    tensor = matrix.reshape(layout.dims + layout.dims)
-    tensor = tensor.transpose(perm + [len(layout) + p for p in perm])
+    lead = matrix.shape[:-2]
+    axes = [len(lead) + layout.axis_of(lab) for lab in order]
+    tensor = matrix.reshape(lead + layout.dims + layout.dims)
+    tensor = tensor.transpose([*range(len(lead)), *axes, *(len(layout) + a for a in axes)])
     return np.ascontiguousarray(tensor.reshape(matrix.shape))
 
 
@@ -254,17 +261,21 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
         raise InvariantViolation(f"unknown subsystem labels {sorted(unknown)}")
     if keep == set(rho.layout.labels):
         return rho
-    layout, dims = rho.layout, list(rho.layout.dims)
-    tensor = rho.matrix.reshape(dims + dims)
+    return DensityOperator._trusted(rho.layout.subset(keep),
+                                    trace_out(rho.matrix, rho.layout, keep))
+
+
+def trace_out(matrices: np.ndarray, layout: TensorLayout, keep: set[str]) -> np.ndarray:
+    """The partial trace of each operator on ``layout`` in ``matrices`` over
+    the subsystems outside ``keep``, one at a time in layout order."""
+    lead, dims = matrices.shape[:-2], layout.dims
+    tensor = matrices.reshape(lead + dims + dims)
     traced_axes = [a for a, lab in enumerate(layout.labels) if lab not in keep]
-    remaining = len(layout)
     for done, axis in enumerate(traced_axes):
-        ax = axis - done  # earlier traces shifted the row axes left
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    new_layout = layout.subset(keep)
-    d = new_layout.total_dim
-    return DensityOperator._trusted(new_layout, tensor.reshape(d, d))
+        ax = len(lead) + axis - done  # earlier traces shifted the row axes left
+        tensor = np.trace(tensor, axis1=ax, axis2=ax + len(layout) - done)
+    d = math.prod(dim for label, dim in layout.subsystems if label in keep)
+    return tensor.reshape(lead + (d, d))
 
 
 def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
@@ -277,11 +288,13 @@ def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise InvariantViolation("matrix has a non-finite entry")
-    dev = float(np.max(np.abs(h - h.conj().T)))
+    adjoint = h.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(h - adjoint)))
     if not dev <= TOL.hermiticity:
         raise InvariantViolation(f"matrix is not Hermitian (max dev {dev:.3e})")
-    eigs = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-    return eigs[::-1].copy()
+    symmetrized = h + adjoint
+    symmetrized *= 0.5
+    return np.linalg.eigvalsh(symmetrized)[..., ::-1].copy()
 
 
 def require_unitary(matrix: np.ndarray, d: int | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
+    TensorLayout,
     embed_operator,
     trace_norm_distance,
 )
@@ -214,12 +215,18 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     carried by ``rho``.  A null output is legal.  The fragment defaults to
     every environment the state carries in full.  This is the objectivity
     operation of both frameworks: on a basis spec (``require_basis_spec``)
-    P_i is the correlated rank-1 projector |i...i><i...i|.  The embedded
-    P_i are memoized on the spec per (fragment, layout).
+    P_i is the correlated rank-1 projector |i...i><i...i|.
     """
-    layout = rho.layout
-    names = (spec.environments_in(layout.labels) if fragment is None
+    names = (spec.environments_in(rho.layout.labels) if fragment is None
              else spec.select(fragment))
+    return DensityOperator._trusted(
+        rho.layout, project(rho.matrix, embedded_projectors(spec, names, rho.layout)))
+
+
+def embedded_projectors(spec: ObjectiveSubspaceSpec, names: tuple[str, ...],
+                        layout: TensorLayout) -> tuple[np.ndarray, ...]:
+    """The P_i of ``objectivity_operation_sqd`` on the selected environments
+    ``names``, embedded in ``layout``; memoized on the spec."""
     key = (names, layout)
     projectors = spec._embedded.get(key)
     if projectors is None:
@@ -235,10 +242,15 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
         for p_full in projectors:
             p_full.flags.writeable = False
         spec._embedded[key] = projectors
-    out = np.zeros_like(rho.matrix)
+    return projectors
+
+
+def project(matrices: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i P_i M P_i for each operator M of ``matrices``."""
+    out = np.zeros_like(matrices)
     for p_full in projectors:
-        out += p_full @ rho.matrix @ p_full
-    return DensityOperator._trusted(layout, out)
+        out += p_full @ matrices @ p_full
+    return out
 
 
 def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:

@@ -8,8 +8,8 @@ probability differences of the two branches; the subset maximization over
 outcomes never needs extra measurement settings.
 
 Both modes run one pipeline, ``_prepare`` followed by ``_branch``, on
-single states, and one evaluation, ``_evaluate``: it computes each branch's
-pmf once, and exact mode reports it while Monte Carlo mode draws from it.
+stacks of states, and one evaluation, ``_evaluate``: it takes each branch's
+pmf, which exact mode reports and Monte Carlo mode draws from.
 Every noise event in the pipeline replaces some photons by I/d with a
 weight: global mixing or local depolarization of strength p, depolarizing
 preparation CNOTs that keep their output with weight f, and parity checks
@@ -24,8 +24,8 @@ gaps.  Each branch draws from its own seeded stream, so results are
 bit-reproducible for a given seed.  States are validated where they enter
 the pipeline and where they leave it; the CP maps in between build their
 outputs unchecked.  ``run_witnesses`` runs a list of configs, such as a
-sweep's points, preparing each distinct noise setting and resolving each
-distinct context once; its reports equal one call per config.
+sweep's points, as stacks, each stage called once per stack; a single
+witness is a stack of one.  Its reports equal one call per config.
 
 The two experiments differ only in their setup, one ``_EXPERIMENTS`` record
 per framework: the register, the preset subspace and its CLI name
@@ -49,8 +49,9 @@ from .channels import (
     HADAMARD,
     NoiseConfig,
     apply_gate,
+    depolarize_stack,
     depolarize_subsystems,
-    point_channel,
+    replace_subsystems,
 )
 from .hilbert import (
     DensityOperator,
@@ -58,15 +59,17 @@ from .hilbert import (
     PureState,
     TensorLayout,
     computational_ket,
-    partial_trace,
+    require_density,
     require_unitary,
+    trace_out,
 )
 from .objectivity import (
     ObjectiveSubspaceSpec,
     computational_spec,
+    embedded_projectors,
     nonobjectivity_measure,
-    objectivity_operation_sqd,
     parity_spec,
+    project,
     require_basis_spec,
 )
 from .tolerances import TOL
@@ -320,20 +323,16 @@ def _resolve_unitary(config: ProtocolConfig) -> np.ndarray:
         if choice not in (UNITARY_ALTERNATING, UNITARY_ALL):
             raise InvariantViolation(f"unknown unitary preset {choice!r}")
         spec = config.spec
-        env_members: dict[str, tuple[str, ...]] = dict(spec.environments)
         hadamard_labels: set[str] = {spec.system_label}
         if choice == UNITARY_ALL:
             hadamard_labels |= set(layout.labels)
         else:
             # Hadamard on the system and on the last photon of each environment.
-            for members in env_members.values():
-                hadamard_labels.add(members[-1])
+            hadamard_labels |= {members[-1] for _, members in spec.environments}
         u = np.array([[1.0 + 0.0j]])
         for label, dim in layout.subsystems:
-            if label in hadamard_labels:
-                u = np.kron(u, HADAMARD)
-            else:
-                u = np.kron(u, np.eye(dim, dtype=np.complex128))
+            u = np.kron(u, HADAMARD if label in hadamard_labels
+                        else np.eye(dim, dtype=np.complex128))
         return u
     return require_unitary(choice, layout.total_dim)
 
@@ -344,15 +343,12 @@ def _resolve_context(config: ProtocolConfig) -> _Context:
     fragment = spec.select(config.fragment)
     ef_members = _unaccessed(layout, spec, fragment)
     sf_labels = tuple(lab for lab in layout.labels if lab not in ef_members)
-    replacement = None
-    if ef_members:
-        if config.replacement is None:
-            sub = layout.subset(ef_members)
-            replacement = computational_ket(sub, [0] * len(sub)).to_density()
-        else:
-            replacement = config.replacement
-            if isinstance(replacement, PureState):
-                replacement = replacement.to_density()
+    replacement = config.replacement  # always None when ef_members is empty
+    if ef_members and replacement is None:
+        sub = layout.subset(ef_members)
+        replacement = computational_ket(sub, [0] * len(sub))
+    if isinstance(replacement, PureState):
+        replacement = replacement.to_density()
     unitary = _resolve_unitary(config)
     return _Context(
         layout=layout, spec=spec, fragment=fragment, sf_labels=sf_labels,
@@ -365,72 +361,82 @@ def _resolve_context(config: ProtocolConfig) -> _Context:
 # State preparation
 # ---------------------------------------------------------------------------
 
-def _prepare(framework: str, noise: NoiseConfig, cnot_model: str) -> DensityOperator:
-    """Initial state as a mixture over the noise events of the preparation.
-
-    Each preparation CNOT of the framework's experiment keeps its ideal
-    output with weight f (1 in the ideal model) and otherwise replaces its
-    two qubits by I/4; then the added noise replaces the whole register
-    (global mixing) or each photon in turn (local depolarization) by I/d
-    with weight p.
+def _prepare(framework: str, cnot_model: str, f: float, mode: str,
+             ps: Sequence[float]) -> np.ndarray:
+    """A stack of initial states, a row per p in ``ps``: mixtures over the
+    noise events of the preparation.  Each preparation CNOT of the
+    framework's experiment keeps its ideal output with weight f (1 in the
+    ideal model) and otherwise replaces its two qubits by I/4; then the
+    added noise replaces the whole register (global mixing) or each photon
+    in turn (local depolarization) by I/d with weight p.
     """
     experiment = _EXPERIMENTS[framework]
     amps = np.zeros(experiment.layout.total_dim, dtype=np.complex128)
     amps[list(experiment.base)] = 1.0 / math.sqrt(len(experiment.base))
     rho = PureState(experiment.layout, amps).to_density()
-    f = 1.0 if cnot_model == CNOT_IDEAL else noise.f
+    f = 1.0 if cnot_model == CNOT_IDEAL else f
     for pair in experiment.cnots:
         if f:  # a fully replaced pair keeps no trace of the gate
             rho = apply_gate(rho, CNOT, pair)
         rho = depolarize_subsystems(rho, pair, f, 1.0 - f)
+    p = np.array(ps, dtype=float)
+    stack = np.broadcast_to(rho.matrix, p.shape + rho.matrix.shape)
     labels = rho.layout.labels
-    for site in [labels] if noise.mode == "mix_global" else [(lab,) for lab in labels]:
-        rho = depolarize_subsystems(rho, site, 1.0 - noise.p, noise.p)
-    return DensityOperator(rho.layout, rho.matrix)  # the pipeline's entry check
+    for site in [labels] if mode == "mix_global" else [(lab,) for lab in labels]:
+        stack = depolarize_stack(stack, rho.layout, site, 1.0 - p, p)
+    require_density(stack)  # the pipeline's entry check
+    return stack
 
 
 def prepare_initial_sqd(noise: NoiseConfig,
                         cnot_model: str = CNOT_IDEAL) -> DensityOperator:
     """Branching system-environment state of the SQD experiment (see
     ``_EXPERIMENTS``) followed by the configured noise."""
-    return _prepare(FRAMEWORK_SQD, noise, cnot_model)
+    stack = _prepare(FRAMEWORK_SQD, cnot_model, noise.f, noise.mode, [noise.p])
+    return DensityOperator._trusted(_EXPERIMENTS[FRAMEWORK_SQD].layout, stack[0])
 
 
 def prepare_initial_isbs(noise: NoiseConfig,
                          cnot_model: str = CNOT_IDEAL) -> DensityOperator:
     """Five-photon GHZ state followed by the configured noise; it is
     prepared without CNOTs, so ``cnot_model`` has no effect."""
-    return _prepare(FRAMEWORK_ISBS, noise, cnot_model)
+    stack = _prepare(FRAMEWORK_ISBS, cnot_model, noise.f, noise.mode, [noise.p])
+    return DensityOperator._trusted(_EXPERIMENTS[FRAMEWORK_ISBS].layout, stack[0])
 
 
 # ---------------------------------------------------------------------------
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch(config: ProtocolConfig, rho: DensityOperator, ctx: _Context,
-            apply_gamma: bool) -> np.ndarray:
-    """Computational-basis outcome probabilities of one branch over the full
-    register.
+def _branch(rho: np.ndarray, ctx: _Context,
+            models: Sequence[tuple[str, float]]) -> list[np.ndarray]:
+    """Computational-basis outcome probabilities over the full register of
+    the identity and the projected branch, a row per state of ``rho``.
 
     Applies the point channel on the unaccessed environments and, in the
-    projected branch of the ``noisy_prep_parity`` model, scrambles each
-    fragment environment to I/d with weight 1 - f^2 (its parity check's two
-    depolarizing CNOTs) before the objectivity operation; then the final
-    unitary.  A null projected state yields the all-zero vector.
+    projected branch of a row whose (CNOT model, f) in ``models`` is
+    ``noisy_prep_parity``, scrambles each fragment environment to I/d with
+    weight 1 - f^2 (its parity check's two depolarizing CNOTs) before the
+    objectivity operation; then the final unitary.  A null projected state
+    yields the all-zero vector.
     """
+    scramble = np.array([1.0 - f ** 2 if model == CNOT_NOISY_PREP_PARITY else 0.0
+                         for model, f in models])
+    layout, u = ctx.layout, ctx.unitary
     if ctx.ef_members:
-        rho = point_channel(rho, ctx.ef_members, ctx.replacement)
-    if apply_gamma:
-        if config.cnot_model == CNOT_NOISY_PREP_PARITY:
-            scramble = 1.0 - config.noise.f ** 2
+        rho = replace_subsystems(rho, layout, ctx.ef_members, ctx.replacement.matrix)
+    pmfs = []
+    for apply_gamma in (False, True):
+        if apply_gamma:
             for name in ctx.fragment:
-                rho = depolarize_subsystems(rho, ctx.spec.members_of([name]),
-                                            1.0 - scramble, scramble)
-        rho = objectivity_operation_sqd(rho, ctx.spec, ctx.fragment)
-    u = ctx.unitary
-    # The pipeline's exit check: it bounds the clipped dips by TOL.psd_min_eig.
-    out = DensityOperator(ctx.layout, u @ rho.matrix @ u.conj().T)
-    return np.clip(np.diag(out.matrix).real, 0.0, None)
+                rho = depolarize_stack(rho, layout, ctx.spec.members_of([name]),
+                                       1.0 - scramble, scramble)
+            rho = project(rho, embedded_projectors(ctx.spec, ctx.fragment, layout))
+        out = u @ rho @ u.conj().T
+        # The pipeline's exit check: it bounds the clipped dips by TOL.psd_min_eig.
+        require_density(out)
+        pmfs.append(np.clip(np.diagonal(out, axis1=-2, axis2=-1).real, 0.0, None))
+    return pmfs
 
 
 def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
@@ -441,7 +447,8 @@ def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
     if rho_t.layout != ctx.layout:
         raise InvariantViolation(f"state layout {list(rho_t.layout.labels)} is not "
                                  f"the {config.framework} register")
-    return _branch(config, rho_t, ctx, apply_gamma)
+    models = [(config.cnot_model, config.noise.f)]
+    return _branch(rho_t.matrix[None], ctx, models)[apply_gamma][0]
 
 
 def _marginalize_to_sf(vector: np.ndarray, layout: TensorLayout,
@@ -514,20 +521,18 @@ def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
     return float(np.std(stats, ddof=1))
 
 
-def _evaluate(config: ProtocolConfig, rho_t: DensityOperator,
-              ctx: _Context) -> WitnessReport:
-    """The report of ``config`` in its shot count's mode.
+def _evaluate(config: ProtocolConfig, ctx: _Context, rho_sf: DensityOperator,
+              *pmfs: np.ndarray) -> WitnessReport:
+    """The report of ``config`` in its shot count's mode, from its two rows
+    of ``_branch`` and the SF marginal ``rho_sf`` of its prepared state.
 
-    Each branch's exact SF pmf comes from one ``_branch`` run, the measure
-    from the SF marginal of the prepared state ``rho_t``.  Exact mode reports
-    the pmfs and asserts witness <= measure whenever the objectivity
-    operation itself is noiseless.  Monte Carlo mode reports the frequencies
-    of runs drawn from them (see ``_sample_branch``), with a seeded bootstrap
-    standard error.
+    Exact mode reports the branches' SF pmfs and asserts witness <= measure
+    whenever the objectivity operation itself is noiseless.  Monte Carlo mode
+    reports the frequencies of runs drawn from them (see ``_sample_branch``),
+    with a seeded bootstrap standard error.
     """
-    p_id, p_g = (_marginalize_to_sf(_branch(config, rho_t, ctx, gamma), ctx.layout,
-                                    ctx.sf_labels) for gamma in (False, True))
-    measure = nonobjectivity_measure(partial_trace(rho_t, set(ctx.sf_labels)), ctx.spec)
+    p_id, p_g = (_marginalize_to_sf(pmf, ctx.layout, ctx.sf_labels) for pmf in pmfs)
+    measure = nonobjectivity_measure(rho_sf, ctx.spec)
     stderr, successful_runs = None, 0
     if config.shots:
         n_id, n_g = config.split_shots()
@@ -567,15 +572,27 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
     """The report of each config, in order, by its shot count's mode.
 
     The only place prepared states and contexts are made.  Each distinct
-    preparation (framework, noise, CNOT model) and each distinct context
-    (framework, selected fragment, and the spec, replacement and unitary
-    objects) is evaluated once per call, on first use, so every report and
-    the first error equal those of one call per config.
+    context (framework, selected fragment, and the spec, replacement and
+    unitary objects) is resolved once.  Each preparation group (framework,
+    CNOT model, f, noise mode) is one ``_prepare`` stack, a row per distinct
+    p, and each context's distinct prepared rows are one ``_branch`` stack.
+    If that raises, the configs run again one at a time, as stacks of one,
+    so every report and the first error equal those of one call per config.
     """
-    configs = tuple(configs)  # held for the call, so the ids below stay unique
-    states: dict[tuple, DensityOperator] = {}
+    configs = tuple(configs)  # held for the call, so the ids of its objects stay unique
+    try:
+        return _run_stacked(configs)
+    except Exception:  # whatever it is, the replay raises the per-config loop's first
+        if len(configs) == 1:
+            raise
+    return [_run_stacked((config,))[0] for config in configs]
+
+
+def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     contexts: dict[tuple, _Context] = {}
-    reports = []
+    groups: dict[tuple, dict[float, int]] = {}  # group -> {p: prepared row}
+    branch_rows: dict[tuple, dict[tuple, int]] = {}  # context -> {prepared: branch row}
+    placed = []
     for config in configs:
         unitary = config.unitary
         key = (config.framework, config.spec.select(config.fragment), id(config.spec),
@@ -583,11 +600,23 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
                id(unitary) if isinstance(unitary, np.ndarray) else unitary)
         if key not in contexts:
             contexts[key] = _resolve_context(config)
-        prep = (config.framework, config.noise, config.cnot_model)
-        if prep not in states:
-            states[prep] = _prepare(*prep)
-        reports.append(_evaluate(config, states[prep], contexts[key]))
-    return reports
+        noise = config.noise
+        group = (config.framework, config.cnot_model, noise.f, noise.mode)
+        ps = groups.setdefault(group, {})
+        prepared = (group, ps.setdefault(noise.p, len(ps)))
+        rows = branch_rows.setdefault(key, {})
+        placed.append((key, rows.setdefault(prepared, len(rows)), config))
+    stacks = {group: _prepare(*group, list(ps)) for group, ps in groups.items()}
+    evaluated = {}
+    for key, rows in branch_rows.items():
+        ctx = contexts[key]
+        rho = np.stack([stacks[group][row] for group, row in rows])
+        models = [group[1:3] for group, _ in rows]  # (CNOT model, f)
+        sf_layout = ctx.layout.subset(ctx.sf_labels)
+        evaluated[key] = [(DensityOperator._trusted(sf_layout, sf), *pmfs) for sf, *pmfs in zip(
+            trace_out(rho, ctx.layout, set(ctx.sf_labels)), *_branch(rho, ctx, models))]
+    return [_evaluate(config, contexts[key], *evaluated[key][row])
+            for key, row, config in placed]
 
 
 def witness_exact(config: ProtocolConfig) -> WitnessReport:

@@ -24,7 +24,7 @@ from qdarwin import (
     partial_trace,
     point_channel,
 )
-from qdarwin.channels import depolarize_subsystems
+from qdarwin.channels import depolarize_stack, depolarize_subsystems, replace_subsystems
 
 from conftest import (
     apply_kraus,
@@ -193,6 +193,23 @@ def test_depolarize_subsystems_rejects_weights_beyond_a_mixture(keep, noise):
     bell = PureState(qubits("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
     with pytest.raises(InvariantViolation, match="weights"):
         depolarize_subsystems(bell, ["A"], keep, noise)
+
+
+def test_depolarize_stack_returns_zero_weight_rows_bit_for_bit(rng):
+    # A row with noise 0 is its input and a row with keep 0 the replaced
+    # input, signed zeros included: the mixture formula would turn -0.0
+    # into 0.0.
+    lay = qubits("A", "B", "C")
+    m = random_density(lay, rng).matrix.copy()
+    m[0, 1] = m[1, 0] = complex(-0.0, 0.0)
+    stack = np.stack([m, m, m])
+    out = depolarize_stack(stack, lay, ["B"], np.array([1.0, 0.0, 0.5]),
+                           np.array([0.0, 1.0, 0.5]))
+    replaced = replace_subsystems(m, lay, ["B"], np.eye(2, dtype=complex) / 2)
+    assert np.signbit(replaced.real).sum() > np.signbit(replaced.real + 0.0).sum()
+    assert out[0].tobytes() == m.tobytes()
+    assert out[1].tobytes() == replaced.tobytes()
+    assert np.allclose(out[2], 0.5 * m + 0.5 * replaced, atol=1e-15)
 
 
 def test_depolarize_p1_all_photons_gives_maximally_mixed():

@@ -39,8 +39,10 @@ from qdarwin import (
     witness_monte_carlo,
 )
 from qdarwin import protocol
-from qdarwin.objectivity import require_basis_spec
+from qdarwin.objectivity import embedded_projectors, project, require_basis_spec
 from qdarwin.cli import main
+from qdarwin.channels import depolarize_stack, replace_subsystems
+from qdarwin.hilbert import eigvals_hermitian, permute_subsystems, require_density, trace_out
 from qdarwin.protocol import _marginalize_to_sf, _max_subset, _resolve_context
 from qdarwin.serialize import config_from_dict, spec_by_name
 from qdarwin.tolerances import TOL
@@ -503,13 +505,12 @@ def test_default_spec_is_one_read_only_instance(framework):
 # ---------------------------------------------------------------------------
 
 def _broken(stage):
-    """``stage`` with its output's smallest eigenvalue set to -1e-6, built
-    unchecked."""
+    """The stacked ``stage`` with the smallest eigenvalue of each output
+    matrix set to -1e-6."""
     def broken(*args, **kwargs):
-        out = stage(*args, **kwargs)
-        w, v = np.linalg.eigh(out.matrix)
-        w[0] = -1e-6
-        return DensityOperator._trusted(out.layout, (v * w) @ v.conj().T)
+        w, v = np.linalg.eigh(stage(*args, **kwargs))
+        w[..., 0] = -1e-6
+        return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return broken
 
 
@@ -525,16 +526,14 @@ def _assert_both_modes_raise():
 
 
 def test_branch_output_boundary_catches_a_broken_gamma(monkeypatch):
-    monkeypatch.setattr(protocol, "objectivity_operation_sqd",
-                        _broken(protocol.objectivity_operation_sqd))
+    monkeypatch.setattr(protocol, "project", _broken(protocol.project))
     _assert_both_modes_raise()
 
 
 def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
-    monkeypatch.setattr(protocol, "depolarize_subsystems",
-                        _broken(protocol.depolarize_subsystems))
+    monkeypatch.setattr(protocol, "depolarize_stack", _broken(protocol.depolarize_stack))
     with pytest.raises(InvariantViolation, match="negative eigenvalue"):
-        protocol._prepare("SQD", NoiseConfig(p=0.2), "ideal")
+        protocol._prepare("SQD", "ideal", 1.0, "mix_global", [0.2])
     _assert_both_modes_raise()
 
 
@@ -838,32 +837,129 @@ def test_run_witnesses_equals_one_call_per_config(configs):
     assert run_witnesses(configs) == [run_witness(config) for config in configs]
 
 
+# (keep, noise) weights of one row: the 0/1 shortcuts and fractional mixtures.
+_WEIGHT_PAIRS = st.one_of(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
+                          st.floats(0.0, 1.0).map(lambda p: (1.0 - p, p)))
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(framework=st.sampled_from(["SQD", "ISBS"]),
+       weights=st.lists(_WEIGHT_PAIRS, min_size=1, max_size=4), data=st.data())
+def test_stacked_stages_equal_each_matrix_alone(framework, weights, data):
+    # Every array stage returns, for each matrix of a stack, the bytes it
+    # returns for that matrix alone, with that row's weights.
+    experiment = protocol._EXPERIMENTS[framework]
+    layout, spec = experiment.layout, experiment.spec
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    stack = np.stack([random_density(layout, rng, rank=data.draw(st.sampled_from([1, 3, None])))
+                      .matrix for _ in weights])
+    labels = data.draw(st.lists(st.sampled_from(layout.labels), min_size=1, unique=True))
+    replacement = random_density(layout.subset(labels), rng).matrix
+    order = data.draw(st.permutations(layout.labels))
+    fragment = spec.select(data.draw(st.lists(st.sampled_from(spec.environment_names),
+                                              min_size=1, unique=True)))
+    projectors = embedded_projectors(spec, fragment, layout)
+    stages = {
+        "trace_out": lambda m, keep, noise: trace_out(m, layout, set(labels)),
+        "replace_subsystems": lambda m, keep, noise: replace_subsystems(
+            m, layout, labels, replacement),
+        "depolarize_stack": lambda m, keep, noise: depolarize_stack(
+            m, layout, labels, keep, noise),
+        "project": lambda m, keep, noise: project(m, projectors),
+        "permute_subsystems": lambda m, keep, noise: permute_subsystems(m, layout, order),
+        "eigvals_hermitian": lambda m, keep, noise: eigvals_hermitian(m),
+    }
+    keep, noise = (np.array(column) for column in zip(*weights))
+    for name, stage in stages.items():
+        stacked = stage(stack, keep, noise)
+        for row, (k, n) in enumerate(weights):
+            assert stacked[row].tobytes() == stage(stack[row], k, n).tobytes(), name
+
+
+@st.composite
+def _prepared_groups(draw):
+    """A preparation group over p values with the 0/1 edges, and per-row
+    (CNOT model, f) pairs for the branches."""
+    framework = draw(st.sampled_from(["SQD", "ISBS"]))
+    sqd = framework == "SQD"
+    models = st.sampled_from(["ideal", "noisy_prep", "noisy_prep_parity"] if sqd else ["ideal"])
+    ps = draw(st.lists(_UNIT, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(models, _UNIT), min_size=len(ps), max_size=len(ps)))
+    fragment = draw(st.sampled_from(_FRAGMENTS[framework]))
+    return (framework, draw(models), draw(_UNIT),
+            draw(st.sampled_from(["mix_global", "depolarize_local"])), ps, rows, fragment)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(group=_prepared_groups())
+def test_prepare_and_branch_stacks_equal_each_row_alone(group):
+    # The pipeline's stages on a stack give each row the bytes of a stack of
+    # one: prepared states at p = 0, 1 and between, and both branches at
+    # scramble weights 0, 1 and between.
+    framework, cnot_model, f, mode, ps, models, fragment = group
+    stack = protocol._prepare(framework, cnot_model, f, mode, ps)
+    for row, p in enumerate(ps):
+        alone = protocol._prepare(framework, cnot_model, f, mode, [p])
+        assert stack[row].tobytes() == alone[0].tobytes()
+    ctx = _resolve_context(ProtocolConfig(framework=framework, fragment=fragment))
+    stacked = protocol._branch(stack, ctx, models)
+    for row, model in enumerate(models):
+        alone = protocol._branch(stack[row:row + 1], ctx, [model])
+        for branch in (0, 1):
+            assert stacked[branch][row].tobytes() == alone[branch][0].tobytes()
+
+
+def test_run_witnesses_raises_the_first_error_of_one_call_per_config(monkeypatch):
+    # The first config aborts in sampling; the second, on another context,
+    # fails its exit check.  The stacked pass meets the exit check first, so
+    # run_witnesses replays the configs one by one and raises the abort.
+    aborting = ProtocolConfig(framework="SQD", fragment=("E1",),
+                              noise=NoiseConfig(p_cnot=0.001), shots=50, seed=2)
+    failing = ProtocolConfig(framework="SQD", fragment=("E2",), noise=NoiseConfig(p=0.2))
+    intact, broken = protocol.replace_subsystems, _broken(protocol.replace_subsystems)
+
+    def replace(matrices, layout, discard, replacement):  # breaks fragment E2 only
+        stage = broken if discard[0] == "E1_1" else intact
+        return stage(matrices, layout, discard, replacement)
+
+    monkeypatch.setattr(protocol, "replace_subsystems", replace)
+    with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+        protocol._run_stacked((aborting, failing))
+    with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+        run_witness(failing)
+    with pytest.raises(NonterminatingSampling):
+        run_witnesses([aborting, failing])
+
+
 @pytest.mark.parametrize("name, n_p, n_fragments", [
     ("sweep_sqd_exact", 11, 2), ("sweep_isbs_exact", 11, 4)])
 def test_sweep_prepares_each_p_and_resolves_each_fragment_once(
         name, n_p, n_fragments, monkeypatch, capsys):
-    calls = collections.Counter()
+    rows = collections.Counter()
+    checked = []
 
     def spy(fn):
         def counted(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            rows[fn.__name__] += len(out) if fn.__name__ == "_prepare" else 1
+            return out
         return counted
 
-    class Checked(DensityOperator):
-        def __init__(self, *args):
-            calls["DensityOperator"] += 1
-            super().__init__(*args)
+    def check(matrices):
+        checked.append(len(matrices))
+        return require_density(matrices)
 
-    for fn in (protocol._prepare, protocol._resolve_context, protocol._branch):
+    for fn in (protocol._prepare, protocol._resolve_context):
         monkeypatch.setattr(protocol, fn.__name__, spy(fn))
-    monkeypatch.setattr(protocol, "DensityOperator", Checked)
+    monkeypatch.setattr(protocol, "require_density", check)
     config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
     assert main(["sweep", "--config", str(config)]) == 0
-    points = n_p * n_fragments
-    # The prepared state's entry check once per p, two branch exits per point.
-    assert calls == {"_prepare": n_p, "_resolve_context": n_fragments,
-                     "_branch": 2 * points, "DensityOperator": n_p + 2 * points}
+    # One prepared row per p and one context per fragment; one entry check
+    # over the prepared rows, and one exit check per fragment over both
+    # branches of its points, so every row is checked exactly once.
+    assert rows == {"_prepare": n_p, "_resolve_context": n_fragments}
+    assert checked == [n_p] + [n_p] * 2 * n_fragments
 
 
 # ---------------------------------------------------------------------------
