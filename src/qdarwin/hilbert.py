@@ -13,7 +13,8 @@ projection sums) applied to operators that were already validated, which
 keep Hermiticity, positivity and a trace in [0, 1] up to rounding.  The
 witness pipeline passes its prepared states and each branch output through
 the constructor's checks, ``require_density``, so a broken stage still
-raises.  The functions on plain arrays take a stack, ``(..., d, d)``, too.
+raises.  ``require_density``, ``eigvals_hermitian``, ``permute_subsystems``
+and ``trace_out`` also take a stack of matrices, ``(..., d, d)``.
 """
 
 from __future__ import annotations

@@ -611,10 +611,11 @@ def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     for key, rows in branch_rows.items():
         ctx = contexts[key]
         rho = np.stack([stacks[group][row] for group, row in rows])
-        models = [group[1:3] for group, _ in rows]  # (CNOT model, f)
         sf_layout = ctx.layout.subset(ctx.sf_labels)
-        evaluated[key] = [(DensityOperator._trusted(sf_layout, sf), *pmfs) for sf, *pmfs in zip(
-            trace_out(rho, ctx.layout, set(ctx.sf_labels)), *_branch(rho, ctx, models))]
+        sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
+        identity, projected = _branch(rho, ctx, [(model, f) for (_, model, f, _), _ in rows])
+        evaluated[key] = [(DensityOperator._trusted(sf_layout, sf), *pmfs)
+                          for sf, *pmfs in zip(sfs, identity, projected)]
     return [_evaluate(config, contexts[key], *evaluated[key][row])
             for key, row, config in placed]
 

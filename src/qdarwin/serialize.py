@@ -131,9 +131,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> ObjectiveSubspaceSpec:
         else:
             dim = len(next(iter(vectors.values()), []))
             if not dim:
-                raise ConfigError("field 'subspace.basis_vectors': without a system_basis, the "
-                                  "first environment's list, one entry per index, sets the "
-                                  "system dimension, and it is missing or empty")
+                raise ConfigError("field 'subspace.basis_vectors': with no system_basis, the "
+                                  "first list sets the dimension, and it is missing or empty")
             system_basis = np.eye(dim, dtype=np.complex128)
         return spec_from_basis_vectors(system_label, system_basis, environments, vectors)
     except ConfigError:
