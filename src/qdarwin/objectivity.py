@@ -21,7 +21,7 @@ from .hilbert import (
     InvariantViolation,
     TensorLayout,
     embed_operator,
-    trace_norm_distance,
+    trace_norm_distances,
 )
 from .tolerances import TOL
 
@@ -288,4 +288,11 @@ def nonobjectivity_measure(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec)
     superposing a matched subspace with an unmatched one reaches sqrt(5)/2
     (see the property suite), so callers must not normalize by it.
     """
-    return trace_norm_distance(rho_sf, objectivity_operation_sqd(rho_sf, spec))
+    return float(nonobjectivity_measures(rho_sf.matrix[None], rho_sf.layout, spec)[0])
+
+
+def nonobjectivity_measures(matrices: np.ndarray, layout: TensorLayout,
+                            spec: ObjectiveSubspaceSpec) -> np.ndarray:
+    """``nonobjectivity_measure`` of each state of the stack ``matrices`` on ``layout``."""
+    projectors = embedded_projectors(spec, spec.environments_in(layout.labels), layout)
+    return trace_norm_distances(matrices, project(matrices, projectors))

@@ -67,7 +67,7 @@ from .objectivity import (
     ObjectiveSubspaceSpec,
     computational_spec,
     embedded_projectors,
-    nonobjectivity_measure,
+    nonobjectivity_measures,
     parity_spec,
     project,
     require_basis_spec,
@@ -385,6 +385,7 @@ def _prepare(framework: str, cnot_model: str, f: float, mode: str,
     for site in [labels] if mode == "mix_global" else [(lab,) for lab in labels]:
         stack = depolarize_stack(stack, rho.layout, site, 1.0 - p, p)
     require_density(stack)  # the pipeline's entry check
+    stack.flags.writeable = False  # no stage writes into its input
     return stack
 
 
@@ -521,10 +522,10 @@ def _bootstrap_stderr(counts_id: np.ndarray, n_id: int, counts_g: np.ndarray,
     return float(np.std(stats, ddof=1))
 
 
-def _evaluate(config: ProtocolConfig, ctx: _Context, rho_sf: DensityOperator,
+def _evaluate(config: ProtocolConfig, ctx: _Context, measure: float,
               *pmfs: np.ndarray) -> WitnessReport:
     """The report of ``config`` in its shot count's mode, from its two rows
-    of ``_branch`` and the SF marginal ``rho_sf`` of its prepared state.
+    of ``_branch`` and the non-objectivity measure of its prepared state.
 
     Exact mode reports the branches' SF pmfs and asserts witness <= measure
     whenever the objectivity operation itself is noiseless.  Monte Carlo mode
@@ -532,7 +533,6 @@ def _evaluate(config: ProtocolConfig, ctx: _Context, rho_sf: DensityOperator,
     with a seeded bootstrap standard error.
     """
     p_id, p_g = (_marginalize_to_sf(pmf, ctx.layout, ctx.sf_labels) for pmf in pmfs)
-    measure = nonobjectivity_measure(rho_sf, ctx.spec)
     stderr, successful_runs = None, 0
     if config.shots:
         n_id, n_g = config.split_shots()
@@ -575,7 +575,7 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
     context (framework, selected fragment, and the spec, replacement and
     unitary objects) is resolved once.  Each preparation group (framework,
     CNOT model, f, noise mode) is one ``_prepare`` stack, a row per distinct
-    p, and each context's distinct prepared rows are one ``_branch`` stack.
+    p, and each context's prepared rows are one ``_branch`` and measure stack.
     If that raises, the configs run again one at a time, as stacks of one,
     so every report and the first error equal those of one call per config.
     """
@@ -610,12 +610,14 @@ def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     evaluated = {}
     for key, rows in branch_rows.items():
         ctx = contexts[key]
-        rho = np.stack([stacks[group][row] for group, row in rows])
-        sf_layout = ctx.layout.subset(ctx.sf_labels)
-        sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
+        group = next(iter(rows))[0]
+        rho = stacks[group]  # copied only if the rows are not that stack's, in order
+        if list(rows) != [(group, row) for row in range(len(rho))]:
+            rho = np.stack([stacks[g][row] for g, row in rows])
         identity, projected = _branch(rho, ctx, [(model, f) for (_, model, f, _), _ in rows])
-        evaluated[key] = [(DensityOperator._trusted(sf_layout, sf), *pmfs)
-                          for sf, *pmfs in zip(sfs, identity, projected)]
+        sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
+        measures = nonobjectivity_measures(sfs, ctx.layout.subset(ctx.sf_labels), ctx.spec)
+        evaluated[key] = list(zip(measures.tolist(), identity, projected))
     return [_evaluate(config, contexts[key], *evaluated[key][row])
             for key, row, config in placed]
 

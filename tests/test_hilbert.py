@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdarwin import (
     DensityOperator,
@@ -13,9 +14,10 @@ from qdarwin import (
     partial_trace,
     trace_norm_distance,
 )
-from qdarwin.hilbert import trace_norm
+from qdarwin.hilbert import embed_operator, permute_subsystems, require_density, trace_norm
+from qdarwin.tolerances import TOL
 
-from conftest import qubits, random_density, random_pure
+from conftest import qubits, random_density, random_pure, random_unitary
 
 
 def ket_density(layout, digits):
@@ -133,8 +135,8 @@ def test_partial_trace_of_product_recovers_factor(rng):
 
 
 def test_partial_trace_rejects_unknown_label():
-    with pytest.raises(InvariantViolation):
-        partial_trace(bell_state(), {"Z"})
+    with pytest.raises(InvariantViolation, match=r"^unknown subsystem labels \['Z'\]$"):
+        partial_trace(bell_state(), {"A", "Z"})
 
 
 def test_partial_trace_preserves_trace_on_random_states(rng):
@@ -230,3 +232,145 @@ def test_projector_probability_bounds(rng):
         proj = np.outer(v, v.conj())
         p = float(np.trace(proj @ rho.matrix).real)
         assert -1e-10 <= p <= rho.trace + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# require_density: the shifted Cholesky accepts, the spectrum rejects
+# ---------------------------------------------------------------------------
+
+_PSD = TOL.psd_min_eig
+# Least eigenvalues on both sides of -psd_min_eig, where the verdict flips,
+# and of -psd_min_eig / 2, below which the shifted factor does not exist.
+_LEAST = st.one_of(
+    st.sampled_from([-2.0, -1.0001, -1.0, -0.9999, -0.75, -0.5001, -0.5, -0.4999, -0.1, 0.0])
+    .map(lambda x: x * _PSD),
+    st.floats(-2 * _PSD, 0.0), st.just(1e-3))
+
+
+def with_spectrum(d, rank, least, rng):
+    """U diag(w_1, ..., w_rank, 0, ..., least) U^dag in a random basis, with
+    rank < d weights of sum 0.99; a positive ``least`` makes it full rank."""
+    spectrum = np.zeros(d)
+    spectrum[:rank] = 0.99 * rng.dirichlet(np.ones(rank))
+    spectrum[-1] = least
+    u = random_unitary(d, rng)
+    return (u * spectrum) @ u.conj().T
+
+
+def spectrum_verdict(stack):
+    """The message of a check that reads the full spectrum, or None to pass."""
+    low = float(np.min(eigvals_hermitian(stack)[..., -1]))
+    return None if low >= -TOL.psd_min_eig else f"matrix has negative eigenvalue {low:.3e}"
+
+
+def verdict(stack):
+    try:
+        require_density(stack)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``np.linalg`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 4, 8, 32]), data=st.data())
+def test_require_density_decides_as_the_spectrum_does(d, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    rows = data.draw(st.lists(st.tuples(st.integers(1, d - 1), _LEAST), min_size=1, max_size=4))
+    stack = np.stack([with_spectrum(d, rank, least, rng) for rank, least in rows])
+    assert verdict(stack) == spectrum_verdict(stack)
+
+
+def test_require_density_passes_a_row_in_the_fallback_band(rng, monkeypatch):
+    calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+    states = [with_spectrum(8, 3, least, rng) for least in (0.0, 1e-3)]
+    require_density(np.stack(states))
+    assert calls == {"cholesky": 1, "eigvalsh": 0}  # the factor accepts
+    # A least eigenvalue of -0.75 psd_min_eig has no shifted factor but passes.
+    require_density(np.stack(states + [with_spectrum(8, 3, -0.75 * _PSD, rng)]))
+    assert calls == {"cholesky": 2, "eigvalsh": 1}
+
+
+def test_require_density_rejects_a_row_at_minus_1e_6(rng):
+    stack = np.stack([with_spectrum(8, 3, least, rng) for least in (0.0, -1e-6, 1e-3)])
+    with pytest.raises(InvariantViolation, match=r"^matrix has negative eigenvalue -1\.000e-06$"):
+        require_density(stack)
+
+
+def test_require_density_checks_the_trace_of_a_positive_stack():
+    # 0.75 I is positive definite: positivity passes, and the trace is checked.
+    with pytest.raises(InvariantViolation, match=r"^trace 1\.5 outside \[0, 1\]$"):
+        require_density(np.stack([np.eye(2) / 2, 0.75 * np.eye(2)]))
+
+
+def test_require_density_reads_an_out_of_range_stack_from_the_spectrum(rng):
+    # At a trace of 1e12 the shifted factor's rounding, about 1e-4, can hide
+    # an eigenvalue of -1e-6.  Such a stack is decided by the spectrum, so it
+    # is rejected for that eigenvalue before its trace, as a spectrum-only
+    # check rejects it.
+    hidden = 0
+    for _ in range(40):
+        u = random_unitary(4, rng)
+        m = (u * [1e12, 0.3, 0.2, -1e-6]) @ u.conj().T
+        m = 0.5 * (m + m.conj().T)
+        message = spectrum_verdict(m) or "trace"
+        assert verdict(m).startswith(message)
+        try:
+            np.linalg.cholesky(m + 0.5 * _PSD * np.eye(4))
+            hidden += message != "trace"
+        except np.linalg.LinAlgError:
+            pass
+    assert hidden  # the shifted factor alone would have accepted these
+
+
+def test_require_density_rejects_non_finite_entries_before_any_factorization(monkeypatch):
+    calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+    m = np.eye(2, dtype=complex) / 2
+    m[1, 1] = np.nan
+    with pytest.raises(InvariantViolation, match=r"^matrix has a non-finite entry$"):
+        require_density(m[None])
+    assert calls == {"cholesky": 0, "eigvalsh": 0}
+
+
+# ---------------------------------------------------------------------------
+# Guard clauses: each names what it rejects
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: TensorLayout([]), "layout needs at least one subsystem",
+                 id="empty-layout"),
+    pytest.param(lambda: TensorLayout([("A", 2), ("B", 0)]), "subsystem 'B' has dim 0 < 1",
+                 id="dimension-below-1"),
+    pytest.param(lambda: PureState(qubits("A"), [1.0, 0.0, 0.0]),
+                 "amplitude length 3 != layout dim 2", id="amplitude-length"),
+    pytest.param(lambda: DensityOperator(qubits("A"), np.eye(4) / 4),
+                 "matrix shape (4, 4) != layout dim (2, 2)", id="matrix-shape"),
+    pytest.param(lambda: computational_ket(qubits("A", "B"), [0]),
+                 "one digit per subsystem required", id="digit-count"),
+    pytest.param(lambda: computational_ket(qubits("A", "B"), [0, 2]),
+                 "digit 2 out of range for dim 2", id="digit-range"),
+    pytest.param(lambda: embed_operator(qubits("A", "B"), np.eye(4), ["A", "A"]),
+                 "duplicate target labels ['A', 'A']", id="duplicate-targets"),
+    pytest.param(lambda: embed_operator(qubits("A", "B"), np.eye(2), ["C"]),
+                 "unknown target labels ['C']", id="unknown-targets"),
+    pytest.param(lambda: embed_operator(qubits("A", "B"), np.eye(4), ["A"]),
+                 "operator shape (4, 4) != target dim (2, 2)", id="operator-shape"),
+    pytest.param(lambda: permute_subsystems(np.eye(4), qubits("A", "B"), ["A", "C"]),
+                 "order ['A', 'C'] is not a permutation of ['A', 'B']", id="non-permutation"),
+    pytest.param(lambda: partial_trace(bell_state(), set()), "keep set must be nonempty",
+                 id="empty-keep-set"),
+])
+def test_guard_clause_names_what_it_rejects(make, message):
+    with pytest.raises(InvariantViolation) as caught:
+        make()
+    assert str(caught.value) == message

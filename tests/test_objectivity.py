@@ -1,7 +1,10 @@
 """Fragment projectors, objectivity operations, non-objectivity measures."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdarwin import (
     DensityOperator,
@@ -10,7 +13,9 @@ from qdarwin import (
     ObjectiveSubspaceSpec,
     PureState,
     check_structure,
+    computational_ket,
     computational_spec,
+    eigvals_hermitian,
     fragment_projector,
     maximally_mixed,
     mix_with_noise,
@@ -21,6 +26,8 @@ from qdarwin import (
     prepare_initial_isbs,
     prepare_initial_sqd,
 )
+from qdarwin.objectivity import nonobjectivity_measures
+from qdarwin.protocol import _EXPERIMENTS
 
 from conftest import qubits, random_density, random_subspace_spec
 
@@ -338,3 +345,35 @@ def test_isbs_measure_ghz_endpoint():
     ghz = prepare_initial_isbs(NoiseConfig())
     m = nonobjectivity_measure(ghz, computational_spec(4))
     assert abs(m - 1.0) < 1e-9
+
+
+def measure_alone(rho_sf, spec):
+    """The single-state measure that the stacked one replaced: the residual's
+    spectrum, subtracted in the byte order of its two operands."""
+    a, b = rho_sf.matrix, objectivity_operation_sqd(rho_sf, spec).matrix
+    return float(np.sum(np.abs(eigvals_hermitian(a - b if a.tobytes() <= b.tobytes() else b - a))))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(framework=st.sampled_from(["SQD", "ISBS"]), custom=st.booleans(), data=st.data())
+def test_stacked_measure_equals_each_row_alone(framework, custom, data):
+    # Each row of the stacked measure has the bytes of the measure of that
+    # state alone, on every fragment of the register's preset or of a custom
+    # subspace.  The rows mix ranks, both operand orders of the
+    # subtraction, and (on the preset) a fixed point, whose residual is zero.
+    experiment = _EXPERIMENTS[framework]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    spec = (random_subspace_spec(rng, dict(experiment.spec.environments)) if custom
+            else experiment.spec)
+    names = spec.environment_names
+    for fragment in itertools.chain.from_iterable(
+            itertools.combinations(names, k) for k in range(1, len(names) + 1)):
+        layout = experiment.layout.subset([spec.system_label, *spec.members_of(fragment)])
+        rows = [random_density(layout, rng, rank=rank) for rank in
+                data.draw(st.lists(st.sampled_from([1, 2, None]), min_size=1, max_size=4))]
+        if not custom:
+            rows.append(computational_ket(layout, [0] * len(layout)).to_density())
+        stacked = nonobjectivity_measures(np.stack([rho.matrix for rho in rows]), layout, spec)
+        for row, rho in zip(stacked, rows):
+            for alone in (nonobjectivity_measure(rho, spec), measure_alone(rho, spec)):
+                assert row.tobytes() == np.float64(alone).tobytes()

@@ -910,6 +910,17 @@ def test_prepare_and_branch_stacks_equal_each_row_alone(group):
             assert stacked[branch][row].tobytes() == alone[branch][0].tobytes()
 
 
+def test_stacked_pass_copies_the_rows_of_a_context_that_are_not_a_whole_prepared_stack():
+    # One preparation group, rows p = 0.3 and 0.7.  E1 takes both in order,
+    # so it branches the prepared stack itself; E2 takes the second row only
+    # and E1+E2 both rows in reverse order, so each branches a copy.  The
+    # stacked pass is called directly, so no replay can hide a wrong row.
+    configs = tuple(ProtocolConfig(fragment=fragment, noise=NoiseConfig(p=p))
+                    for fragment, p in [(("E1",), 0.3), (("E1",), 0.7), (("E2",), 0.7),
+                                        (("E1", "E2"), 0.7), (("E1", "E2"), 0.3)])
+    assert protocol._run_stacked(configs) == [run_witness(config) for config in configs]
+
+
 def test_run_witnesses_raises_the_first_error_of_one_call_per_config(monkeypatch):
     # The first config aborts in sampling; the second, on another context,
     # fails its exit check.  The stacked pass meets the exit check first, so
@@ -936,30 +947,39 @@ def test_run_witnesses_raises_the_first_error_of_one_call_per_config(monkeypatch
     ("sweep_sqd_exact", 11, 2), ("sweep_isbs_exact", 11, 4)])
 def test_sweep_prepares_each_p_and_resolves_each_fragment_once(
         name, n_p, n_fragments, monkeypatch, capsys):
-    rows = collections.Counter()
-    checked = []
+    calls = collections.Counter()
+    prepared, checked, branched = [], [], []
 
-    def spy(fn):
+    def spy(owner, fn_name, record=lambda args, out: None):
+        fn = getattr(owner, fn_name)
+
         def counted(*args, **kwargs):
             out = fn(*args, **kwargs)
-            rows[fn.__name__] += len(out) if fn.__name__ == "_prepare" else 1
+            calls[fn_name] += 1
+            record(args, out)
             return out
-        return counted
+        monkeypatch.setattr(owner, fn_name, counted)
 
-    def check(matrices):
-        checked.append(len(matrices))
-        return require_density(matrices)
-
-    for fn in (protocol._prepare, protocol._resolve_context):
-        monkeypatch.setattr(protocol, fn.__name__, spy(fn))
-    monkeypatch.setattr(protocol, "require_density", check)
+    spy(protocol, "_prepare", lambda args, out: prepared.append(out))
+    spy(protocol, "_resolve_context")
+    spy(protocol, "require_density", lambda args, out: checked.append(len(args[0])))
+    spy(protocol, "_branch", lambda args, out: branched.append(args[0]))
+    spy(np.linalg, "cholesky")
+    spy(np.linalg, "eigvalsh")
     config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
     assert main(["sweep", "--config", str(config)]) == 0
     # One prepared row per p and one context per fragment; one entry check
     # over the prepared rows, and one exit check per fragment over both
     # branches of its points, so every row is checked exactly once.
-    assert rows == {"_prepare": n_p, "_resolve_context": n_fragments}
+    assert [len(stack) for stack in prepared] == [n_p]
+    assert calls["_resolve_context"] == n_fragments
     assert checked == [n_p] + [n_p] * 2 * n_fragments
+    # Each check factors its stack once and takes no spectrum; the measure
+    # takes one spectrum per fragment.  Every fragment branches the prepared
+    # stack itself, which is read-only, so no stage writes into it.
+    assert (calls["cholesky"], calls["eigvalsh"]) == (1 + 2 * n_fragments, n_fragments)
+    assert len(branched) == n_fragments and all(rho is prepared[0] for rho in branched)
+    assert not prepared[0].flags.writeable
 
 
 # ---------------------------------------------------------------------------
