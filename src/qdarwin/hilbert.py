@@ -296,8 +296,8 @@ def eigvals_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2 of each matrix M of ``h``, finite (checked first) and
-    Hermitian within ``TOL.hermiticity``: it suppresses rounding asymmetry."""
+    """(M + M^dag)/2, which suppresses rounding asymmetry, of each matrix M of
+    ``h``; M must be finite (checked first) and Hermitian within ``TOL.hermiticity``."""
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise InvariantViolation("matrix has a non-finite entry")
