@@ -409,20 +409,17 @@ def prepare_initial_isbs(noise: NoiseConfig,
 # Branch evaluation
 # ---------------------------------------------------------------------------
 
-def _branch(rho: np.ndarray, ctx: _Context,
-            models: Sequence[tuple[str, float]]) -> list[np.ndarray]:
+def _branch(rho: np.ndarray, ctx: _Context, cnot_model: str, f: float) -> list[np.ndarray]:
     """Computational-basis outcome probabilities over the full register of
     the identity and the projected branch, a row per state of ``rho``.
 
     Applies the point channel on the unaccessed environments and, in the
-    projected branch of a row whose (CNOT model, f) in ``models`` is
-    ``noisy_prep_parity``, scrambles each fragment environment to I/d with
-    weight 1 - f^2 (its parity check's two depolarizing CNOTs) before the
-    objectivity operation; then the final unitary.  A null projected state
-    yields the all-zero vector.
+    projected branch under the ``noisy_prep_parity`` CNOT model, scrambles
+    each fragment environment to I/d with weight 1 - f^2 (its parity check's
+    two depolarizing CNOTs) before the objectivity operation; then the final
+    unitary.  A null projected state yields the all-zero vector.
     """
-    scramble = np.array([1.0 - f ** 2 if model == CNOT_NOISY_PREP_PARITY else 0.0
-                         for model, f in models])
+    scramble = 1.0 - f ** 2 if cnot_model == CNOT_NOISY_PREP_PARITY else 0.0
     layout, u = ctx.layout, ctx.unitary
     if ctx.ef_members:
         rho = replace_subsystems(rho, layout, ctx.ef_members, ctx.replacement.matrix)
@@ -448,8 +445,7 @@ def run_branch(rho_t: DensityOperator, config: ProtocolConfig,
     if rho_t.layout != ctx.layout:
         raise InvariantViolation(f"state layout {list(rho_t.layout.labels)} is not "
                                  f"the {config.framework} register")
-    models = [(config.cnot_model, config.noise.f)]
-    return _branch(rho_t.matrix[None], ctx, models)[apply_gamma][0]
+    return _branch(rho_t.matrix[None], ctx, config.cnot_model, config.noise.f)[apply_gamma][0]
 
 
 def _marginalize_to_sf(vector: np.ndarray, layout: TensorLayout,
@@ -573,9 +569,10 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
 
     The only place prepared states and contexts are made.  Each distinct
     context (framework, selected fragment, and the spec, replacement and
-    unitary objects) is resolved once.  Each preparation group (framework,
-    CNOT model, f, noise mode) is one ``_prepare`` stack, a row per distinct
-    p, and each context's prepared rows are one ``_branch`` and measure stack.
+    unitary objects) is resolved once.  Each (context, preparation group)
+    pair, the group being the framework, CNOT model, f and noise mode, is one
+    ``_branch`` and measure stack: the ``_prepare`` stack of its distinct p
+    values in first-seen order, prepared once per group and p tuple.
     If that raises, the configs run again one at a time, as stacks of one,
     so every report and the first error equal those of one call per config.
     """
@@ -590,8 +587,7 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
 
 def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     contexts: dict[tuple, _Context] = {}
-    groups: dict[tuple, dict[float, int]] = {}  # group -> {p: prepared row}
-    branch_rows: dict[tuple, dict[tuple, int]] = {}  # context -> {prepared: branch row}
+    buckets: dict[tuple, dict[float, int]] = {}  # (context, group) -> {p: row}
     placed = []
     for config in configs:
         unitary = config.unitary
@@ -601,25 +597,22 @@ def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
         if key not in contexts:
             contexts[key] = _resolve_context(config)
         noise = config.noise
-        group = (config.framework, config.cnot_model, noise.f, noise.mode)
-        ps = groups.setdefault(group, {})
-        prepared = (group, ps.setdefault(noise.p, len(ps)))
-        rows = branch_rows.setdefault(key, {})
-        placed.append((key, rows.setdefault(prepared, len(rows)), config))
-    stacks = {group: _prepare(*group, list(ps)) for group, ps in groups.items()}
+        bucket = (key, (config.framework, config.cnot_model, noise.f, noise.mode))
+        ps = buckets.setdefault(bucket, {})
+        placed.append((bucket, ps.setdefault(noise.p, len(ps)), config))
+    stacks: dict[tuple, np.ndarray] = {}  # _prepare's arguments -> its stack
     evaluated = {}
-    for key, rows in branch_rows.items():
-        ctx = contexts[key]
-        group = next(iter(rows))[0]
-        rho = stacks[group]  # copied only if the rows are not that stack's, in order
-        if list(rows) != [(group, row) for row in range(len(rho))]:
-            rho = np.stack([stacks[g][row] for g, row in rows])
-        identity, projected = _branch(rho, ctx, [(model, f) for (_, model, f, _), _ in rows])
+    for (key, group), ps in buckets.items():
+        prepared = (*group, tuple(ps))
+        if prepared not in stacks:
+            stacks[prepared] = _prepare(*prepared)
+        rho, ctx = stacks[prepared], contexts[key]
+        identity, projected = _branch(rho, ctx, *group[1:3])  # its CNOT model and f
         sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
         measures = nonobjectivity_measures(sfs, ctx.layout.subset(ctx.sf_labels), ctx.spec)
-        evaluated[key] = list(zip(measures.tolist(), identity, projected))
-    return [_evaluate(config, contexts[key], *evaluated[key][row])
-            for key, row, config in placed]
+        evaluated[key, group] = list(zip(measures.tolist(), identity, projected))
+    return [_evaluate(config, contexts[bucket[0]], *evaluated[bucket][row])
+            for bucket, row, config in placed]
 
 
 def witness_exact(config: ProtocolConfig) -> WitnessReport:

@@ -879,16 +879,16 @@ def test_stacked_stages_equal_each_matrix_alone(framework, weights, data):
 
 @st.composite
 def _prepared_groups(draw):
-    """A preparation group over p values with the 0/1 edges, and per-row
-    (CNOT model, f) pairs for the branches."""
+    """A preparation group over p values with the 0/1 edges, and the
+    (CNOT model, f) pair its stack branches with."""
     framework = draw(st.sampled_from(["SQD", "ISBS"]))
     sqd = framework == "SQD"
     models = st.sampled_from(["ideal", "noisy_prep", "noisy_prep_parity"] if sqd else ["ideal"])
     ps = draw(st.lists(_UNIT, min_size=1, max_size=4))
-    rows = draw(st.lists(st.tuples(models, _UNIT), min_size=len(ps), max_size=len(ps)))
     fragment = draw(st.sampled_from(_FRAGMENTS[framework]))
     return (framework, draw(models), draw(_UNIT),
-            draw(st.sampled_from(["mix_global", "depolarize_local"])), ps, rows, fragment)
+            draw(st.sampled_from(["mix_global", "depolarize_local"])), ps,
+            draw(st.tuples(models, _UNIT)), fragment)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -897,28 +897,63 @@ def test_prepare_and_branch_stacks_equal_each_row_alone(group):
     # The pipeline's stages on a stack give each row the bytes of a stack of
     # one: prepared states at p = 0, 1 and between, and both branches at
     # scramble weights 0, 1 and between.
-    framework, cnot_model, f, mode, ps, models, fragment = group
+    framework, cnot_model, f, mode, ps, model, fragment = group
     stack = protocol._prepare(framework, cnot_model, f, mode, ps)
     for row, p in enumerate(ps):
         alone = protocol._prepare(framework, cnot_model, f, mode, [p])
         assert stack[row].tobytes() == alone[0].tobytes()
     ctx = _resolve_context(ProtocolConfig(framework=framework, fragment=fragment))
-    stacked = protocol._branch(stack, ctx, models)
-    for row, model in enumerate(models):
-        alone = protocol._branch(stack[row:row + 1], ctx, [model])
+    stacked = protocol._branch(stack, ctx, *model)
+    for row in range(len(ps)):
+        alone = protocol._branch(stack[row:row + 1], ctx, *model)
         for branch in (0, 1):
             assert stacked[branch][row].tobytes() == alone[branch][0].tobytes()
 
 
-def test_stacked_pass_copies_the_rows_of_a_context_that_are_not_a_whole_prepared_stack():
+def test_stacked_pass_gives_each_context_its_own_rows_of_a_preparation_group():
     # One preparation group, rows p = 0.3 and 0.7.  E1 takes both in order,
-    # so it branches the prepared stack itself; E2 takes the second row only
-    # and E1+E2 both rows in reverse order, so each branches a copy.  The
-    # stacked pass is called directly, so no replay can hide a wrong row.
+    # E2 the second only and E1+E2 both in reverse order, so each context
+    # branches a stack of its own p values.  The stacked pass is called
+    # directly, so no replay can hide a wrong row.
     configs = tuple(ProtocolConfig(fragment=fragment, noise=NoiseConfig(p=p))
                     for fragment, p in [(("E1",), 0.3), (("E1",), 0.7), (("E2",), 0.7),
                                         (("E1", "E2"), 0.7), (("E1", "E2"), 0.3)])
     assert protocol._run_stacked(configs) == [run_witness(config) for config in configs]
+
+
+def test_stacked_pass_branches_one_prepared_stack_per_context_and_group(monkeypatch):
+    # SQD E1 spans two preparation groups, the ideal model and
+    # noisy_prep_parity at f = 0.8, with interleaved p values; E2 takes the
+    # ideal group's p values in the same order, so it shares that stack.
+    configs = tuple(
+        ProtocolConfig(fragment=fragment, cnot_model=model,
+                       noise=NoiseConfig(p=p, f=1.0 if model == "ideal" else 0.8))
+        for fragment, model, p in [
+            (("E1",), "ideal", 0.1), (("E1",), "noisy_prep_parity", 0.2),
+            (("E1",), "ideal", 0.3), (("E1",), "noisy_prep_parity", 0.1),
+            (("E2",), "ideal", 0.1), (("E2",), "ideal", 0.3), (("E1",), "ideal", 0.1)])
+    expected = [run_witness(config) for config in configs]
+    prepared, branched = [], []
+    prepare, branch = protocol._prepare, protocol._branch
+
+    def spied_prepare(*args):
+        prepared.append((args, prepare(*args)))
+        return prepared[-1][1]
+
+    def spied_branch(rho, *args):
+        branched.append(rho)
+        return branch(rho, *args)
+
+    monkeypatch.setattr(protocol, "_prepare", spied_prepare)
+    monkeypatch.setattr(protocol, "_branch", spied_branch)
+    assert protocol._run_stacked(configs) == expected
+    # One _prepare per distinct (group, p tuple), one _branch per (context,
+    # group), and every branched stack is a prepared one, not a copy.
+    assert [args for args, _ in prepared] == [
+        ("SQD", "ideal", 1.0, "mix_global", (0.1, 0.3)),
+        ("SQD", "noisy_prep_parity", 0.8, "mix_global", (0.2, 0.1))]
+    assert len(branched) == 3
+    assert all(any(rho is stack for _, stack in prepared) for rho in branched)
 
 
 def test_run_witnesses_raises_the_first_error_of_one_call_per_config(monkeypatch):
