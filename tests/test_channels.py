@@ -188,7 +188,8 @@ def test_depolarize_p1_kills_bell_correlation():
     assert np.allclose(out.matrix, np.eye(4) / 4)
 
 
-@pytest.mark.parametrize("keep, noise", [(0.7, 0.7), (1.5, -0.5), (-0.2, 1.0)])
+@pytest.mark.parametrize("keep, noise", [(0.7, 0.7), (1.5, -0.5), (-0.2, 1.0),
+                                         (0.3, 0.0), (0.0, 0.5), (0.2, 0.5)])
 def test_depolarize_subsystems_rejects_weights_beyond_a_mixture(keep, noise):
     bell = PureState(qubits("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
     with pytest.raises(InvariantViolation, match="weights"):
