@@ -88,9 +88,8 @@ def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
     The replacement keeps the marginal of the other subsystems and the trace.
     Callers pass both weights in the form they hold them, so 1 - (1 - f) is
     never formed; a 0/1 weight (a sampled coin) skips the unused term.  The
-    weights must be nonnegative and sum to 1 within ``TOL.trace_upper_slack``,
-    so the output is a trace-preserving CP map of ``rho`` and needs no
-    further validation.
+    weights must be nonnegative and sum to 1 (within ``TOL.trace_upper_slack``),
+    so the output is a CP map of ``rho`` and needs no further validation.
     """
     return DensityOperator._trusted(
         rho.layout, depolarize_stack(rho.matrix, rho.layout, labels, keep, noise))
@@ -99,8 +98,7 @@ def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],
 def depolarize_stack(matrices: np.ndarray, layout: TensorLayout, labels: Sequence[str],
                      keep, noise) -> np.ndarray:
     """``depolarize_subsystems`` on each operator of ``matrices``, with
-    weights of the stack's leading shape, each pair nonnegative and summing
-    to 1; each row keeps the 0/1 shortcuts."""
+    weights of the stack's leading shape; each row keeps the 0/1 shortcuts."""
     keep, noise = np.asarray(keep, dtype=float), np.asarray(noise, dtype=float)
     bad = (keep < 0) | (noise < 0) | ~(abs(keep + noise - 1.0) <= TOL.trace_upper_slack)
     if bad.any():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .hilbert import InvariantViolation
 from .info import check_structure
+from .objectivity import require_spec_fits
 from .protocol import (_EXPERIMENTS, FRAMEWORK_SQD, NonterminatingSampling, cost_model,
                        run_witness, run_witnesses)
 from .serialize import (
@@ -98,6 +99,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         fragment = list(spec.environments_in(rho.layout.labels))
     if not fragment:
         raise ConfigError("field 'fragment': no spec environment is present in the state")
+    try:
+        require_spec_fits(spec, fragment, rho.layout)
+    except InvariantViolation as exc:
+        raise ConfigError(f"field 'subspace': {exc}") from exc
     verdict = check_structure(rho, spec, fragment)
     payload = {"fragment": fragment, **dataclasses.asdict(verdict)}
     _write_out(json.dumps(payload, sort_keys=True, indent=2), args.out)

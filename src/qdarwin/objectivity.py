@@ -10,6 +10,7 @@ environment projector is the projector onto the system's matching basis ket
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -230,14 +231,11 @@ def embedded_projectors(spec: ObjectiveSubspaceSpec, names: tuple[str, ...],
     key = (names, layout)
     projectors = spec._embedded.get(key)
     if projectors is None:
-        members = spec.members_of(names)
-        missing = [lab for lab in (spec.system_label, *members) if lab not in layout.labels]
-        if missing:
-            raise InvariantViolation(f"state lacks subsystems {missing}")
+        require_spec_fits(spec, names, layout)
         projectors = tuple(
             embed_operator(layout, np.kron(np.outer(ket, ket.conj()),
                                            fragment_projector(spec, names, i)),
-                           [spec.system_label] + members)
+                           [spec.system_label, *spec.members_of(names)])
             for i, ket in enumerate(spec.system_basis.T))
         for p_full in projectors:
             p_full.flags.writeable = False
@@ -251,6 +249,19 @@ def project(matrices: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarra
     for p_full in projectors:
         out += p_full @ matrices @ p_full
     return out
+
+
+def require_spec_fits(spec: ObjectiveSubspaceSpec, names: Iterable[str],
+                      layout: TensorLayout) -> None:
+    """Check that ``layout`` holds the spec's system and the subsystems of its
+    environments ``names``, with the spec's dimensions; raise otherwise."""
+    names, dims = spec.select(names), dict(layout.subsystems)
+    for what, labels, dim in [("system", (spec.system_label,), spec.system_dim)] + [
+            (f"environment {name!r}", members, spec.projectors[name][0].shape[0])
+            for name, members in spec.environments if name in names]:
+        if math.prod(dims.get(lab, 0) for lab in labels) != dim:
+            raise InvariantViolation(f"subspace {what} {list(labels)} of dimension {dim} "
+                                     f"does not fit the layout {dims}")
 
 
 def require_basis_spec(spec: ObjectiveSubspaceSpec) -> None:

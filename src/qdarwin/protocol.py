@@ -37,6 +37,7 @@ be a basis spec.  No other code branches on a framework or a preset name.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -71,6 +72,7 @@ from .objectivity import (
     parity_spec,
     project,
     require_basis_spec,
+    require_spec_fits,
 )
 from .tolerances import TOL
 
@@ -171,8 +173,8 @@ class ProtocolConfig:
             raise InvariantViolation(f"unknown framework {self.framework!r}")
         if not self.fragment:
             raise InvariantViolation("fragment must be nonempty")
-        if self.shots < 0:
-            raise InvariantViolation("shots must be nonnegative")
+        if not 0 <= self.shots <= np.iinfo(np.int64).max:  # a multinomial draw's count
+            raise InvariantViolation(f"shots must be nonnegative and below 2^63: {self.shots}")
         if self.seed < 0:
             raise InvariantViolation(f"seed {self.seed} must be nonnegative")
         if self.cnot_model not in (CNOT_IDEAL, CNOT_NOISY_PREP, CNOT_NOISY_PREP_PARITY):
@@ -182,8 +184,7 @@ class ProtocolConfig:
             if a < 1 or b < 1:
                 raise InvariantViolation("branch_shots entries must be positive")
             if a + b != self.shots:  # so exact mode (shots = 0) takes no split
-                raise InvariantViolation(
-                    f"branch_shots {a} + {b} != shots {self.shots}")
+                raise InvariantViolation(f"branch_shots {a} + {b} != shots {self.shots}")
         elif self.shots == 1:
             raise InvariantViolation("shots = 1 leaves a branch without runs: "
                                      "Monte Carlo mode needs at least 2")
@@ -198,12 +199,7 @@ class ProtocolConfig:
             require_basis_spec(spec)  # the preset is one by construction
         object.__setattr__(self, "spec", spec)
         layout = experiment.layout
-        outside = {spec.system_label, *spec.members_of(spec.environment_names)} \
-            - set(layout.labels)
-        if outside:
-            raise InvariantViolation(
-                f"subspace labels {sorted(outside)} are not in the "
-                f"{self.framework} layout")
+        require_spec_fits(spec, spec.environment_names, layout)
         if self.replacement is not None:
             unaccessed = _unaccessed(layout, spec, self.fragment)
             expected = tuple(s for s in layout.subsystems if s[0] in unaccessed)
@@ -590,23 +586,18 @@ def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     buckets: dict[tuple, dict[float, int]] = {}  # (context, group) -> {p: row}
     placed = []
     for config in configs:
-        unitary = config.unitary
+        u = config.unitary
         key = (config.framework, config.spec.select(config.fragment), id(config.spec),
-               id(config.replacement),
-               id(unitary) if isinstance(unitary, np.ndarray) else unitary)
+               id(config.replacement), id(u) if isinstance(u, np.ndarray) else u)
         if key not in contexts:
             contexts[key] = _resolve_context(config)
-        noise = config.noise
-        bucket = (key, (config.framework, config.cnot_model, noise.f, noise.mode))
+        bucket = (key, (config.framework, config.cnot_model, config.noise.f, config.noise.mode))
         ps = buckets.setdefault(bucket, {})
-        placed.append((bucket, ps.setdefault(noise.p, len(ps)), config))
-    stacks: dict[tuple, np.ndarray] = {}  # _prepare's arguments -> its stack
+        placed.append((bucket, ps.setdefault(config.noise.p, len(ps)), config))
+    prepare = functools.cache(_prepare)  # one stack per group and tuple of p
     evaluated = {}
     for (key, group), ps in buckets.items():
-        prepared = (*group, tuple(ps))
-        if prepared not in stacks:
-            stacks[prepared] = _prepare(*prepared)
-        rho, ctx = stacks[prepared], contexts[key]
+        rho, ctx = prepare(*group, tuple(ps)), contexts[key]
         identity, projected = _branch(rho, ctx, *group[1:3])  # its CNOT model and f
         sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
         measures = nonobjectivity_measures(sfs, ctx.layout.subset(ctx.sf_labels), ctx.spec)

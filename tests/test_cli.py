@@ -398,6 +398,20 @@ def _replacement(layout, trace=1.0):
     ("witness", {"fragment": ["E1"], "subspace": {
         **_E1_SPEC, "environments": {"E1": ["E1_1", "E1_1"]}}},
      "field 'subspace': subsystems ['E1_1'] assigned twice"),
+    # The guard clauses of ProtocolConfig, each with its message.
+    ("witness", {"framework": "XYZ"}, "unknown framework 'XYZ'"),
+    ("witness", {"fragment": ["E1"], "shots": -4}, "shots must be nonnegative"),
+    ("witness", {"fragment": ["E1"], "shots": 10, "branch_shots": [0, 10]},
+     "branch_shots entries must be positive"),
+    # A multinomial draw takes at most 2^63 - 1 runs.
+    pytest.param("witness", {"fragment": ["E1"], "shots": 10 ** 20},
+                 "shots must be nonnegative and below 2^63", id="shots-above-int64"),
+    # The spec's labels are in the register, but E1's projectors span four
+    # dimensions and E1_1 two.
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1_1"]}, "basis_vectors": {"E1": _E1_KETS}}},
+        "subspace environment 'E1' ['E1_1'] of dimension 4 does not fit",
+        id="subspace-dimension-does-not-fit-the-register"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -423,6 +437,23 @@ def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, 
     pytest.param("sqd_initial", "parity2", ",",
                  "field 'fragment': expected a nonempty list of environments",
                  id="parity2-empty-fragment"),
+    # A subspace must fit the state: its system label present, and the
+    # system and the fragment's environments of the spec's dimensions.
+    pytest.param("sqd_initial", {**_E1_SPEC, "system_label": "Q"}, None,
+                 "field 'subspace': subspace system ['Q'] of dimension 2 does not fit",
+                 id="system-label-not-in-state"),
+    pytest.param("ghz5", {"system_basis": [[[1.0 * (i == j), 0] for j in range(3)]
+                                           for i in range(3)],
+                          "environments": {"E1": ["E1"]},
+                          "basis_vectors": {"E1": [[[[1.0 * (i == j), 0] for j in range(3)]]
+                                                   for i in range(3)]}},
+                 None, "field 'subspace': subspace system ['S'] of dimension 3 does not fit",
+                 id="ghz5-three-dimensional-system-basis"),
+    # The verdict never reads the environment projectors, so this ran before.
+    pytest.param("sqd_initial", {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {
+        "E1": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]]}}, "E1",
+                 "field 'subspace': subspace environment 'E1' ['E1_1', 'E1_2'] of dimension 2",
+                 id="environment-dimension-does-not-fit-the-state"),
 ])
 def test_check_config_holes_exit_as_config_errors(tmp_path, capsys, state, subspace,
                                                   fragment, field):
@@ -854,6 +885,19 @@ def test_cost_unprintable_tomography_count_is_an_invariant_violation(capsys):
     assert code == 3
     assert out == ""
     assert "m_envs = 5000" in err and "c = 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--m-envs", "1", "--c", "0", "--p-cnot", "0.5"], "c must be at least 1",
+                 id="c-zero"),
+    pytest.param(["--m-envs", "1", "--c", "10", "--p-cnot", "0.5", "--f-cnot", "0"],
+                 "f_cnot 0.0 outside (0, 1]", id="f-cnot-zero"),
+])
+def test_cost_out_of_range_arguments_are_invariant_violations(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cost", *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
