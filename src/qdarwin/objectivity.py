@@ -259,7 +259,7 @@ def require_spec_fits(spec: ObjectiveSubspaceSpec, names: Iterable[str],
     for what, labels, dim in [("system", (spec.system_label,), spec.system_dim)] + [
             (f"environment {name!r}", members, spec.projectors[name][0].shape[0])
             for name, members in spec.environments if name in names]:
-        if math.prod(dims.get(lab, 0) for lab in labels) != dim:
+        if math.prod(dims.get(lab, 0) for lab in labels) != dim:  # a missing label spans 0
             raise InvariantViolation(f"subspace {what} {list(labels)} of dimension {dim} "
                                      f"does not fit the layout {dims}")
 

@@ -537,6 +537,19 @@ def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
     _assert_both_modes_raise()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ProtocolConfig(fragment=()), "fragment must be nonempty",
+                 id="empty-fragment"),
+    pytest.param(lambda: witness_monte_carlo(ProtocolConfig()),
+                 "Monte Carlo mode requires shots > 0", id="monte-carlo-without-shots"),
+])
+def test_library_guard_clauses_raise_their_messages(call, message):
+    # Guards that the CLI never reaches: its parser rejects an empty
+    # fragment list first, and it dispatches on the shot count.
+    with pytest.raises(InvariantViolation, match=message):
+        call()
+
+
 @st.composite
 def _small_noisy_configs(draw):
     """Configs whose projected branch has at most 64 coin realizations."""
