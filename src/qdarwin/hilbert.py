@@ -302,7 +302,7 @@ def _symmetrized(h: np.ndarray) -> np.ndarray:
     if not np.isfinite(h).all():
         raise InvariantViolation("matrix has a non-finite entry")
     adjoint = h.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(h - adjoint)))
+    dev = float(np.max(np.abs(h - adjoint), initial=0.0))
     if not dev <= TOL.hermiticity:
         raise InvariantViolation(f"matrix is not Hermitian (max dev {dev:.3e})")
     symmetrized = h + adjoint

@@ -10,12 +10,14 @@ because (theta, phi) and (pi - theta, phi + pi) are one measurement with its
 outcomes swapped; the reported angles are one of those two representatives.
 One kernel takes both outcomes at once and the grid in chunks of 4 MiB of
 conditional blocks, so the grid's memory does not grow with the angle count.
+
+The structure checks take the fragment's conditional states, one per
+preferred system state, as one ``(n, d_F, d_F)`` stack, and each
+environment's marginals as one partial trace of that stack.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -24,8 +26,11 @@ import numpy as np
 from .hilbert import (
     DensityOperator,
     InvariantViolation,
+    _symmetrized,
     partial_trace,
     permute_subsystems,
+    require_density,
+    trace_out,
 )
 from .objectivity import ObjectiveSubspaceSpec
 from .tolerances import TOL
@@ -81,11 +86,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -sum(lambda log2 lambda) of a normalized state, in bits."""
     if abs(rho.trace - 1.0) > TOL.entropy_trace:
         raise InvariantViolation(f"entropy input has trace {rho.trace}, expected 1")
-    return _entropy_of_eigs(np.linalg.eigvalsh(_herm(rho.matrix)))
-
-
-def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return _entropy_of_eigs(np.linalg.eigvalsh(_symmetrized(rho.matrix)))
 
 
 def _entropy_of_eigs(eigs: np.ndarray) -> float:
@@ -337,44 +338,6 @@ def correlation_report(rho: DensityOperator, system: str,
 # Structure checkers
 # ---------------------------------------------------------------------------
 
-def _nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values (needed for products of states, which are not
-    Hermitian in general)."""
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def _conditional_blocks(rho: DensityOperator,
-                        spec: ObjectiveSubspaceSpec) -> tuple[list[DensityOperator], float]:
-    """Conditional states of the subsystems other than the system, one per
-    spec basis index of probability above ``TOL.conditional_skip``, and the
-    largest off-diagonal system-block magnitude.
-
-    The blocks are read through ``_system_first`` with the system rotated
-    into the spec's preferred basis.
-    """
-    rho4 = _system_first(rho, spec.system_label)
-    d_s, d_f = rho4.shape[:2]
-    rot = np.kron(spec.system_basis.conj().T, np.eye(d_f))
-    blocks = (rot @ rho4.reshape(d_s * d_f, -1) @ rot.conj().T).reshape(rho4.shape)
-    offdiag = np.abs(blocks).max(axis=(1, 3))
-    np.fill_diagonal(offdiag, 0.0)
-    frag_layout = rho.layout.subset(
-        [lab for lab in rho.layout.labels if lab != spec.system_label])
-    conds = []
-    for i in range(d_s):
-        block = blocks[i, :, i, :]
-        p = float(np.trace(block).real)
-        if p > TOL.conditional_skip:
-            conds.append(DensityOperator(frag_layout, block / p))
-    return conds, float(offdiag.max())
-
-
-def _max_overlap(states: list[np.ndarray]) -> float:
-    """Largest nuclear norm of the product of two of ``states``."""
-    return max((_nuclear_norm(a @ b) for a, b in itertools.combinations(states, 2)),
-               default=0.0)
-
-
 def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
                     fragment: Iterable[str]) -> StructureVerdict:
     """Evaluate the objectivity structure conditions for one fragment.
@@ -435,28 +398,46 @@ def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
                        names: list[str]) -> tuple[bool, bool, dict[str, float]]:
     """Block-structure and pure-product-conditional checks on a reduced state.
 
-    Each conditional state's single-environment marginals are taken once;
-    the orthogonality check pairs them up per environment, and the product
-    check rebuilds the conditional state from them.
+    The state is read through ``_system_first`` with the system rotated into
+    the spec's preferred basis.  Its diagonal system blocks of probability
+    above ``TOL.conditional_skip``, each normalized, are the conditional
+    states: one checked ``(n, d_F, d_F)`` stack.  Each environment's
+    marginals are one partial trace of that stack; the orthogonality check
+    pairs up the rows of each stack, and the product check rebuilds each
+    conditional state as the row-wise kron of its marginals.
     """
-    conds, max_offdiag = _conditional_blocks(rho_sf, spec)
-    marginals = [[partial_trace(c, set(spec.members_of([name]))).matrix for c in conds]
+    rho4 = _system_first(rho_sf, spec.system_label)
+    d_s, d_f = rho4.shape[:2]
+    rot = np.kron(spec.system_basis.conj().T, np.eye(d_f))
+    blocks = (rot @ rho4.reshape(d_s * d_f, -1) @ rot.conj().T).reshape(rho4.shape)
+    offdiag = np.abs(blocks).max(axis=(1, 3))
+    np.fill_diagonal(offdiag, 0.0)
+    max_offdiag = float(offdiag.max())
+    diagonal = blocks[np.arange(d_s), :, np.arange(d_s), :]
+    p = np.trace(diagonal, axis1=-2, axis2=-1).real
+    kept = p > TOL.conditional_skip
+    conds = diagonal[kept] / p[kept, None, None]
+    require_density(conds)
+    frag_layout = rho_sf.layout.subset(
+        [lab for lab in rho_sf.layout.labels if lab != spec.system_label])
+    marginals = [trace_out(conds, frag_layout, set(spec.members_of([name])))
                  for name in names]
     # The joint conditional states and each environment's marginals must be
-    # pairwise orthogonal.
-    max_overlap = max(_max_overlap(states)
-                      for states in [[c.matrix for c in conds], *marginals])
+    # pairwise orthogonal: the nuclear norm of each product, which is not
+    # Hermitian in general, is the sum of its singular values.
+    first, second = np.triu_indices(len(conds), 1)
+    max_overlap = max(float(np.linalg.svd(states[first] @ states[second], compute_uv=False)
+                            .sum(-1).max(initial=0.0)) for states in [conds, *marginals])
     bipartite_sbs = (max_offdiag <= TOL.block_diagonal
                      and max_overlap <= TOL.conditional_orthogonality)
 
-    max_impurity = 0.0
-    max_product_gap = 0.0
-    for k, c in enumerate(conds):
-        eigs = np.linalg.eigvalsh(_herm(c.matrix))
-        max_impurity = max(max_impurity, float(np.sum(eigs[:-1].clip(min=0.0))))
-        product = functools.reduce(np.kron, [margs[k] for margs in marginals],
-                                   np.array([[1.0 + 0.0j]]))
-        max_product_gap = max(max_product_gap, float(np.max(np.abs(c.matrix - product))))
+    eigs = np.linalg.eigvalsh(_symmetrized(conds))
+    max_impurity = float(eigs[:, :-1].clip(min=0.0).sum(-1).max(initial=0.0))
+    product = np.ones((len(conds), 1, 1), complex)
+    for margs in marginals:  # np.kron of each row's marginals
+        d = product.shape[-1] * margs.shape[-1]
+        product = (product[:, :, None, :, None] * margs[:, None, :, None, :]).reshape(-1, d, d)
+    max_product_gap = float(np.abs(conds - product).max(initial=0.0))
     isbs = (bipartite_sbs
             and max_impurity <= TOL.conditional_purity
             and max_product_gap <= TOL.conditional_purity)

@@ -89,6 +89,8 @@ UNITARY_ALTERNATING = "alternating_hadamards"
 UNITARY_ALL = "all_hadamards"
 
 _BOOTSTRAP_RESAMPLES = 1000
+# Most failure gaps the Monte Carlo sampler draws in one call.
+_GAP_CHUNK = 1 << 16
 
 
 class NonterminatingSampling(RuntimeError):
@@ -478,8 +480,9 @@ def _sample_branch(config: ProtocolConfig, ctx: _Context, pmf: np.ndarray,
     the coins is the pipeline at the coin means: the exact branch.  The
     counts are therefore one multinomial draw from the exact pmf.  In the
     projected branch with p_cnot < 1, parity-check hardware failures discard
-    runs; the failures before each success are geometric, and the run
-    aborts if a gap reaches ``TOL.mc_abort_window``.
+    runs; the failures before each success are geometric, drawn in chunks of
+    ``_GAP_CHUNK``, and the run aborts at the first chunk with a gap that
+    reaches ``TOL.mc_abort_window``.
     """
     pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))
     pmf /= pmf.sum()  # the total is at least 1; multinomial rejects a sum above 1
@@ -488,14 +491,17 @@ def _sample_branch(config: ProtocolConfig, ctx: _Context, pmf: np.ndarray,
     if projected and config.noise.p_cnot < 1.0:
         success = config.noise.p_cnot ** (2 * len(ctx.fragment))  # two CNOTs per check
         # An underflowed success probability draws the longest gaps instead.
-        gaps = rng.geometric(max(success, np.finfo(float).tiny), size=wanted) - 1
-        if gaps.max() >= TOL.mc_abort_window:
-            raise NonterminatingSampling(
-                f"no successful run in {TOL.mc_abort_window} attempts; "
-                f"estimated success probability below 1e-6 "
-                f"(p_cnot = {config.noise.p_cnot}, "
-                f"fragment size {len(ctx.fragment)})"
-            )
+        # Chunks of the draw give the gaps of one draw, in bounded memory.
+        for start in range(0, wanted, _GAP_CHUNK):
+            size = min(_GAP_CHUNK, wanted - start)
+            gaps = rng.geometric(max(success, np.finfo(float).tiny), size=size) - 1
+            if gaps.max() >= TOL.mc_abort_window:
+                raise NonterminatingSampling(
+                    f"no successful run in {TOL.mc_abort_window} attempts; "
+                    f"estimated success probability below 1e-6 "
+                    f"(p_cnot = {config.noise.p_cnot}, "
+                    f"fragment size {len(ctx.fragment)})"
+                )
     return tally[:-1], int(tally[-1])
 
 

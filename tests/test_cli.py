@@ -412,6 +412,45 @@ def _replacement(layout, trace=1.0):
         "environments": {"E1": ["E1_1"]}, "basis_vectors": {"E1": _E1_KETS}}},
         "subspace environment 'E1' ['E1_1'] of dimension 4 does not fit",
         id="subspace-dimension-does-not-fit-the-register"),
+    # The guard clauses of ObjectiveSubspaceSpec, each with its message.
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "system_basis": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}},
+        "field 'subspace': system basis must be a square matrix of kets",
+        id="system-basis-not-square"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "system_basis": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
+        "field 'subspace': system basis does not resolve the identity",
+        id="system-basis-not-unitary"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "environments": {"E1": []}}},
+        "field 'subspace': environment 'E1' has no subsystems", id="environment-without-members"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["S"]}, "basis_vectors": {"E1": [[[[1, 0], [0, 0]]],
+                                                                 [[[0, 0], [1, 0]]]]}}},
+        "field 'subspace': system label cannot belong to an environment",
+        id="system-label-in-an-environment"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "environments": {"E1": ["E1_1", "E1_2"], "E2": ["E2_1", "E2_2"]}}},
+        "field 'subspace': missing projectors for environment 'E2'",
+        id="environment-without-basis-vectors"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1_1", "E1_2"], "E2": ["E2_1", "E2_2"]},
+        "basis_vectors": {"E1": _E1_KETS,
+                          "E2": _E1_KETS + [[[[0, 0], [0, 0], [1, 0], [0, 0]]]]}}},
+        "field 'subspace': environment 'E2' needs 2 projectors, got 3",
+        id="environment-with-three-index-lists"),
+    pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
+        **_E1_SPEC, "basis_vectors": {"E1": [_E1_KETS[0], [[[0, 0], [1, 0]]]]}}},
+        "field 'subspace': projector shapes differ in 'E1'", id="index-lists-of-unequal-length"),
+    # The guard clauses of require_basis_spec: an ISBS subspace must be a basis.
+    pytest.param("witness", {"framework": "ISBS", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1", "E2"]}, "basis_vectors": {"E1": _E1_KETS}}},
+        "subspace environment 'E1' dimension differs from the system's",
+        id="isbs-environment-of-two-photons"),
+    pytest.param("witness", {"framework": "ISBS", "fragment": ["E1"], "subspace": {
+        "environments": {"E1": ["E1"]}, "basis_vectors": {"E1": [
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [0, 0]]]]}}},
+        "subspace projector 'E1'[0] is not rank-1", id="isbs-projector-of-rank-two"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -624,6 +663,16 @@ def test_check_rejects_invalid_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--state", str(path))
     assert code == 3
     assert "Hermitian" in err
+
+
+def test_check_of_a_subnormalized_state_is_an_invariant_violation(tmp_path, capsys):
+    rho = load_state(REPO_ROOT / "states" / "sqd_initial.json")
+    path = tmp_path / "half.json"
+    save_state(DensityOperator(rho.layout, 0.5 * rho.matrix), path)
+    code, out, err = run_cli(capsys, "check", "--state", str(path))
+    assert code == 3
+    assert out == ""
+    assert "structure checks need a normalized state" in err
 
 
 def _identity_pairs(d, first=(1, 0)):

@@ -313,6 +313,14 @@ def test_require_density_checks_the_trace_of_a_positive_stack():
         require_density(np.stack([np.eye(2) / 2, 0.75 * np.eye(2)]))
 
 
+def test_stacked_checks_accept_an_empty_stack():
+    # A state of trace 0 has no conditional states: the structure checks
+    # pass an empty stack through the density check and the spectrum.
+    empty = np.zeros((0, 2, 2), complex)
+    require_density(empty)
+    assert eigvals_hermitian(empty).shape == (0, 2)
+
+
 def test_require_density_reads_an_out_of_range_stack_from_the_spectrum(rng):
     # At a trace of 1e12 the shifted factor's rounding, about 1e-4, can hide
     # an eigenvalue of -1e-6.  Such a stack is decided by the spectrum, so it

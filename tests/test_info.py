@@ -1,5 +1,8 @@
 """Entropy, mutual information, discord, Holevo, and structure checkers."""
 
+import functools
+import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from qdarwin.info import (
     _conditional_entropy_batch,
     _grid_seed_angles,
     _outcome_blocks,
+    _structural_checks,
     _system_first,
 )
 from qdarwin.serialize import load_state
@@ -539,3 +543,144 @@ def test_rank2_conditional_block_cannot_be_orthogonal(rng):
         verdict = check_structure(rho, spec, ["E1"])
         assert not verdict.bipartite_sbs
         assert not verify_equal_dimension_reduction(rho)
+
+
+# ---------------------------------------------------------------------------
+# The stacked structure checks against a per-conditional oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_structural_checks(rho_sf, spec, names):
+    """``_structural_checks`` one conditional state at a time: a validated
+    DensityOperator and one partial trace per conditional state and
+    environment, and a nuclear norm per pair."""
+    rho4 = _system_first(rho_sf, spec.system_label)
+    d_s, d_f = rho4.shape[:2]
+    rot = np.kron(spec.system_basis.conj().T, np.eye(d_f))
+    blocks = (rot @ rho4.reshape(d_s * d_f, -1) @ rot.conj().T).reshape(rho4.shape)
+    offdiag = np.abs(blocks).max(axis=(1, 3))
+    np.fill_diagonal(offdiag, 0.0)
+    fragment = rho_sf.layout.subset(
+        [lab for lab in rho_sf.layout.labels if lab != spec.system_label])
+    conds = []
+    for i in range(d_s):
+        p = float(np.trace(blocks[i, :, i, :]).real)
+        if p > TOL.conditional_skip:
+            conds.append(DensityOperator(fragment, blocks[i, :, i, :] / p))
+    marginals = [[partial_trace(c, set(spec.members_of([name]))).matrix for c in conds]
+                 for name in names]
+    overlap = max((float(np.sum(np.linalg.svd(a @ b, compute_uv=False)))
+                   for states in [[c.matrix for c in conds], *marginals]
+                   for a, b in itertools.combinations(states, 2)), default=0.0)
+    impurity = gap = 0.0
+    for k, c in enumerate(conds):
+        eigs = np.linalg.eigvalsh(0.5 * (c.matrix + c.matrix.conj().T))
+        impurity = max(impurity, float(np.sum(eigs[:-1].clip(min=0.0))))
+        product = functools.reduce(np.kron, [m[k] for m in marginals], np.array([[1.0 + 0j]]))
+        gap = max(gap, float(np.max(np.abs(c.matrix - product))))
+    sbs = (float(offdiag.max()) <= TOL.block_diagonal
+           and overlap <= TOL.conditional_orthogonality)
+    isbs = sbs and impurity <= TOL.conditional_purity and gap <= TOL.conditional_purity
+    return sbs, isbs, {"max_offdiagonal_block": float(offdiag.max()),
+                       "max_conditional_overlap": overlap,
+                       "max_conditional_impurity": impurity,
+                       "max_product_gap": gap}
+
+
+def _oracle_reduction(rho, basis):
+    """``verify_equal_dimension_reduction`` on the oracle checks."""
+    system, *envs = rho.layout.labels
+    d = rho.layout.dims[0]
+    rank1 = tuple(np.outer(basis[:, i], basis[:, i].conj()) for i in range(d))
+    spec = ObjectiveSubspaceSpec(system, basis, {lab: (lab,) for lab in envs},
+                                 {lab: rank1 for lab in envs})
+    if not all(_oracle_structural_checks(partial_trace(rho, {system, lab}), spec, [lab])[0]
+               for lab in envs):
+        return False
+    sbs, isbs, _ = _oracle_structural_checks(rho, spec, envs)
+    return sbs and isbs
+
+
+def _outcome(check, *args):
+    """The flags and the repr of each detail, or the error and its message up
+    to the number in parentheses: the stack's check names its largest
+    deviation, the oracle that of its first failing conditional state."""
+    try:
+        result = check(*args)
+    except InvariantViolation as exc:
+        return "raises", str(exc).split(" (")[0]
+    if isinstance(result, bool):
+        return result
+    return result[:2], {key: repr(value) for key, value in result[2].items()}
+
+
+def _broadcast_or_random_state(rng, layout, groups, basis, kind, weights, mixed):
+    """A random state of rank 1, 2 or full, or sum_i w_i |b_i><b_i| (x) the
+    product over ``groups`` of the projectors on orthogonal kets |u_i>, mixed
+    with I/d at the weight ``kind``.  With ``mixed``, a first group of at
+    least 2 d_S dimensions takes the mixture of |u_i> and |u_(i + d_S)>."""
+    if kind in ("1", "2", "full"):
+        return random_density(layout, rng, None if kind == "full" else int(kind))
+    d_s = basis.shape[0]
+    kets = [random_unitary(math.prod(layout.dim_of(m) for m in g), rng) for g in groups]
+    m = np.zeros((layout.total_dim,) * 2, complex)
+    for i, w in enumerate(weights[:d_s]):
+        sigma = np.outer(basis[:, i], basis[:, i].conj())
+        for k, u in enumerate(kets):
+            cols = [i, i + d_s] if mixed and k == 0 and len(u) >= 2 * d_s else [i]
+            sigma = np.kron(sigma, u[:, cols] @ u[:, cols].conj().T / len(cols))
+        m += w / sum(weights[:d_s]) * sigma
+    return DensityOperator(layout, (1 - kind) * m + kind * np.eye(len(m)) / len(m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), n_envs=st.integers(1, 3), pairs=st.booleans(),
+       kind=st.sampled_from(["1", "2", "full", 0.0, 1e-9, 1e-3]),
+       weights=st.sampled_from([(0.5, 0.3, 0.2), (0.7, 0.0, 0.3), (0.0, 1.0, 0.0)]),
+       mixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_structure_checks_equal_the_per_conditional_oracle(dim, n_envs, pairs, kind,
+                                                                   weights, mixed, seed):
+    # Qubit environments of one or two photons, or single qutrits; the
+    # broadcast states pass the checks near their tolerances, and a zero
+    # weight leaves an index without a conditional state.  At a noise of
+    # 1e-9 such an index's conditional state is the rounding of its block
+    # over a probability near 1e-9, not Hermitian within TOL.hermiticity,
+    # so both sides raise.
+    rng = np.random.default_rng(seed)
+    width = 2 if pairs and dim == 2 and n_envs < 3 else 1
+    groups = [tuple(f"E{k}_{j}" for j in range(width)) for k in range(n_envs)]
+    layout = TensorLayout([("S", dim)] + [(m, dim) for g in groups for m in g])
+    basis = random_unitary(dim, rng)
+    rho = _broadcast_or_random_state(rng, layout, groups, basis, kind, weights, mixed)
+    spec = ObjectiveSubspaceSpec(
+        "S", basis, {f"E{k}": g for k, g in enumerate(groups)},
+        {f"E{k}": tuple(np.diag(np.arange(dim ** width) % dim == i).astype(complex)
+                        for i in range(dim)) for k in range(n_envs)})
+    names = list(spec.environment_names)
+    for fragment in (names, names[:1], names[-1:]):
+        rho_sf = partial_trace(rho, {"S", *spec.members_of(fragment)})
+        got = _outcome(_structural_checks, rho_sf, spec, fragment)
+        assert got == _outcome(_oracle_structural_checks, rho_sf, spec, fragment)
+    for system_basis in (None, basis):
+        oracle = np.eye(dim) if system_basis is None else system_basis
+        got = _outcome(verify_equal_dimension_reduction, rho, system_basis)
+        assert got == _outcome(_oracle_reduction, rho, oracle)
+
+
+def test_zero_operator_has_no_conditional_states():
+    # Trace 0 is a valid DensityOperator; every index is skipped, and the
+    # checks pass vacuously, as one conditional state at a time.
+    zero = DensityOperator(qubits("S", "E1", "E2"), np.zeros((8, 8)))
+    assert verify_equal_dimension_reduction(zero) is _oracle_reduction(zero, np.eye(2)) is True
+
+
+def test_conditional_states_are_checked_as_density_operators():
+    # A valid state may dip to -TOL.psd_min_eig.  Over a probability near
+    # TOL.conditional_skip, that dip is a conditional eigenvalue of -1/3.
+    m = np.diag([1 - 1.5e-10, 0.0, 2e-10, -5e-11]).astype(complex)
+    rho = DensityOperator(qubits("S", "E1"), m)
+    message = r"^matrix has negative eigenvalue -3\.333e-01$"
+    for check in (lambda: check_structure(rho, computational_spec(1), ["E1"]),
+                  lambda: verify_equal_dimension_reduction(rho),
+                  lambda: _oracle_reduction(rho, np.eye(2))):
+        with pytest.raises(InvariantViolation, match=message):
+            check()

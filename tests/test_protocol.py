@@ -26,6 +26,8 @@ from qdarwin import (
     cost_model,
     depolarize_local,
     embed_operator,
+    fragment_projector,
+    mutual_information,
     nonobjectivity_measure,
     partial_trace,
     point_channel,
@@ -35,6 +37,7 @@ from qdarwin import (
     run_witness,
     run_witnesses,
     sqd_layout,
+    verify_equal_dimension_reduction,
     witness_exact,
     witness_monte_carlo,
 )
@@ -542,10 +545,29 @@ def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
                  id="empty-fragment"),
     pytest.param(lambda: witness_monte_carlo(ProtocolConfig()),
                  "Monte Carlo mode requires shots > 0", id="monte-carlo-without-shots"),
+    # A projector from a document is a Gram matrix, Hermitian by construction.
+    pytest.param(lambda: ObjectiveSubspaceSpec("S", np.eye(2), {"E1": ("E1",)}, {
+        "E1": (np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0]))}),
+                 r"projector 'E1'\[0\] is not Hermitian", id="non-hermitian-projector"),
+    pytest.param(lambda: fragment_projector(spec_by_name("parity2"), ["E1"], 2),
+                 "index 2 out of range", id="fragment-projector-index"),
+    pytest.param(lambda: mutual_information(random_density(qubits("A", "B", "C"),
+                                                           np.random.default_rng(0)),
+                                            ["A"], ["B"]),
+                 "parts must be nonempty and cover the layout",
+                 id="mutual-information-parts-not-covering"),
+    pytest.param(lambda: verify_equal_dimension_reduction(
+        random_density(qubits("S"), np.random.default_rng(0))),
+                 "need at least one environment", id="reduction-without-environment"),
+    pytest.param(lambda: point_channel(random_density(qubits("A", "B"), np.random.default_rng(0)),
+                                       [], random_density(qubits("A"), np.random.default_rng(0))),
+                 "discard set must be nonempty", id="point-channel-without-discard"),
 ])
 def test_library_guard_clauses_raise_their_messages(call, message):
     # Guards that the CLI never reaches: its parser rejects an empty
-    # fragment list first, and it dispatches on the shot count.
+    # fragment list first, it dispatches on the shot count, and its
+    # documents give projectors as Gram matrices.  The rest serve library
+    # callers only.
     with pytest.raises(InvariantViolation, match=message):
         call()
 
@@ -783,6 +805,46 @@ def test_sampler_aborts_iff_a_drawn_gap_reaches_the_window(monkeypatch, tmp_path
     report = witness_monte_carlo(dataclasses.replace(
         config, noise=NoiseConfig(p=0.3), shots=4000))
     assert report.successful_runs == 4000 and gaps == []
+
+
+def test_sampler_draws_the_gaps_in_chunks_that_give_one_draw(monkeypatch):
+    # Generator.geometric drawn in pieces gives the gaps of one draw, so
+    # chunking changes no report and no abort decision.
+    gaps = _spy_on_gaps(monkeypatch)
+    default = protocol._GAP_CHUNK
+    config = ProtocolConfig(framework="SQD", fragment=("E1",), cnot_model="noisy_prep_parity",
+                            noise=NoiseConfig(p=0.2, f=0.8, p_cnot=0.9), shots=600)
+    whole = witness_monte_carlo(config)
+    (drawn,) = gaps
+    monkeypatch.setattr(protocol, "_GAP_CHUNK", 7)
+    gaps.clear()
+    assert witness_monte_carlo(config).to_dict() == whole.to_dict()
+    assert [len(chunk) for chunk in gaps[:-1]] == [7] * (len(gaps) - 1)
+    assert len(gaps) == -(-len(drawn) // 7)
+    assert np.array_equal(np.concatenate(gaps), drawn)
+
+    # The draw stops at the first chunk with a gap that reaches the window,
+    # here the fifth chunk of 7, with the message of one draw.  An
+    # underflowed success probability aborts in the first chunk.
+    monkeypatch.setattr(protocol, "TOL", dataclasses.replace(TOL, mc_abort_window=60))
+    aborting = ProtocolConfig(framework="SQD", fragment=("E1", "E2"), seed=0,
+                              noise=NoiseConfig(p=0.3, p_cnot=0.47), shots=200)
+    underflowing = dataclasses.replace(aborting, noise=NoiseConfig(p_cnot=1e-100))
+
+    def abort(run, chunk):
+        monkeypatch.setattr(protocol, "_GAP_CHUNK", chunk)
+        gaps.clear()
+        with pytest.raises(NonterminatingSampling) as raised:
+            witness_monte_carlo(run)
+        return str(raised.value)
+
+    message = abort(aborting, default)
+    (drawn,) = gaps
+    assert abort(aborting, 7) == message
+    assert [bool(chunk.max() >= 60) for chunk in gaps] == [False] * 4 + [True]
+    assert np.array_equal(np.concatenate(gaps), drawn[:7 * 4 + len(gaps[-1])])
+    message = abort(underflowing, default)
+    assert abort(underflowing, 7) == message and len(gaps) == 1
 
 
 def test_run_witness_dispatch():
