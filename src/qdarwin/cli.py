@@ -92,6 +92,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not fragment:
             raise ConfigError("field 'fragment': expected a nonempty list of environments")
         try:
+            fragment = list(spec.select(fragment))  # spec order, each environment once
             rho.layout.subset(spec.members_of(fragment))
         except InvariantViolation as exc:
             raise ConfigError(f"field 'fragment': {exc}") from exc

@@ -312,15 +312,15 @@ def _symmetrized(h: np.ndarray) -> np.ndarray:
 
 def require_unitary(matrix: np.ndarray, d: int | None = None) -> np.ndarray:
     """``matrix`` as a complex array, if it is square (``d`` by ``d`` when
-    ``d`` is given) and unitary within ``TOL.unitarity``."""
+    ``d`` is given) and unitary within ``TOL.unitarity`` in the row-sum norm."""
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or (d is not None and u.shape[0] != d):
         raise InvariantViolation(f"unitary shape {u.shape} is not {(d, d) if d else 'square'}")
     if not np.isfinite(u).all():  # checked first: U^dag U turns inf into NaN
         raise InvariantViolation("unitary has a non-finite entry")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    dev = float(np.max(np.sum(np.abs(u.conj().T @ u - np.eye(u.shape[0])), axis=1)))
     if not dev <= TOL.unitarity:
-        raise InvariantViolation(f"matrix is not unitary (max dev {dev:.3e})")
+        raise InvariantViolation(f"matrix is not unitary (max row sum dev {dev:.3e})")
     return u
 
 

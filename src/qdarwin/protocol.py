@@ -24,8 +24,9 @@ gaps.  Each branch draws from its own seeded stream, so results are
 bit-reproducible for a given seed.  States are validated where they enter
 the pipeline and where they leave it; the CP maps in between build their
 outputs unchecked.  ``run_witnesses`` runs a list of configs, such as a
-sweep's points, as stacks, each stage called once per stack; a single
-witness is a stack of one.  Its reports equal one call per config.
+sweep's points, in order on stacks: each stack is built at its first config,
+and each stage runs once per stack; a single witness is a stack of one.  Its
+reports, and its first error, equal those of one call per config.
 
 The two experiments differ only in their setup, one ``_EXPERIMENTS`` record
 per framework: the register, the preset subspace and its CLI name
@@ -574,20 +575,13 @@ def run_witnesses(configs: Sequence[ProtocolConfig]) -> list[WitnessReport]:
     unitary objects) is resolved once.  Each (context, preparation group)
     pair, the group being the framework, CNOT model, f and noise mode, is one
     ``_branch`` and measure stack: the ``_prepare`` stack of its distinct p
-    values in first-seen order, prepared once per group and p tuple.
-    If that raises, the configs run again one at a time, as stacks of one,
-    so every report and the first error equal those of one call per config.
+    values in first-seen order, prepared once per group and p tuple.  The
+    configs are placed first, then evaluated in order, each stack built at
+    its first config.  So the reports, and the first error, are those of one
+    call per config, except for a stage that fails on a later row of a stack
+    an earlier config opened, which no accepted config reaches.
     """
     configs = tuple(configs)  # held for the call, so the ids of its objects stay unique
-    try:
-        return _run_stacked(configs)
-    except Exception:  # whatever it is, the replay raises the per-config loop's first
-        if len(configs) == 1:
-            raise
-    return [_run_stacked((config,))[0] for config in configs]
-
-
-def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
     contexts: dict[tuple, _Context] = {}
     buckets: dict[tuple, dict[float, int]] = {}  # (context, group) -> {p: row}
     placed = []
@@ -602,14 +596,18 @@ def _run_stacked(configs: tuple[ProtocolConfig, ...]) -> list[WitnessReport]:
         placed.append((bucket, ps.setdefault(config.noise.p, len(ps)), config))
     prepare = functools.cache(_prepare)  # one stack per group and tuple of p
     evaluated = {}
-    for (key, group), ps in buckets.items():
-        rho, ctx = prepare(*group, tuple(ps)), contexts[key]
-        identity, projected = _branch(rho, ctx, *group[1:3])  # its CNOT model and f
-        sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
-        measures = nonobjectivity_measures(sfs, ctx.layout.subset(ctx.sf_labels), ctx.spec)
-        evaluated[key, group] = list(zip(measures.tolist(), identity, projected))
-    return [_evaluate(config, contexts[bucket[0]], *evaluated[bucket][row])
-            for bucket, row, config in placed]
+    reports = []
+    for bucket, row, config in placed:
+        key, group = bucket
+        ctx = contexts[key]
+        if bucket not in evaluated:
+            rho = prepare(*group, tuple(buckets[bucket]))
+            identity, projected = _branch(rho, ctx, *group[1:3])  # its CNOT model and f
+            sfs = trace_out(rho, ctx.layout, set(ctx.sf_labels))
+            measures = nonobjectivity_measures(sfs, ctx.layout.subset(ctx.sf_labels), ctx.spec)
+            evaluated[bucket] = list(zip(measures.tolist(), identity, projected))
+        reports.append(_evaluate(config, ctx, *evaluated[bucket][row]))
+    return reports
 
 
 def witness_exact(config: ProtocolConfig) -> WitnessReport:

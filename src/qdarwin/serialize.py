@@ -16,7 +16,7 @@ the noise keys ``noise_mode``/``f``/``p_cnot`` and an optional
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -224,11 +224,11 @@ def config_from_dict(data: Mapping[str, Any],
         fields["fragment"] = tuple(fragment)
     if "noise" in data:
         fields["noise"] = noise_from_dict(data["noise"])
-    unitary, matrix = data.get("unitary"), None
+    unitary = data.get("unitary")
     if isinstance(unitary, str):
         fields["unitary"] = unitary
     elif unitary is not None:
-        matrix = _complex_matrix(unitary, "unitary")
+        fields["unitary"] = _complex_matrix(unitary, "unitary")
     if data.get("subspace") is not None:
         fields["subspace"] = resolve_subspace(data["subspace"])
     branch_shots = data.get("branch_shots")
@@ -244,15 +244,15 @@ def config_from_dict(data: Mapping[str, Any],
         except ConfigError as exc:
             raise ConfigError(f"field 'replacement': {exc}") from exc
     try:
-        config = ProtocolConfig(**fields)
+        return ProtocolConfig(**fields)
     except InvariantViolation as exc:
-        raise ConfigError(f"config rejected: {exc}") from exc
-    if matrix is not None:
-        try:  # the rest is valid, so the matrix is at fault
-            config = dataclasses.replace(config, unitary=matrix)
-        except InvariantViolation as exc:
-            raise ConfigError(f"field 'unitary': {exc}") from exc
-    return config
+        where = "config rejected"
+        for key, dropped in (("unitary", {"unitary"}), ("subspace", {"subspace", "fragment"})):
+            with contextlib.suppress(InvariantViolation):  # valid without them: at fault
+                if key in fields:
+                    ProtocolConfig(**{k: v for k, v in fields.items() if k not in dropped})
+                    where = f"field '{key}'"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ class Tolerances:
     trace_upper_slack: float = 1e-10    # trace may exceed 1 by this much
     trace_lower_slack: float = 1e-8     # trace may dip below 0 by this much
     pure_norm: float = 1e-12            # |norm^2 - 1| for state vectors
-    unitarity: float = 1e-10            # max |U^dag U - I| entry
+    unitarity: float = 5e-11            # row-sum bound on the trace U adds: half the slack
     projector: float = 1e-10            # idempotence / orthogonality of projectors
     isbs_projector: float = 1e-9        # rank-1 trace and basis alignment of ISBS specs
 

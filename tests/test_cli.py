@@ -279,6 +279,7 @@ _E1_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": _E
 # Valid spec, but its environment kets |+>, |-> are not the system's basis.
 _PLUS_MINUS_SPEC = {"environments": {"E1": ["E1"]}, "basis_vectors": {"E1": [
     [[[2 ** -0.5, 0], [2 ** -0.5, 0]]], [[[2 ** -0.5, 0], [-(2 ** -0.5), 0]]]]}}
+_NOT_ALIGNED = "subspace projector 'E1'[0] is not aligned with the system basis"
 # Index 0 spans |00>, |01> and index 1 spans |01>, |11>: not disjoint.
 _OVERLAPPING_SPEC = {"environments": {"E1": ["E1_1", "E1_2"]}, "basis_vectors": {"E1": [
     [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]]],
@@ -410,7 +411,7 @@ def _replacement(layout, trace=1.0):
     # dimensions and E1_1 two.
     pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
         "environments": {"E1": ["E1_1"]}, "basis_vectors": {"E1": _E1_KETS}}},
-        "subspace environment 'E1' ['E1_1'] of dimension 4 does not fit",
+        "field 'subspace': subspace environment 'E1' ['E1_1'] of dimension 4 does not fit",
         id="subspace-dimension-does-not-fit-the-register"),
     # The guard clauses of ObjectiveSubspaceSpec, each with its message.
     pytest.param("witness", {"framework": "SQD", "fragment": ["E1"], "subspace": {
@@ -445,12 +446,25 @@ def _replacement(layout, trace=1.0):
     # The guard clauses of require_basis_spec: an ISBS subspace must be a basis.
     pytest.param("witness", {"framework": "ISBS", "fragment": ["E1"], "subspace": {
         "environments": {"E1": ["E1", "E2"]}, "basis_vectors": {"E1": _E1_KETS}}},
-        "subspace environment 'E1' dimension differs from the system's",
+        "field 'subspace': subspace environment 'E1' dimension differs from the system's",
         id="isbs-environment-of-two-photons"),
     pytest.param("witness", {"framework": "ISBS", "fragment": ["E1"], "subspace": {
         "environments": {"E1": ["E1"]}, "basis_vectors": {"E1": [
             [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [0, 0]]]]}}},
-        "subspace projector 'E1'[0] is not rank-1", id="isbs-projector-of-rank-two"),
+        "field 'subspace': subspace projector 'E1'[0] is not rank-1",
+        id="isbs-projector-of-rank-two"),
+    pytest.param("witness", {"framework": "ISBS", "fragment": ["E1"],
+                             "subspace": _PLUS_MINUS_SPEC},
+                 f"field 'subspace': {_NOT_ALIGNED}", id="isbs-projector-not-aligned"),
+    pytest.param("sweep", {"framework": "ISBS", "p_values": [0.1], "fragments": [["E1"]],
+                           "subspace": _PLUS_MINUS_SPEC},
+                 f"field 'subspace': {_NOT_ALIGNED}", id="isbs-sweep-projector-not-aligned"),
+    # A custom spec's own environment names are not in the preset.
+    pytest.param("witness", {"framework": "ISBS", "fragment": ["A"], "subspace": {
+        "environments": {"A": ["E1"]},
+        "basis_vectors": {"A": _PLUS_MINUS_SPEC["basis_vectors"]["E1"]}}},
+                 f"field 'subspace': {_NOT_ALIGNED.replace('E1', 'A')}",
+                 id="isbs-renamed-projector-not-aligned"),
 ])
 def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, field):
     # Configs the pipeline would silently mis-run, or only reject mid-run,
@@ -460,6 +474,24 @@ def test_config_holes_exit_as_config_errors(tmp_path, capsys, command, payload, 
     assert code == 2
     assert out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("eps", [9.9e-11, 4.9e-11])
+def test_near_unitary_that_would_fail_the_exit_check_is_a_config_error(tmp_path, capsys, eps):
+    # Each entry of U^dag U - I is at most eps, yet U adds 4 eps to the trace
+    # of the prepared state psi psi^dag: the row-sum bound rejects it.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    h_alt = np.eye(1)
+    for gate in (hadamard, np.eye(2), hadamard, np.eye(2), hadamard):  # S, E1_2, E2_2
+        h_alt = np.kron(h_alt, gate)
+    psi = prepare_initial_sqd(NoiseConfig(p=0.0)).matrix
+    u = h_alt @ (np.eye(32) + 2 * eps * psi)
+    cfg = write_config(tmp_path, "w.json", {
+        "framework": "SQD", "fragment": ["E1", "E2"],
+        "unitary": [[[z.real, z.imag] for z in row] for row in u.tolist()]})
+    code, out, err = run_cli(capsys, "witness", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert "field 'unitary': matrix is not unitary" in err
 
 
 @pytest.mark.parametrize("state, subspace, fragment, field", [
@@ -651,6 +683,17 @@ def test_check_with_custom_subspace_file(tmp_path, capsys):
         "--subspace", str(spec_path), "--fragment", "E1")
     assert code == 0
     assert json.loads(out)["sqd"] is True
+
+
+@pytest.mark.parametrize("fragment, same_as", [
+    ("E2,E1", None), ("E1,E1", "E1"), (" E2 , E1 , E2 ", "E1,E2")])
+def test_check_fragment_is_read_in_spec_order_once_per_environment(capsys, fragment, same_as):
+    # As in a witness report: the listed environments in spec order, each once.
+    state = str(REPO_ROOT / "states" / "sqd_initial.json")
+    outputs = [run_cli(capsys, "check", "--state", state,
+                       *(["--fragment", f] if f else [])) for f in (fragment, same_as)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_check_rejects_invalid_state(tmp_path, capsys):

@@ -985,15 +985,46 @@ def test_prepare_and_branch_stacks_equal_each_row_alone(group):
             assert stacked[branch][row].tobytes() == alone[branch][0].tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(framework=st.sampled_from(["SQD", "ISBS"]), pick=st.integers(0, 2),
+       p=st.sampled_from([0.0, 0.1]) | _UNIT,
+       scale=st.sampled_from([0.5, 0.99, 1.01, 3.0]) | st.floats(0.25, 4.0),
+       direction=st.sampled_from(["state", 0, 1]))
+def test_near_unitaries_at_the_bound_are_rejected_or_run(framework, pick, p, scale, direction):
+    # U = U0 (I + s A), U0 the default unitary, with A Hermitian and s set so
+    # that U's deviation is ``scale`` times TOL.unitarity.  A is the prepared
+    # state itself, which adds the most trace, or a random Hermitian matrix.
+    # Such a U is rejected as not unitary, or the witness runs and U keeps the
+    # prepared state's trace within the density check.
+    fragment = _FRAGMENTS[framework][pick]
+    noise = NoiseConfig(p=p)
+    rho = (prepare_initial_sqd if framework == "SQD" else prepare_initial_isbs)(noise)
+    if direction == "state":
+        a = rho.matrix
+    else:
+        g = np.random.default_rng(direction).normal(size=(2, 32, 32))
+        a = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
+    s = scale * TOL.unitarity / (2 * np.max(np.sum(np.abs(a), axis=1)))
+    u0 = _resolve_context(ProtocolConfig(framework=framework, fragment=fragment)).unitary
+    u = u0 @ (np.eye(32) + s * a)
+    try:
+        config = ProtocolConfig(framework=framework, fragment=fragment, noise=noise, unitary=u)
+    except InvariantViolation as exc:
+        assert "matrix is not unitary" in str(exc)
+        return
+    run_witness(config)
+    require_density(apply_gate(rho, u, rho.layout.labels).matrix)
+
+
 def test_stacked_pass_gives_each_context_its_own_rows_of_a_preparation_group():
     # One preparation group, rows p = 0.3 and 0.7.  E1 takes both in order,
     # E2 the second only and E1+E2 both in reverse order, so each context
-    # branches a stack of its own p values.  The stacked pass is called
-    # directly, so no replay can hide a wrong row.
+    # branches a stack of its own p values.  run_witnesses runs each config
+    # once, so a wrong row shows in its report.
     configs = tuple(ProtocolConfig(fragment=fragment, noise=NoiseConfig(p=p))
                     for fragment, p in [(("E1",), 0.3), (("E1",), 0.7), (("E2",), 0.7),
                                         (("E1", "E2"), 0.7), (("E1", "E2"), 0.3)])
-    assert protocol._run_stacked(configs) == [run_witness(config) for config in configs]
+    assert run_witnesses(configs) == [run_witness(config) for config in configs]
 
 
 def test_stacked_pass_branches_one_prepared_stack_per_context_and_group(monkeypatch):
@@ -1021,7 +1052,7 @@ def test_stacked_pass_branches_one_prepared_stack_per_context_and_group(monkeypa
 
     monkeypatch.setattr(protocol, "_prepare", spied_prepare)
     monkeypatch.setattr(protocol, "_branch", spied_branch)
-    assert protocol._run_stacked(configs) == expected
+    assert run_witnesses(configs) == expected
     # One _prepare per distinct (group, p tuple), one _branch per (context,
     # group), and every branched stack is a prepared one, not a copy.
     assert [args for args, _ in prepared] == [
@@ -1032,25 +1063,49 @@ def test_stacked_pass_branches_one_prepared_stack_per_context_and_group(monkeypa
 
 
 def test_run_witnesses_raises_the_first_error_of_one_call_per_config(monkeypatch):
-    # The first config aborts in sampling; the second, on another context,
-    # fails its exit check.  The stacked pass meets the exit check first, so
-    # run_witnesses replays the configs one by one and raises the abort.
+    # One config aborts in sampling; the other, on another context, fails its
+    # exit check.  Whichever comes first raises, as in one call per config,
+    # and the second config's stack is never built.
     aborting = ProtocolConfig(framework="SQD", fragment=("E1",),
                               noise=NoiseConfig(p_cnot=0.001), shots=50, seed=2)
     failing = ProtocolConfig(framework="SQD", fragment=("E2",), noise=NoiseConfig(p=0.2))
     intact, broken = protocol.replace_subsystems, _broken(protocol.replace_subsystems)
+    broken_calls = []
 
     def replace(matrices, layout, discard, replacement):  # breaks fragment E2 only
-        stage = broken if discard[0] == "E1_1" else intact
-        return stage(matrices, layout, discard, replacement)
+        if discard[0] == "E1_1":
+            broken_calls.append(discard)
+            return broken(matrices, layout, discard, replacement)
+        return intact(matrices, layout, discard, replacement)
 
     monkeypatch.setattr(protocol, "replace_subsystems", replace)
     with pytest.raises(InvariantViolation, match="negative eigenvalue"):
-        protocol._run_stacked((aborting, failing))
+        run_witnesses([failing, aborting])
     with pytest.raises(InvariantViolation, match="negative eigenvalue"):
         run_witness(failing)
+    broken_calls.clear()
     with pytest.raises(NonterminatingSampling):
         run_witnesses([aborting, failing])
+    assert broken_calls == []
+
+
+def test_run_witnesses_branches_each_stack_once_when_a_later_config_aborts(monkeypatch):
+    # Two contexts: E1 runs, then E2 aborts in sampling.  Each stack is
+    # branched once, and the abort raises without running E1 again.
+    ok = ProtocolConfig(framework="SQD", fragment=("E1",), noise=NoiseConfig(p=0.2))
+    aborting = ProtocolConfig(framework="SQD", fragment=("E2",),
+                              noise=NoiseConfig(p_cnot=0.001), shots=50, seed=2)
+    branched = []
+    branch = protocol._branch
+
+    def spied_branch(rho, ctx, *args):
+        branched.append(ctx.fragment)
+        return branch(rho, ctx, *args)
+
+    monkeypatch.setattr(protocol, "_branch", spied_branch)
+    with pytest.raises(NonterminatingSampling):
+        run_witnesses([ok, aborting])
+    assert branched == [("E1",), ("E2",)]
 
 
 @pytest.mark.parametrize("name, n_p, n_fragments", [
