@@ -57,12 +57,14 @@ class NoiseConfig:
     p_cnot: float = 1.0
 
     def __post_init__(self):
-        _check_unit_interval(self.p, "p")
-        _check_unit_interval(self.f, "f")
+        for key in ("p", "f"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:
+                raise InvariantViolation(f"field '{key}': {key} = {value} outside [0, 1]")
         if self.mode not in ("mix_global", "depolarize_local"):
-            raise InvariantViolation(f"unknown noise mode {self.mode!r}")
+            raise InvariantViolation(f"field 'mode': unknown noise mode {self.mode!r}")
         if not 0.0 < self.p_cnot <= 1.0:
-            raise InvariantViolation(f"p_cnot {self.p_cnot} outside (0, 1]")
+            raise InvariantViolation(f"field 'p_cnot': p_cnot {self.p_cnot} outside (0, 1]")
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -76,9 +78,10 @@ def _check_unit_interval(value: float, name: str) -> None:
 
 def apply_gate(rho: DensityOperator, unitary: np.ndarray,
                targets: Sequence[str]) -> DensityOperator:
-    """Conjugate ``rho`` by a unitary embedded on the target subsystems."""
+    """Conjugate ``rho`` by a unitary embedded on the target subsystems; the
+    output is checked (see ``TOL.hermiticity`` and ``TOL.unitarity``)."""
     u_full = embed_operator(rho.layout, require_unitary(unitary), targets)
-    return DensityOperator._trusted(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
+    return DensityOperator(rho.layout, u_full @ rho.matrix @ u_full.conj().T)
 
 
 def depolarize_subsystems(rho: DensityOperator, labels: Sequence[str],

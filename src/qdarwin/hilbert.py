@@ -8,9 +8,9 @@ operation is a pure function.
 The public ``DensityOperator(layout, matrix)`` validates its matrix: shape,
 Hermiticity, positivity and trace.  The internal ``DensityOperator._trusted``
 copies and freezes the matrix without those checks.  It builds only outputs
-of CP maps (partial trace, subsystem replacement, unitary conjugation,
-projection sums) applied to operators that were already validated, which
-keep Hermiticity, positivity and a trace in [0, 1] up to rounding.  The
+of CP maps (partial trace, subsystem replacement, projection sums) applied
+to operators that were already validated, which keep Hermiticity,
+positivity and a trace in [0, 1] up to rounding.  The
 witness pipeline passes its prepared states and each branch output through
 the constructor's checks, ``require_density``, so a broken stage still
 raises.  Its positivity check accepts by a shifted Cholesky factorization

@@ -400,8 +400,8 @@ def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
 
     The state is read through ``_system_first`` with the system rotated into
     the spec's preferred basis.  Its diagonal system blocks of probability
-    above ``TOL.conditional_skip``, each normalized, are the conditional
-    states: one checked ``(n, d_F, d_F)`` stack.  Each environment's
+    above ``TOL.conditional_skip``, checked, then normalized, are the
+    conditional states: one ``(n, d_F, d_F)`` stack.  Each environment's
     marginals are one partial trace of that stack; the orthogonality check
     pairs up the rows of each stack, and the product check rebuilds each
     conditional state as the row-wise kron of its marginals.
@@ -416,8 +416,8 @@ def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
     diagonal = blocks[np.arange(d_s), :, np.arange(d_s), :]
     p = np.trace(diagonal, axis1=-2, axis2=-1).real
     kept = p > TOL.conditional_skip
+    require_density(diagonal[kept])  # at the state's scale: 1/p magnifies its rounding
     conds = diagonal[kept] / p[kept, None, None]
-    require_density(conds)
     frag_layout = rho_sf.layout.subset(
         [lab for lab in rho_sf.layout.labels if lab != spec.system_label])
     marginals = [trace_out(conds, frag_layout, set(spec.members_of([name])))
@@ -431,7 +431,7 @@ def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
     bipartite_sbs = (max_offdiag <= TOL.block_diagonal
                      and max_overlap <= TOL.conditional_orthogonality)
 
-    eigs = np.linalg.eigvalsh(_symmetrized(conds))
+    eigs = np.linalg.eigvalsh(0.5 * (conds + conds.conj().swapaxes(-1, -2)))
     max_impurity = float(eigs[:, :-1].clip(min=0.0).sum(-1).max(initial=0.0))
     product = np.ones((len(conds), 1, 1), complex)
     for margs in marginals:  # np.kron of each row's marginals

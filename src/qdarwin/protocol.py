@@ -50,9 +50,7 @@ from .channels import (
     CNOT,
     HADAMARD,
     NoiseConfig,
-    apply_gate,
     depolarize_stack,
-    depolarize_subsystems,
     replace_subsystems,
 )
 from .hilbert import (
@@ -61,6 +59,7 @@ from .hilbert import (
     PureState,
     TensorLayout,
     computational_ket,
+    embed_operator,
     require_density,
     require_unitary,
     trace_out,
@@ -154,9 +153,10 @@ class ProtocolConfig:
     defaults to the framework's preset.  ``replacement``, the state the
     point channel installs, must be normalized and span the unaccessed
     environments in layout order.  Construction rejects every field value
-    the pipeline would fail on or silently mis-run, and keeps the resolved
-    subspace as the non-field attribute ``spec``, so ``dataclasses.replace``
-    resolves again.
+    the pipeline would fail on or silently mis-run, each message starting
+    with ``field '<key>': `` (the spec checks name a custom ``subspace``, or
+    else ``fragment``), and keeps the resolved subspace as the non-field
+    attribute ``spec``, so ``dataclasses.replace`` resolves again.
     """
 
     framework: str = FRAMEWORK_SQD
@@ -173,49 +173,56 @@ class ProtocolConfig:
     def __post_init__(self):
         experiment = _EXPERIMENTS.get(self.framework)
         if experiment is None:
-            raise InvariantViolation(f"unknown framework {self.framework!r}")
+            raise InvariantViolation(f"field 'framework': unknown framework {self.framework!r}")
         if not self.fragment:
-            raise InvariantViolation("fragment must be nonempty")
+            raise InvariantViolation("field 'fragment': fragment must be nonempty")
         if not 0 <= self.shots <= np.iinfo(np.int64).max:  # a multinomial draw's count
-            raise InvariantViolation(f"shots must be nonnegative and below 2^63: {self.shots}")
+            raise InvariantViolation(
+                f"field 'shots': shots must be nonnegative and below 2^63: {self.shots}")
         if self.seed < 0:
-            raise InvariantViolation(f"seed {self.seed} must be nonnegative")
+            raise InvariantViolation(f"field 'seed': seed {self.seed} must be nonnegative")
         if self.cnot_model not in (CNOT_IDEAL, CNOT_NOISY_PREP, CNOT_NOISY_PREP_PARITY):
-            raise InvariantViolation(f"unknown cnot_model {self.cnot_model!r}")
+            raise InvariantViolation(f"field 'cnot_model': unknown cnot_model {self.cnot_model!r}")
         if self.branch_shots is not None:
             a, b = self.branch_shots
             if a < 1 or b < 1:
-                raise InvariantViolation("branch_shots entries must be positive")
+                raise InvariantViolation(
+                    "field 'branch_shots': branch_shots entries must be positive")
             if a + b != self.shots:  # so exact mode (shots = 0) takes no split
-                raise InvariantViolation(f"branch_shots {a} + {b} != shots {self.shots}")
+                raise InvariantViolation(
+                    f"field 'branch_shots': branch_shots {a} + {b} != shots {self.shots}")
         elif self.shots == 1:
-            raise InvariantViolation("shots = 1 leaves a branch without runs: "
+            raise InvariantViolation("field 'shots': shots = 1 leaves a branch without runs: "
                                      "Monte Carlo mode needs at least 2")
         if not experiment.cnots and (self.cnot_model != CNOT_IDEAL or self.noise.p_cnot < 1):
             raise InvariantViolation(
-                f"the {self.framework} experiment has no CNOTs: it takes cnot_model "
-                f"{CNOT_IDEAL!r} and p_cnot 1 only, not {self.cnot_model!r} and "
-                f"{self.noise.p_cnot}")
+                f"field '{'noise' if self.cnot_model == CNOT_IDEAL else 'cnot_model'}': the "
+                f"{self.framework} experiment has no CNOTs: it takes cnot_model {CNOT_IDEAL!r} "
+                f"and p_cnot 1 only, not {self.cnot_model!r} and {self.noise.p_cnot}")
         spec = self.subspace if self.subspace is not None else experiment.spec
-        spec.select(self.fragment)
-        if experiment.basis_only and self.subspace is not None:
-            require_basis_spec(spec)  # the preset is one by construction
         object.__setattr__(self, "spec", spec)
-        layout = experiment.layout
-        require_spec_fits(spec, spec.environment_names, layout)
+        key = "fragment" if self.subspace is None else "subspace"  # at fault below
+        try:
+            spec.select(self.fragment)
+            if experiment.basis_only and self.subspace is not None:
+                require_basis_spec(spec)  # the preset is one by construction
+            require_spec_fits(spec, spec.environment_names, experiment.layout)
+            if self.unitary is not None:
+                key = "unitary"
+                _resolve_unitary(self)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"field '{key}': {exc}") from exc
         if self.replacement is not None:
-            unaccessed = _unaccessed(layout, spec, self.fragment)
-            expected = tuple(s for s in layout.subsystems if s[0] in unaccessed)
+            unaccessed = _unaccessed(experiment.layout, spec, self.fragment)
+            expected = tuple(s for s in experiment.layout.subsystems if s[0] in unaccessed)
             if self.replacement.layout.subsystems != expected:
-                raise InvariantViolation(
-                    f"replacement layout {list(self.replacement.layout.labels)} != "
-                    f"unaccessed subsystems {list(unaccessed)}")
+                raise InvariantViolation(f"field 'replacement': replacement layout "
+                                         f"{list(self.replacement.layout.labels)} != "
+                                         f"unaccessed subsystems {list(unaccessed)}")
             if isinstance(self.replacement, DensityOperator) \
                     and not abs(self.replacement.trace - 1.0) <= TOL.entropy_trace:
                 raise InvariantViolation(
-                    f"replacement trace {self.replacement.trace} is not 1")
-        if self.unitary is not None:
-            _resolve_unitary(self)
+                    f"field 'replacement': replacement trace {self.replacement.trace} is not 1")
 
     def split_shots(self) -> tuple[int, int]:
         if self.branch_shots is not None:
@@ -262,23 +269,17 @@ class WitnessReport:
         return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        return {f.name: _REPORT_CODECS[f.type][0](getattr(self, f.name))
-                for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: dict) -> "WitnessReport":
-        return WitnessReport(**{f.name: _REPORT_CODECS[f.type][1](data[f.name])
-                                for f in fields(WitnessReport)})
+        return {f.name: _TO_JSON[f.type](getattr(self, f.name)) for f in fields(self)}
 
 
-# (to JSON, from JSON) for each annotation of a ``WitnessReport`` field.
-_REPORT_CODECS = {
-    "str": (str, str),
-    "int": (int, int),
-    "float": (float, float),
-    "float | None": (lambda v: None if v is None else float(v),) * 2,
-    "tuple[str, ...]": (list, tuple),
-    "np.ndarray": (lambda v: [float(x) for x in v], lambda v: np.asarray(v, dtype=float)),
+# The JSON value of each annotation of a ``WitnessReport`` field.
+_TO_JSON = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda v: None if v is None else float(v),
+    "tuple[str, ...]": list,
+    "np.ndarray": lambda v: [float(x) for x in v],
 }
 
 
@@ -372,17 +373,18 @@ def _prepare(framework: str, cnot_model: str, f: float, mode: str,
     experiment = _EXPERIMENTS[framework]
     amps = np.zeros(experiment.layout.total_dim, dtype=np.complex128)
     amps[list(experiment.base)] = 1.0 / math.sqrt(len(experiment.base))
-    rho = PureState(experiment.layout, amps).to_density()
+    rho = np.outer(amps, amps.conj())
     f = 1.0 if cnot_model == CNOT_IDEAL else f
     for pair in experiment.cnots:
         if f:  # a fully replaced pair keeps no trace of the gate
-            rho = apply_gate(rho, CNOT, pair)
-        rho = depolarize_subsystems(rho, pair, f, 1.0 - f)
+            u = embed_operator(experiment.layout, CNOT, pair)
+            rho = u @ rho @ u.conj().T
+        rho = depolarize_stack(rho, experiment.layout, pair, f, 1.0 - f)
     p = np.array(ps, dtype=float)
-    stack = np.broadcast_to(rho.matrix, p.shape + rho.matrix.shape)
-    labels = rho.layout.labels
+    stack = np.broadcast_to(rho, p.shape + rho.shape)
+    labels = experiment.layout.labels
     for site in [labels] if mode == "mix_global" else [(lab,) for lab in labels]:
-        stack = depolarize_stack(stack, rho.layout, site, 1.0 - p, p)
+        stack = depolarize_stack(stack, experiment.layout, site, 1.0 - p, p)
     require_density(stack)  # the pipeline's entry check
     stack.flags.writeable = False  # no stage writes into its input
     return stack

@@ -16,7 +16,6 @@ the noise keys ``noise_mode``/``f``/``p_cnot`` and an optional
 
 from __future__ import annotations
 
-import contextlib
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -204,8 +203,8 @@ def noise_from_dict(data: Mapping[str, Any], path: str = "noise.") -> NoiseConfi
                            **_optional(data, "mode", str, path),
                            **_optional(data, "f", float, path),
                            **_optional(data, "p_cnot", float, path))
-    except InvariantViolation as exc:
-        raise ConfigError(f"field '{path.rstrip('.')}': {exc}") from exc
+    except InvariantViolation as exc:  # its message names the key under ``path``
+        raise ConfigError(str(exc).replace("field '", f"field '{path}", 1)) from exc
 
 
 def config_from_dict(data: Mapping[str, Any],
@@ -245,14 +244,8 @@ def config_from_dict(data: Mapping[str, Any],
             raise ConfigError(f"field 'replacement': {exc}") from exc
     try:
         return ProtocolConfig(**fields)
-    except InvariantViolation as exc:
-        where = "config rejected"
-        for key, dropped in (("unitary", {"unitary"}), ("subspace", {"subspace", "fragment"})):
-            with contextlib.suppress(InvariantViolation):  # valid without them: at fault
-                if key in fields:
-                    ProtocolConfig(**{k: v for k, v in fields.items() if k not in dropped})
-                    where = f"field '{key}'"
-        raise ConfigError(f"{where}: {exc}") from exc
+    except InvariantViolation as exc:  # its message starts with the field at fault
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +256,9 @@ _SWEEP_COPIED = ("framework", "shots", "seed", "cnot_model", "subspace")
 _SWEEP_NOISE = (("noise_mode", "mode"), ("f", "f"), ("p_cnot", "p_cnot"))
 _SWEEP_KEYS = {*_SWEEP_COPIED, *(key for key, _ in _SWEEP_NOISE),
                "p_values", "fragments", "output_path"}
+# The sweep key behind a point's field; ``noise`` alone names the ISBS p_cnot check.
+_SWEEP_FIELDS = {"fragment": "fragments", "noise.p": "p_values", "noise.mode": "noise_mode",
+                 "noise.f": "f", "noise.p_cnot": "p_cnot", "noise": "p_cnot"}
 
 
 def sweep_from_dict(data: Mapping[str, Any],
@@ -273,7 +269,7 @@ def sweep_from_dict(data: Mapping[str, Any],
     sweep describes at that point, so a sweep accepts and rejects exactly
     what a witness config does.  The first point resolves ``subspace`` and
     the later ones share its spec, and with it their contexts in
-    ``run_witnesses``.
+    ``run_witnesses``.  A rejected point's error names the sweep's own key.
     """
     _check_keys(data, _SWEEP_KEYS, "")
     p_values, fragments = data.get("p_values"), data.get("fragments")
@@ -290,7 +286,9 @@ def sweep_from_dict(data: Mapping[str, Any],
                     {**witness, "fragment": fragment, "noise": {**noise, "p": p}},
                     seed_override)
             except ConfigError as exc:
-                raise ConfigError(f"sweep point p={p!r}, fragment={fragment!r}: {exc}") from exc
+                field, _, rest = str(exc).removeprefix("field '").partition("': ")
+                raise ConfigError(f"sweep point p={p!r}, fragment={fragment!r}: "
+                                  f"field '{_SWEEP_FIELDS.get(field, field)}': {rest}") from exc
             witness["subspace"] = config.subspace  # one spec for every point
             configs.append(config)
     ps = [config.noise.p for config in configs[:len(p_values)]]
@@ -305,10 +303,6 @@ def sweep_from_dict(data: Mapping[str, Any],
 
 def report_to_json(report: WitnessReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-
-
-def report_from_json(text: str) -> WitnessReport:
-    return WitnessReport.from_dict(json.loads(text))
 
 
 SWEEP_COLUMNS = (

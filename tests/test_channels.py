@@ -99,6 +99,25 @@ def test_apply_gate_rejects_non_unitary(rng):
         apply_gate(rho, np.array([[1.0, 0.0], [0.0, 0.5]]), ["A"])
 
 
+def test_apply_gate_refuses_an_output_that_fails_its_own_check():
+    # A trace at the edge of TOL.trace_upper_slack, conjugated by a unitary
+    # within TOL.unitarity, ends past the slack.
+    edge = DensityOperator(qubits("A"), np.diag([1 + 1e-10, 0.0]))
+    with pytest.raises(InvariantViolation, match=r"^trace 1\.00000000014\d* outside \[0, 1\]$"):
+        apply_gate(edge, np.diag([1 + 2.4e-11, 1.0]), ["A"])
+    # An accepted anti-Hermitian part of 9e-11, spread by H (x) H (x) H, is
+    # gathered by the conjugation into one entry pair, 3.6e-10 apart.
+    h3 = np.kron(np.kron(HADAMARD, HADAMARD), HADAMARD)
+    skew = np.zeros((8, 8))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    skew = h3 @ skew @ h3
+    skewed = DensityOperator(qubits("A", "B", "C"),
+                             np.eye(8) / 8 + 4.5e-11 * skew / np.abs(skew).max())
+    message = r"^matrix is not Hermitian \(max dev 3\.600e-10\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        apply_gate(skewed, h3, ["A", "B", "C"])
+
+
 # ---------------------------------------------------------------------------
 # Noisy CNOT: the gate, then its pair depolarized with weight 1 - f
 # ---------------------------------------------------------------------------

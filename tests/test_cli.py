@@ -22,15 +22,17 @@ from qdarwin import (
     maximally_mixed,
     prepare_initial_isbs,
     prepare_initial_sqd,
+    run_witness,
     sqd_layout,
 )
+from qdarwin import serialize
 from qdarwin.cli import main
 from qdarwin.protocol import DEFAULT_SEED
 from qdarwin.serialize import (
+    ConfigError,
     config_from_dict,
     load_state,
     noise_from_dict,
-    report_from_json,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -96,7 +98,7 @@ def test_witness_report_round_trip(tmp_path, capsys):
         "noise": {"p": 0.2}, "shots": 800, "seed": 4,
     })
     _, out, _ = run_cli(capsys, "witness", "--config", cfg)
-    report = report_from_json(out)
+    report = run_witness(config_from_dict(json.loads(Path(cfg).read_text())))
     assert json.loads(out) == report.to_dict()
 
 
@@ -376,9 +378,9 @@ def _replacement(layout, trace=1.0):
     ("witness", {"fragment": ["E1"], "noise": {"p": 0.3, "p_cnot": False}, "shots": 100},
      "field 'noise.p_cnot'"),
     ("witness", {"fragment": ["E1"], "noise": {"p": 10 ** 400}}, "field 'noise.p'"),
-    ("sweep", {"p_values": [0.1, "0.3"], "fragments": [["E1"]]}, "field 'noise.p'"),
+    ("sweep", {"p_values": [0.1, "0.3"], "fragments": [["E1"]]}, "field 'p_values'"),
     ("sweep", {"p_values": [0.1], "fragments": [["E1"]], "cnot_model": "noisy_prep",
-               "f": True}, "field 'noise.f'"),
+               "f": True}, "field 'f'"),
     # A subspace is a preset name or a spec object; a fragment is a name or a
     # nonempty list of names.
     ("witness", {"fragment": ["E1"], "subspace": "parity3"},
@@ -492,6 +494,86 @@ def test_near_unitary_that_would_fail_the_exit_check_is_a_config_error(tmp_path,
     code, out, err = run_cli(capsys, "witness", "--config", cfg)
     assert (code, out) == (2, "")
     assert "field 'unitary': matrix is not unitary" in err
+
+
+_NOT_UNITARY = [[[1.0 * (i == j) * (1 + (i == 0)), 0] for j in range(32)] for i in range(32)]
+
+
+@pytest.mark.parametrize("payload, field", [
+    pytest.param({"framework": "XYZ"}, "framework", id="framework"),
+    pytest.param({"fragment": ["E9"]}, "fragment", id="fragment-not-in-the-preset"),
+    pytest.param({"shots": -4}, "shots", id="shots-negative"),
+    pytest.param({"shots": 2 ** 63}, "shots", id="shots-above-int64"),
+    pytest.param({"shots": 1}, "shots", id="shots-one"),
+    pytest.param({"seed": -1}, "seed", id="seed"),
+    pytest.param({"cnot_model": "bad"}, "cnot_model", id="cnot_model"),
+    pytest.param({"shots": 10, "branch_shots": [0, 10]}, "branch_shots",
+                 id="branch_shots-not-positive"),
+    pytest.param({"shots": 100, "branch_shots": [10, 10]}, "branch_shots",
+                 id="branch_shots-not-the-shots"),
+    pytest.param({"framework": "ISBS", "cnot_model": "noisy_prep"}, "cnot_model",
+                 id="isbs-cnot_model"),
+    pytest.param({"framework": "ISBS", "noise": {"p_cnot": 0.5}}, "noise", id="isbs-p_cnot"),
+    pytest.param({"replacement": _replacement([["X", 2], ["Y", 2]])}, "replacement",
+                 id="replacement-layout"),
+    pytest.param({"replacement": _replacement([["E2_1", 2], ["E2_2", 2]], 0.5)},
+                 "replacement", id="replacement-trace"),
+    pytest.param({"fragment": ["E2"], "subspace": _E1_SPEC}, "subspace",
+                 id="fragment-not-in-the-subspace"),
+    pytest.param({"framework": "ISBS", "subspace": _PLUS_MINUS_SPEC}, "subspace",
+                 id="subspace-not-a-basis"),
+    pytest.param({"subspace": {**_E1_SPEC, "environments": {"E1": ["E1_1"]}}}, "subspace",
+                 id="subspace-does-not-fit"),
+    pytest.param({"unitary": "bogus"}, "unitary", id="unitary-preset"),
+    pytest.param({"unitary": _NOT_UNITARY}, "unitary", id="unitary-matrix"),
+])
+def test_each_config_check_names_its_field(tmp_path, capsys, payload, field):
+    # One case per rejection of ProtocolConfig: the diagnostic starts with
+    # the witness-document key at fault.
+    code, out, err = run_cli(capsys, "witness", "--config",
+                             write_config(tmp_path, "w.json", payload))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: field '{field}': ")
+
+
+@pytest.mark.parametrize("payload, field", [
+    pytest.param({"p_values": [1.5]}, "p_values", id="p_values-out-of-range"),
+    pytest.param({"p_values": ["0.3"]}, "p_values", id="p_values-string"),
+    pytest.param({"cnot_model": "noisy_prep", "f": 1.5}, "f", id="f"),
+    pytest.param({"noise_mode": "bogus"}, "noise_mode", id="noise_mode"),
+    pytest.param({"shots": 100, "p_cnot": 0.0}, "p_cnot", id="p_cnot"),
+    pytest.param({"framework": "ISBS", "p_cnot": 0.5}, "p_cnot", id="isbs-p_cnot"),
+    pytest.param({"fragments": [["E9"]]}, "fragments", id="fragments"),
+])
+def test_sweep_errors_name_the_sweep_keys(tmp_path, capsys, payload, field):
+    # A point's witness document has noise and fragment keys that a sweep
+    # does not; the diagnostic names the sweep's own key instead.
+    document = {"p_values": [0.1], "fragments": [["E1"]], **payload}
+    code, out, err = run_cli(capsys, "sweep", "--config",
+                             write_config(tmp_path, "s.json", document))
+    assert (code, out) == (2, "")
+    point = document["p_values"][0], document["fragments"][0]
+    assert err.startswith(f"config error: sweep point p={point[0]!r}, fragment={point[1]!r}: "
+                          f"field '{field}': ")
+
+
+def test_config_from_dict_builds_one_protocol_config(monkeypatch):
+    # Accepted or rejected, a document is validated by one construction.
+    built = []
+
+    def spy(**fields):
+        built.append(fields)
+        return ProtocolConfig(**fields)
+
+    monkeypatch.setattr(serialize, "ProtocolConfig", spy)
+    for document in ({}, {"fragment": ["E9"]}, {"unitary": "bogus"},
+                     {"fragment": ["E2"], "subspace": _E1_SPEC}):
+        built.clear()
+        try:
+            config_from_dict(document)
+        except ConfigError:
+            pass
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("state, subspace, fragment, field", [

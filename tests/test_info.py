@@ -550,9 +550,9 @@ def test_rank2_conditional_block_cannot_be_orthogonal(rng):
 # ---------------------------------------------------------------------------
 
 def _oracle_structural_checks(rho_sf, spec, names):
-    """``_structural_checks`` one conditional state at a time: a validated
-    DensityOperator and one partial trace per conditional state and
-    environment, and a nuclear norm per pair."""
+    """``_structural_checks`` one conditional state at a time: a block
+    validated as a DensityOperator, normalized, and one partial trace per
+    conditional state and environment, and a nuclear norm per pair."""
     rho4 = _system_first(rho_sf, spec.system_label)
     d_s, d_f = rho4.shape[:2]
     rot = np.kron(spec.system_basis.conj().T, np.eye(d_f))
@@ -564,8 +564,9 @@ def _oracle_structural_checks(rho_sf, spec, names):
     conds = []
     for i in range(d_s):
         p = float(np.trace(blocks[i, :, i, :]).real)
-        if p > TOL.conditional_skip:
-            conds.append(DensityOperator(fragment, blocks[i, :, i, :] / p))
+        if p > TOL.conditional_skip:  # checked at the state's scale, then normalized
+            DensityOperator(fragment, blocks[i, :, i, :])
+            conds.append(DensityOperator._trusted(fragment, blocks[i, :, i, :] / p))
     marginals = [[partial_trace(c, set(spec.members_of([name]))).matrix for c in conds]
                  for name in names]
     overlap = max((float(np.sum(np.linalg.svd(a @ b, compute_uv=False)))
@@ -642,9 +643,9 @@ def test_stacked_structure_checks_equal_the_per_conditional_oracle(dim, n_envs, 
     # Qubit environments of one or two photons, or single qutrits; the
     # broadcast states pass the checks near their tolerances, and a zero
     # weight leaves an index without a conditional state.  At a noise of
-    # 1e-9 such an index's conditional state is the rounding of its block
-    # over a probability near 1e-9, not Hermitian within TOL.hermiticity,
-    # so both sides raise.
+    # 1e-9 such an index's conditional state is its block over a probability
+    # near 1e-9, whose rounding is not Hermitian within TOL.hermiticity; both
+    # sides check the block before the division, so both give a verdict.
     rng = np.random.default_rng(seed)
     width = 2 if pairs and dim == 2 and n_envs < 3 else 1
     groups = [tuple(f"E{k}_{j}" for j in range(width)) for k in range(n_envs)]
@@ -675,12 +676,41 @@ def test_zero_operator_has_no_conditional_states():
 
 def test_conditional_states_are_checked_as_density_operators():
     # A valid state may dip to -TOL.psd_min_eig.  Over a probability near
-    # TOL.conditional_skip, that dip is a conditional eigenvalue of -1/3.
+    # TOL.conditional_skip, that dip is a conditional eigenvalue of -1/3:
+    # the block is checked at the state's scale, so the state gets a verdict.
     m = np.diag([1 - 1.5e-10, 0.0, 2e-10, -5e-11]).astype(complex)
     rho = DensityOperator(qubits("S", "E1"), m)
-    message = r"^matrix has negative eigenvalue -3\.333e-01$"
-    for check in (lambda: check_structure(rho, computational_spec(1), ["E1"]),
-                  lambda: verify_equal_dimension_reduction(rho),
-                  lambda: _oracle_reduction(rho, np.eye(2))):
+    verdict = check_structure(rho, computational_spec(1), ["E1"])
+    assert (verdict.bipartite_sbs, verdict.isbs) == (False, False)
+    assert verify_equal_dimension_reduction(rho) is _oracle_reduction(rho, np.eye(2)) is False
+    # A block that dips further is refused with its own eigenvalue, not the
+    # conditional state's -1.
+    broken = DensityOperator._trusted(qubits("S", "E1"), np.diag([1 - 1e-6, 0, 2e-6, -1e-6]))
+    message = r"^matrix has negative eigenvalue -1\.000e-06$"
+    for check in (_structural_checks, _oracle_structural_checks):
         with pytest.raises(InvariantViolation, match=message):
-            check()
+            check(broken, computational_spec(1), ["E1"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exponent=st.floats(-12.0, -3.0), noise=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_conditional_states_near_the_skip_cutoff_get_a_verdict(exponent, noise, seed):
+    # A qubit pair (1 - w)|v0 0><v0 0| plus w times white noise, or w times
+    # |v1 1><v1 1|, under a random system basis (v0, v1).  Index 1 holds
+    # probability w / 2 or w; its block's rounding over that probability
+    # fails a density check below about w = 1e-6.  A white-noise conditional
+    # state I/2 breaks orthogonality once it is kept; the second branch is
+    # orthogonal, and above w = 1e-7 its rounding stays within the checks.
+    w = 10.0 ** exponent
+    basis = random_unitary(2, np.random.default_rng(seed))
+    kets = [np.kron(basis[:, i], np.eye(2)[i]) for i in range(2)]
+    m = (1 - w) * np.outer(kets[0], kets[0].conj())
+    m += w * (np.eye(4) / 4 if noise else np.outer(kets[1], kets[1].conj()))
+    rho = DensityOperator(qubits("S", "E1"), m)
+    spec = ObjectiveSubspaceSpec("S", basis, {"E1": ("E1",)},
+                                 {"E1": (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))})
+    verdict = check_structure(rho, spec, ["E1"])
+    if noise:
+        assert verdict.bipartite_sbs is verdict.isbs is (w / 2 <= TOL.conditional_skip)
+    elif w >= 1e-7:
+        assert verdict.bipartite_sbs is verdict.isbs is True

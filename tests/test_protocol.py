@@ -21,7 +21,6 @@ from qdarwin import (
     ObjectiveSubspaceSpec,
     ProtocolConfig,
     PureState,
-    WitnessReport,
     apply_gate,
     cost_model,
     depolarize_local,
@@ -42,7 +41,8 @@ from qdarwin import (
     witness_monte_carlo,
 )
 from qdarwin import protocol
-from qdarwin.objectivity import embedded_projectors, project, require_basis_spec
+from qdarwin.objectivity import (computational_spec, embedded_projectors, parity_spec, project,
+                                 require_basis_spec)
 from qdarwin.cli import main
 from qdarwin.channels import depolarize_stack, replace_subsystems
 from qdarwin.hilbert import eigvals_hermitian, permute_subsystems, require_density, trace_out
@@ -572,6 +572,69 @@ def test_library_guard_clauses_raise_their_messages(call, message):
         call()
 
 
+def _state_on(labels, trace=1.0):
+    d = 2 ** len(labels)
+    return DensityOperator(qubits(*labels), np.diag([trace] + [0.0] * (d - 1)))
+
+
+_NOT_A_NAME = st.text(max_size=8)
+# One strategy per rejection of ProtocolConfig: the field it must name, and
+# the fields of a config that breaks that check alone.
+_ONE_BROKEN_FIELD = {
+    "framework": ("framework", _NOT_A_NAME.filter(lambda t: t not in ("SQD", "ISBS")).map(
+        lambda t: {"framework": t})),
+    "fragment-empty": ("fragment", st.just({"fragment": ()})),
+    "fragment-unknown": ("fragment", _NOT_A_NAME.filter(lambda t: t not in ("E1", "E2")).map(
+        lambda t: {"fragment": ("E1", t)})),
+    "shots-negative": ("shots", st.integers(max_value=-1).map(lambda n: {"shots": n})),
+    "shots-above-int64": ("shots", st.integers(min_value=2 ** 63).map(lambda n: {"shots": n})),
+    "shots-one": ("shots", st.just({"shots": 1})),
+    "seed": ("seed", st.integers(max_value=-1).map(lambda n: {"seed": n})),
+    "cnot_model": ("cnot_model", _NOT_A_NAME.filter(
+        lambda t: t not in ("ideal", "noisy_prep", "noisy_prep_parity")).map(
+        lambda t: {"cnot_model": t})),
+    "branch_shots-not-positive": ("branch_shots", st.tuples(
+        st.integers(max_value=0), st.integers(1, 50)).map(
+        lambda ab: {"shots": 10, "branch_shots": ab})),
+    "branch_shots-not-the-shots": ("branch_shots", st.tuples(
+        st.integers(1, 50), st.integers(1, 50), st.integers(0, 200)).filter(
+        lambda abn: abn[0] + abn[1] != abn[2]).map(
+        lambda abn: {"shots": abn[2], "branch_shots": abn[:2]})),
+    "isbs-cnot_model": ("cnot_model", st.sampled_from(["noisy_prep", "noisy_prep_parity"]).map(
+        lambda m: {"framework": "ISBS", "fragment": ("E3",), "cnot_model": m})),
+    "isbs-p_cnot": ("noise", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda q: {"framework": "ISBS", "noise": NoiseConfig(p_cnot=q)})),
+    "replacement-layout": ("replacement", st.sampled_from(
+        [("E2_2", "E2_1"), ("E2_1",), ("X", "Y")]).map(
+        lambda labels: {"replacement": _state_on(labels)})),
+    "replacement-trace": ("replacement", st.floats(0.0, 0.99).map(
+        lambda t: {"replacement": _state_on(("E2_1", "E2_2"), t)})),
+    "subspace-select": ("subspace", st.sampled_from(["E3", "E9"]).map(
+        lambda name: {"subspace": parity_spec(2), "fragment": (name,)})),
+    "subspace-not-a-basis": ("subspace", st.just(
+        {"framework": "ISBS", "subspace": parity_spec(2)})),
+    "subspace-does-not-fit": ("subspace", st.integers(3, 4).map(
+        lambda n: {"subspace": computational_spec(n)})),
+    "unitary-preset": ("unitary", _NOT_A_NAME.filter(
+        lambda t: t not in ("alternating_hadamards", "all_hadamards")).map(
+        lambda t: {"unitary": t})),
+    "unitary-matrix": ("unitary", st.floats(1e-9, 1.0).map(
+        lambda e: {"unitary": (1 + e) * np.eye(32)})),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ONE_BROKEN_FIELD))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_config_rejection_names_its_field(site, data):
+    # The message starts with the field at fault; the spec checks name a
+    # custom subspace, or else the fragment.
+    field, fields = _ONE_BROKEN_FIELD[site]
+    with pytest.raises(InvariantViolation) as raised:
+        ProtocolConfig(**data.draw(fields))
+    assert str(raised.value).startswith(f"field '{field}': ")
+
+
 @st.composite
 def _small_noisy_configs(draw):
     """Configs whose projected branch has at most 64 coin realizations."""
@@ -851,14 +914,6 @@ def test_run_witness_dispatch():
     assert run_witness(ProtocolConfig(framework="SQD", fragment=("E1",))).mode == "exact"
     assert run_witness(ProtocolConfig(
         framework="SQD", fragment=("E1",), shots=100, seed=1)).mode == "monte_carlo"
-
-
-def test_report_round_trip():
-    report = witness_monte_carlo(ProtocolConfig(
-        framework="SQD", fragment=("E1",), noise=NoiseConfig(p=0.2),
-        shots=500, seed=8))
-    again = WitnessReport.from_dict(report.to_dict())
-    assert again == report
 
 
 # ---------------------------------------------------------------------------
