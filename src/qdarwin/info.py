@@ -268,32 +268,40 @@ def _grid_seed_angles() -> tuple[np.ndarray, np.ndarray]:
 
 def quantum_discord(rho: DensityOperator, system: str,
                     environment: Iterable[str]) -> tuple[float, tuple[float, float]]:
-    """Minimized discord of a qubit system with an environment block.
+    """The discord and minimizing Bloch angles (theta, phi) of `correlation_report`."""
+    report = correlation_report(rho, system, environment)
+    return report.discord, report.minimizing_measurement
 
-    Returns the discord value (clamped at zero) and the minimizing Bloch
-    angles (theta, phi).  A state of rank r below d_E is searched on r x r
-    Gram blocks (see `_outcome_blocks`).  The measurement at (theta, phi) is
-    the one at (pi - theta, phi + pi) with its outcomes swapped, and theta = 0
-    fixes it for every phi, so the grid seed (`_grid_seed_angles`) evaluates
-    only the rows 0 < theta < pi/2 and the point (0, 0); grid ties break
-    toward the lexicographically smallest angles.  The seed is refined by the
-    in-repo Nelder-Mead search `minimize`, with scipy's defaults.  The angles
-    are one of the two equivalent representatives: the seed has theta < pi/2,
-    and the refinement may leave that range.  Only qubit systems are supported.
+
+def correlation_report(rho: DensityOperator, system: str,
+                       environment: Iterable[str]) -> CorrelationReport:
+    """Mutual information, discord and Holevo information of a qubit system
+    with an environment block, from one reduction, one H(S), H(E) and H(SE)
+    each and one discord search: I = H(S) + H(E) - H(SE), and the discord is
+    the least measured conditional entropy plus H(S) - H(SE), clamped at 0.
+
+    A state of rank r below d_E is searched on r x r Gram blocks (see
+    `_outcome_blocks`).  The measurement at (theta, phi) is the one at
+    (pi - theta, phi + pi) with its outcomes swapped, and theta = 0 fixes it
+    for every phi, so the grid seed (`_grid_seed_angles`) evaluates only the
+    rows 0 < theta < pi/2 and the point (0, 0); grid ties break toward the
+    lexicographically smallest angles.  The seed is refined by the in-repo
+    Nelder-Mead search `minimize`, with scipy's defaults.  The angles are one
+    of the two equivalent representatives: the seed has theta < pi/2, and the
+    refinement may leave that range.  Only qubit systems are supported.
     """
     env = set(environment)
-    wanted = env | {system}
+    if system in env:
+        raise InvariantViolation(f"overlapping parts {[system]}")
     if rho.layout.dim_of(system) != 2:
-        raise InvariantViolation(
-            "discord minimization supports qubit systems only (documented limitation)"
-        )
-    if wanted != set(rho.layout.labels):
-        rho = partial_trace(rho, wanted)
-    blocks = _outcome_blocks(_system_first(rho, system))
-
+        raise InvariantViolation("discord minimization supports qubit systems only "
+                                 "(documented limitation)")
+    rho = partial_trace(rho, env | {system})
     h_s = von_neumann_entropy(partial_trace(rho, {system}))
+    h_e = von_neumann_entropy(partial_trace(rho, env))
     h_se = von_neumann_entropy(rho)
 
+    blocks = _outcome_blocks(_system_first(rho, system))
     tt, pp = _grid_seed_angles()
     grid = _conditional_entropy_batch(blocks, tt, pp)
     best = int(np.argmin(grid))  # first minimum = smallest (theta, phi)
@@ -306,22 +314,9 @@ def quantum_discord(rho: DensityOperator, system: str,
     res = minimize(objective, np.array([t0, p0]), xatol=1e-6, fatol=TOL.discord_ftol)
     cond_entropy = min(float(grid[best]), float(res.fun))
     theta, phi = (t0, p0) if grid[best] <= res.fun else res.x
-    angles = (float(theta), float(phi))
 
-    discord = cond_entropy + h_s - h_se
-    return max(0.0, discord), angles
-
-
-def correlation_report(rho: DensityOperator, system: str,
-                       environment: Iterable[str]) -> CorrelationReport:
-    """Mutual information, discord and Holevo information in one record."""
-    env = set(environment)
-    wanted = env | {system}
-    if wanted != set(rho.layout.labels):
-        rho = partial_trace(rho, wanted)
-    i_se = mutual_information(rho, {system}, env)
-    d_se, angles = quantum_discord(rho, system, env)
-    h_s = von_neumann_entropy(partial_trace(rho, {system}))
+    i_se = h_s + h_e - h_se
+    d_se = max(0.0, cond_entropy + h_s - h_se)
     chi = i_se - d_se
     if chi < -TOL.info_condition:
         raise InvariantViolation(f"Holevo information {chi} below -{TOL.info_condition}")
@@ -330,7 +325,7 @@ def correlation_report(rho: DensityOperator, system: str,
         discord=d_se,
         holevo=max(0.0, chi),
         system_entropy=h_s,
-        minimizing_measurement=angles,
+        minimizing_measurement=(float(theta), float(phi)),
     )
 
 
@@ -344,9 +339,9 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
 
     The state is reduced to the system plus the fragment environments, then
     checked four ways: the mutual-information condition against each single
-    environment, the zero-discord strengthening on the joint fragment, the
-    explicit bipartite block structure, and the pure product-conditional
-    refinement.
+    environment, the zero-discord strengthening on the joint fragment (its
+    one `correlation_report`), the explicit bipartite block structure, and
+    the pure product-conditional refinement.
     """
     names = list(spec.select(fragment))
     members = spec.members_of(names)
@@ -355,7 +350,8 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     if abs(rho_sf.trace - 1.0) > TOL.entropy_trace:
         raise InvariantViolation("structure checks need a normalized state")
 
-    h_s = von_neumann_entropy(partial_trace(rho_sf, {sys_label}))
+    joint = correlation_report(rho_sf, sys_label, members)
+    h_s = joint.system_entropy
     # Information shared with each single environment of the fragment.
     env_infos: list[float] = []
     for name in names:
@@ -365,10 +361,8 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     qd = all(abs(i_k - h_s) <= TOL.info_condition for i_k in env_infos)
 
     # Joint fragment information must also be purely classical and complete.
-    i_sf = mutual_information(rho_sf, {sys_label}, set(members))
-    discord, _ = quantum_discord(rho_sf, sys_label, set(members))
-    sqd = (qd and abs(i_sf - h_s) <= TOL.info_condition
-           and discord <= TOL.info_condition)
+    sqd = (qd and abs(joint.mutual_information - h_s) <= TOL.info_condition
+           and joint.discord <= TOL.info_condition)
 
     bipartite_sbs, isbs, structural = _structural_checks(rho_sf, spec, names)
 
@@ -384,11 +378,11 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
             "conditional_purity": TOL.conditional_purity,
         },
         details={
-            "mutual_information": i_sf,
+            "mutual_information": joint.mutual_information,
             "min_single_environment_information": min(env_infos),
             "max_single_environment_information": max(env_infos),
             "system_entropy": h_s,
-            "discord": discord,
+            "discord": joint.discord,
             **structural,
         },
     )

@@ -183,6 +183,9 @@ class ProtocolConfig:
             raise InvariantViolation(f"field 'seed': seed {self.seed} must be nonnegative")
         if self.cnot_model not in (CNOT_IDEAL, CNOT_NOISY_PREP, CNOT_NOISY_PREP_PARITY):
             raise InvariantViolation(f"field 'cnot_model': unknown cnot_model {self.cnot_model!r}")
+        if self.cnot_model == CNOT_IDEAL and self.noise.f != 1:  # its CNOTs keep their output
+            raise InvariantViolation(f"field 'noise.f': cnot_model {CNOT_IDEAL!r} takes f 1 only, "
+                                     f"not {self.noise.f}")
         if self.branch_shots is not None:
             a, b = self.branch_shots
             if a < 1 or b < 1:
@@ -195,10 +198,10 @@ class ProtocolConfig:
             raise InvariantViolation("field 'shots': shots = 1 leaves a branch without runs: "
                                      "Monte Carlo mode needs at least 2")
         if not experiment.cnots and (self.cnot_model != CNOT_IDEAL or self.noise.p_cnot < 1):
-            raise InvariantViolation(
-                f"field '{'noise' if self.cnot_model == CNOT_IDEAL else 'cnot_model'}': the "
-                f"{self.framework} experiment has no CNOTs: it takes cnot_model {CNOT_IDEAL!r} "
-                f"and p_cnot 1 only, not {self.cnot_model!r} and {self.noise.p_cnot}")
+            key = "noise.p_cnot" if self.cnot_model == CNOT_IDEAL else "cnot_model"
+            raise InvariantViolation(f"field '{key}': the {self.framework} experiment has no "
+                                     f"CNOTs: it takes cnot_model {CNOT_IDEAL!r} and p_cnot 1 "
+                                     f"only, not {self.cnot_model!r} and {self.noise.p_cnot}")
         spec = self.subspace if self.subspace is not None else experiment.spec
         object.__setattr__(self, "spec", spec)
         key = "fragment" if self.subspace is None else "subspace"  # at fault below

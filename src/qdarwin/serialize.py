@@ -16,6 +16,7 @@ the noise keys ``noise_mode``/``f``/``p_cnot`` and an optional
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -23,7 +24,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .channels import NoiseConfig
-from .hilbert import DensityOperator, InvariantViolation, TensorLayout
+from .hilbert import DensityOperator, InvariantViolation, TensorLayout, _symmetrized
 from .objectivity import ObjectiveSubspaceSpec, spec_from_basis_vectors
 from .protocol import _EXPERIMENTS, ProtocolConfig, WitnessReport
 
@@ -48,8 +49,10 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 
 def state_from_dict(data: Mapping[str, Any]) -> DensityOperator:
-    """A document not of a state's shape is a `ConfigError` naming the field;
-    a well-formed matrix that is not a state is an `InvariantViolation`."""
+    """The state of a document, its matrix's Hermitian part kept, so each
+    partial trace of it is exactly Hermitian.  A document not of a state's
+    shape is a `ConfigError` naming the field; a well-formed matrix that is
+    not a state is an `InvariantViolation`."""
     _check_keys(data, _STATE_KEYS, "")
     try:
         if not all(isinstance(lab, str) and _is_integer(dim) for lab, dim in data["layout"]):
@@ -61,7 +64,7 @@ def state_from_dict(data: Mapping[str, Any]) -> DensityOperator:
     d = layout.total_dim
     if matrix.shape != (d, d):
         raise ConfigError(f"field 'matrix': shape {matrix.shape} != layout dim ({d}, {d})")
-    return DensityOperator(layout, matrix)
+    return DensityOperator(layout, _symmetrized(matrix))
 
 
 def _complex_matrix(value: Any, field: str) -> np.ndarray:
@@ -154,12 +157,11 @@ def resolve_subspace(value: Any) -> ObjectiveSubspaceSpec:
 # Protocol configs
 # ---------------------------------------------------------------------------
 
-# The allowed keys of each config document, as README documents them.
-_WITNESS_KEYS = {"framework", "fragment", "noise", "unitary", "replacement", "shots",
-                 "seed", "cnot_model", "subspace", "branch_shots"}
-_NOISE_KEYS = {"p", "mode", "f", "p_cnot"}
+# The allowed keys of each config document: the fields of the type it
+# describes, except a subspace's, which gives spanning vectors, not projectors.
+_WITNESS_KEYS, _NOISE_KEYS, _STATE_KEYS = ({f.name for f in dataclasses.fields(cls)} for cls
+                                           in (ProtocolConfig, NoiseConfig, DensityOperator))
 _SUBSPACE_KEYS = {"system_label", "system_basis", "environments", "basis_vectors"}
-_STATE_KEYS = {"layout", "matrix"}
 
 
 def _check_keys(data: Any, allowed: set[str], path: str) -> None:
@@ -256,9 +258,9 @@ _SWEEP_COPIED = ("framework", "shots", "seed", "cnot_model", "subspace")
 _SWEEP_NOISE = (("noise_mode", "mode"), ("f", "f"), ("p_cnot", "p_cnot"))
 _SWEEP_KEYS = {*_SWEEP_COPIED, *(key for key, _ in _SWEEP_NOISE),
                "p_values", "fragments", "output_path"}
-# The sweep key behind a point's field; ``noise`` alone names the ISBS p_cnot check.
-_SWEEP_FIELDS = {"fragment": "fragments", "noise.p": "p_values", "noise.mode": "noise_mode",
-                 "noise.f": "f", "noise.p_cnot": "p_cnot", "noise": "p_cnot"}
+# The sweep key behind a point's field.
+_SWEEP_FIELDS = {"fragment": "fragments", "noise.p": "p_values",
+                 **{f"noise.{name}": key for key, name in _SWEEP_NOISE}}
 
 
 def sweep_from_dict(data: Mapping[str, Any],

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -513,7 +515,9 @@ _NOT_UNITARY = [[[1.0 * (i == j) * (1 + (i == 0)), 0] for j in range(32)] for i 
                  id="branch_shots-not-the-shots"),
     pytest.param({"framework": "ISBS", "cnot_model": "noisy_prep"}, "cnot_model",
                  id="isbs-cnot_model"),
-    pytest.param({"framework": "ISBS", "noise": {"p_cnot": 0.5}}, "noise", id="isbs-p_cnot"),
+    pytest.param({"framework": "ISBS", "noise": {"p_cnot": 0.5}}, "noise.p_cnot",
+                 id="isbs-p_cnot"),
+    pytest.param({"noise": {"f": 0.5}}, "noise.f", id="ideal-f"),
     pytest.param({"replacement": _replacement([["X", 2], ["Y", 2]])}, "replacement",
                  id="replacement-layout"),
     pytest.param({"replacement": _replacement([["E2_1", 2], ["E2_2", 2]], 0.5)},
@@ -543,6 +547,7 @@ def test_each_config_check_names_its_field(tmp_path, capsys, payload, field):
     pytest.param({"noise_mode": "bogus"}, "noise_mode", id="noise_mode"),
     pytest.param({"shots": 100, "p_cnot": 0.0}, "p_cnot", id="p_cnot"),
     pytest.param({"framework": "ISBS", "p_cnot": 0.5}, "p_cnot", id="isbs-p_cnot"),
+    pytest.param({"framework": "ISBS", "f": 0.5}, "f", id="ideal-f"),
     pytest.param({"fragments": [["E9"]]}, "fragments", id="fragments"),
 ])
 def test_sweep_errors_name_the_sweep_keys(tmp_path, capsys, payload, field):
@@ -798,6 +803,27 @@ def test_check_of_a_subnormalized_state_is_an_invariant_violation(tmp_path, caps
     assert code == 3
     assert out == ""
     assert "structure checks need a normalized state" in err
+
+
+def test_check_of_an_accepted_anti_hermitian_part_gets_a_verdict(tmp_path, capsys):
+    # I/32 + 4.5e-11 X, with X antisymmetric and coupling S = 0 to S = 1 on
+    # each of the eight states of E2-E4: the input deviation is 9e-11, within
+    # TOL.hermiticity, and a partial trace that summed it would gather 7.2e-10.
+    # The state keeps its Hermitian part where it enters, so every reduction
+    # is exactly Hermitian.
+    m = np.eye(32, dtype=complex) / 32
+    for r in range(8):
+        m[r, 16 + r], m[16 + r, r] = m[r, 16 + r] + 4.5e-11, m[16 + r, r] - 4.5e-11
+    assert np.abs(m - m.conj().T).max() == 9e-11
+    path = write_config(tmp_path, "skew.json", {
+        "layout": [["S", 2], ["E1", 2], ["E2", 2], ["E3", 2], ["E4", 2]],
+        "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()]})
+    code, out, err = run_cli(capsys, "check", "--state", path, "--subspace", "computational",
+                             "--fragment", "E1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fragment"] == ["E1"]
+    state = load_state(path).matrix
+    assert np.array_equal(state, state.conj().T)
 
 
 def _identity_pairs(d, first=(1, 0)):
@@ -1153,3 +1179,63 @@ def test_benchmark_entry_points(tmp_path):
         rho = prepare(NoiseConfig(p=0.2, mode="depolarize_local", f=0.8), "noisy_prep")
         save_state(rho, tmp_path / "state.json")
         assert np.array_equal(load_state(tmp_path / "state.json").matrix, rho.matrix)
+
+
+def _qdarwin_names(path):
+    """The ``qdarwin`` names a file imports, as dotted module paths, and the
+    attributes it reads off the modules it binds, read with ``ast``."""
+    modules, names = {}, set()
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qdarwin":
+                    names.add(alias.name)  # binds its first part, or the module as asname
+                    modules[alias.asname or "qdarwin"] = alias.name if alias.asname else "qdarwin"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qdarwin":
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module of the package or an attribute of one."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:k]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[k:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark's scripts, read without running them: every qdarwin
+    # name they import and every attribute they read off an imported module
+    # must exist, so a change that removes one fails here first.
+    from qdarwin.tolerances import Tolerances
+
+    names = set().union(*(_qdarwin_names(REPO_ROOT / "bench" / f)
+                          for f in ("workloads.py", "setup_probe.py", "run.py")))
+    assert {"qdarwin.protocol.prepare_initial_isbs", "qdarwin.protocol.prepare_initial_sqd",
+            "qdarwin.serialize.save_state", "qdarwin.channels.NoiseConfig", "qdarwin.cli",
+            "qdarwin.serialize.config_from_dict", "qdarwin.serialize.sweep_from_dict",
+            "qdarwin.serialize.load_state", "qdarwin.tolerances.TOL",
+            "qdarwin.cli.main"} <= names
+    assert [name for name in sorted(names) if not _resolves(name)] == []
+    oracle = ast.parse((REPO_ROOT / "bench" / "oracle.py").read_text())
+    tol_fields, = [ast.literal_eval(node.value) for node in oracle.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TOL_FIELDS"]]
+    assert tol_fields and set(tol_fields) <= {f.name for f in dataclasses.fields(Tolerances)}

@@ -207,6 +207,19 @@ def test_correlation_report_consistency(rng):
         assert rep.measurement_class == "rank1_projective_qubit"
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d_e=st.sampled_from([2, 4, 16]), rank=st.sampled_from([1, 2, 3, None]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_correlation_report_mutual_information_is_mutual_information(d_e, rank, seed):
+    # The report forms I = H(S) + H(E) - H(SE) from its own entropies, in
+    # mutual_information's order, so the two agree bit for bit; ranks 1-3
+    # are below d_E = 4 and 16.
+    rho = random_density(TensorLayout([("S", 2), ("E", d_e)]), np.random.default_rng(seed), rank)
+    report = correlation_report(rho, "S", {"E"})
+    assert report.mutual_information == mutual_information(rho, {"S"}, {"E"})
+    assert report.system_entropy == von_neumann_entropy(partial_trace(rho, {"S"}))
+
+
 def test_discord_bounded_by_mutual_information(rng):
     # Two-qubit and qubit-vs-4-dim states.
     for lay in (qubits("S", "E"), TensorLayout([("S", 2), ("E", 4)])):
@@ -474,6 +487,39 @@ def test_ghz_structure_checks():
     assert not full.sqd  # joint information is twice the system entropy
     single = check_structure(ghz, spec, ["E1"])
     assert single.qd and single.sqd and single.isbs
+
+
+@pytest.mark.parametrize("fragment", [["E1"], ["E1", "E2"]])
+def test_check_structure_takes_each_entropy_and_the_discord_grid_once(monkeypatch, fragment):
+    # One correlation_report on the joint fragment takes H(S), H(F) and H(SF)
+    # and runs the grid once; each of the n environments adds the three
+    # entropies of its own mutual information: 3 + 3n in all.
+    calls = {"entropy": 0, "grid": 0}
+    entropy, batch = info.von_neumann_entropy, info._conditional_entropy_batch
+
+    def count_entropy(rho):
+        calls["entropy"] += 1
+        return entropy(rho)
+
+    def count_grid(blocks, theta, phi):
+        calls["grid"] += len(theta) > 1  # the refinement evaluates one angle a call
+        return batch(blocks, theta, phi)
+
+    monkeypatch.setattr(info, "von_neumann_entropy", count_entropy)
+    monkeypatch.setattr(info, "_conditional_entropy_batch", count_grid)
+    rho = load_state(REPO_ROOT / "states" / "sqd_initial.json")
+    check_structure(rho, parity_spec(2), fragment)
+    assert calls == {"entropy": 3 + 3 * len(fragment), "grid": 1}
+
+
+def test_check_structure_enforces_the_holevo_invariant(monkeypatch):
+    # A measured conditional entropy above H(F) would make chi = I - D
+    # negative; the check's correlation_report refuses it.
+    monkeypatch.setattr(info, "_conditional_entropy_batch",
+                        lambda blocks, theta, phi: np.full(theta.shape, 5.0))
+    rho = load_state(REPO_ROOT / "states" / "sqd_initial.json")
+    with pytest.raises(InvariantViolation, match="Holevo information"):
+        check_structure(rho, parity_spec(2), ["E1"])
 
 
 def test_maximally_mixed_is_not_objective():

@@ -22,6 +22,7 @@ from qdarwin import (
     ProtocolConfig,
     PureState,
     apply_gate,
+    correlation_report,
     cost_model,
     depolarize_local,
     embed_operator,
@@ -556,6 +557,10 @@ def test_prepared_state_boundary_catches_broken_noise(monkeypatch):
                                             ["A"], ["B"]),
                  "parts must be nonempty and cover the layout",
                  id="mutual-information-parts-not-covering"),
+    pytest.param(lambda: correlation_report(random_density(qubits("A", "B"),
+                                                           np.random.default_rng(0)),
+                                            "A", ["A", "B"]),
+                 r"overlapping parts \['A'\]", id="correlation-report-system-in-environment"),
     pytest.param(lambda: verify_equal_dimension_reduction(
         random_density(qubits("S"), np.random.default_rng(0))),
                  "need at least one environment", id="reduction-without-environment"),
@@ -602,8 +607,11 @@ _ONE_BROKEN_FIELD = {
         lambda abn: {"shots": abn[2], "branch_shots": abn[:2]})),
     "isbs-cnot_model": ("cnot_model", st.sampled_from(["noisy_prep", "noisy_prep_parity"]).map(
         lambda m: {"framework": "ISBS", "fragment": ("E3",), "cnot_model": m})),
-    "isbs-p_cnot": ("noise", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+    "isbs-p_cnot": ("noise.p_cnot", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
         lambda q: {"framework": "ISBS", "noise": NoiseConfig(p_cnot=q)})),
+    "ideal-f": ("noise.f", st.tuples(st.sampled_from(["SQD", "ISBS"]),
+                                     st.floats(0.0, 1.0, exclude_max=True)).map(
+        lambda ff: {"framework": ff[0], "noise": NoiseConfig(f=ff[1])})),
     "replacement-layout": ("replacement", st.sampled_from(
         [("E2_2", "E2_1"), ("E2_1",), ("X", "Y")]).map(
         lambda labels: {"replacement": _state_on(labels)})),
@@ -651,7 +659,8 @@ def _small_noisy_configs(draw):
     # Interior strengths give every realization a nonzero weight, so a wrong
     # weight or coin rule shows; the 0/1 edges are pinned by test_golden.py.
     strength = st.floats(0.05, 0.95)
-    noise = NoiseConfig(p=draw(strength), mode=mode, f=draw(strength))
+    p, f = draw(strength), draw(strength)  # f is drawn for every model: 1 is ideal's only f
+    noise = NoiseConfig(p=p, mode=mode, f=1.0 if cnot_model == "ideal" else f)
     return ProtocolConfig(framework=framework, fragment=tuple(fragment), noise=noise,
                           cnot_model=cnot_model)
 
@@ -696,8 +705,8 @@ def _sampler_configs(draw):
                              unique=True))
     mode = "mix_global" if cnot_model != "ideal" else draw(
         st.sampled_from(["mix_global", "depolarize_local"]))
-    noise = NoiseConfig(p=draw(st.floats(0.05, 0.95)), f=draw(st.floats(0.05, 0.95)),
-                        mode=mode, p_cnot=p_cnot)
+    p, f = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))  # 1 is ideal's only f
+    noise = NoiseConfig(p=p, f=1.0 if cnot_model == "ideal" else f, mode=mode, p_cnot=p_cnot)
     branch_shots = draw(st.none() | st.tuples(st.integers(100, 300), st.integers(100, 300)))
     shots = sum(branch_shots) if branch_shots else draw(st.integers(200, 600))
     return ProtocolConfig(framework=framework, fragment=tuple(fragment), noise=noise,
@@ -950,11 +959,14 @@ def _config_lists(draw):
         fragment = draw(st.sampled_from(_FRAGMENTS[framework]))
         noise = draw(st.sampled_from(noises))
         replacement = _REPLACEMENTS.get((framework, fragment))
+        cnot_model = draw(st.sampled_from(
+            ["ideal", "noisy_prep", "noisy_prep_parity"] if sqd else ["ideal"]))
+        if cnot_model == "ideal":  # the only f it takes
+            noise = dataclasses.replace(noise, f=1.0)
         configs.append(ProtocolConfig(
             framework=framework, fragment=fragment,
             noise=noise if sqd else dataclasses.replace(noise, p_cnot=1.0),
-            cnot_model=draw(st.sampled_from(
-                ["ideal", "noisy_prep", "noisy_prep_parity"] if sqd else ["ideal"])),
+            cnot_model=cnot_model,
             replacement=replacement if draw(st.booleans()) else None,
             unitary=draw(st.sampled_from([None, "all_hadamards"])),
             shots=draw(st.sampled_from([0, 0, 300, 1001])), seed=draw(st.integers(0, 3))))
