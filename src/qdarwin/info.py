@@ -364,7 +364,8 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     sqd = (qd and abs(joint.mutual_information - h_s) <= TOL.info_condition
            and joint.discord <= TOL.info_condition)
 
-    bipartite_sbs, isbs, structural = _structural_checks(rho_sf, spec, names)
+    bipartite_sbs, isbs, structural = _structural_checks(
+        rho_sf, spec, names, rho.layout.total_dim // rho_sf.layout.total_dim)
 
     return StructureVerdict(
         qd=qd,
@@ -388,17 +389,17 @@ def check_structure(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
     )
 
 
-def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
-                       names: list[str]) -> tuple[bool, bool, dict[str, float]]:
+def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec, names: list[str],
+                       d_b: int = 1) -> tuple[bool, bool, dict[str, float]]:
     """Block-structure and pure-product-conditional checks on a reduced state.
 
     The state is read through ``_system_first`` with the system rotated into
     the spec's preferred basis.  Its diagonal system blocks of probability
-    above ``TOL.conditional_skip``, checked, then normalized, are the
-    conditional states: one ``(n, d_F, d_F)`` stack.  Each environment's
-    marginals are one partial trace of that stack; the orthogonality check
-    pairs up the rows of each stack, and the product check rebuilds each
-    conditional state as the row-wise kron of its marginals.
+    above ``TOL.conditional_skip``, checked at 1/``d_b`` scale, then normalized,
+    are the conditional states: one ``(n, d_F, d_F)`` stack.  Each
+    environment's marginals are one partial trace of that stack; the
+    orthogonality check pairs up the rows of each stack, and the product
+    check rebuilds each conditional state as the row-wise kron of its marginals.
     """
     rho4 = _system_first(rho_sf, spec.system_label)
     d_s, d_f = rho4.shape[:2]
@@ -410,7 +411,7 @@ def _structural_checks(rho_sf: DensityOperator, spec: ObjectiveSubspaceSpec,
     diagonal = blocks[np.arange(d_s), :, np.arange(d_s), :]
     p = np.trace(diagonal, axis1=-2, axis2=-1).real
     kept = p > TOL.conditional_skip
-    require_density(diagonal[kept])  # at the state's scale: 1/p magnifies its rounding
+    require_density(diagonal[kept] / d_b)  # before 1/p: a trace over d_b deepens a dip d_b-fold
     conds = diagonal[kept] / p[kept, None, None]
     frag_layout = rho_sf.layout.subset(
         [lab for lab in rho_sf.layout.labels if lab != spec.system_label])
@@ -476,7 +477,7 @@ def verify_equal_dimension_reduction(rho: DensityOperator,
 
     for lab in env_labels:
         rho_sk = partial_trace(rho, {sys_label, lab})
-        ok, _, _ = _structural_checks(rho_sk, spec, [lab])
+        ok, _, _ = _structural_checks(rho_sk, spec, [lab], layout.total_dim // d ** 2)
         if not ok:
             return False
     joint_sbs, joint_isbs, _ = _structural_checks(rho, spec, env_labels)

@@ -1,11 +1,11 @@
-"""Preferred objective subspaces, the projection-sum objectivity operation,
-and the trace-norm non-objectivity measure.
+"""Preferred objective subspaces, the objectivity operation and the
+trace-norm non-objectivity measure.
 
 One operation serves both frameworks: a spec pins a preferred system basis
 and a disjoint subspace partition of each environment.  The basis framework
-is the same operation on a rank-1, basis-aligned spec, where every
-environment projector is the projector onto the system's matching basis ket
-(see ``require_basis_spec``).
+is the same operation on a rank-1 spec aligned with the system basis (see
+``require_basis_spec``).  The operation sums P_i rho P_i, or, with the same
+bytes, masks rho where every P_i is a 0/1 diagonal, as on both presets.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class ObjectiveSubspaceSpec:
     per system-basis index, acting on the environment's combined space.
     Disjointness and idempotence are validated eagerly at construction.
     The basis, the projectors and their mapping are read-only copies, so one
-    instance can be shared; it memoizes the embedded projectors of its
-    objectivity operation per (fragment, layout).
+    instance can be shared.  At its first projection on a (fragment, layout)
+    it memoizes the embedded projectors and, if exact, their 0/1 mask.
     """
 
     system_label: str
@@ -224,27 +224,37 @@ def objectivity_operation_sqd(rho: DensityOperator, spec: ObjectiveSubspaceSpec,
         rho.layout, project(rho.matrix, embedded_projectors(spec, names, rho.layout)))
 
 
+class _Embedded(tuple):
+    """The embedded P_i, with their ``mask`` (see ``embedded_projectors``)."""
+
+
 def embedded_projectors(spec: ObjectiveSubspaceSpec, names: tuple[str, ...],
                         layout: TensorLayout) -> tuple[np.ndarray, ...]:
     """The P_i of ``objectivity_operation_sqd`` on the selected environments
-    ``names``, embedded in ``layout``; memoized on the spec."""
+    ``names``, embedded in ``layout``, memoized on the spec with their ``mask``:
+    B = sum_i diag(P_i) diag(P_i)^T if every P_i is exactly a 0/1 diagonal, else None."""
     key = (names, layout)
     projectors = spec._embedded.get(key)
     if projectors is None:
         require_spec_fits(spec, names, layout)
-        projectors = tuple(
+        projectors = _Embedded(
             embed_operator(layout, np.kron(np.outer(ket, ket.conj()),
                                            fragment_projector(spec, names, i)),
                            [spec.system_label, *spec.members_of(names)])
             for i, ket in enumerate(spec.system_basis.T))
-        for p_full in projectors:
-            p_full.flags.writeable = False
+        diags = np.diagonal(projectors, axis1=1, axis2=2)
+        exact = np.count_nonzero(projectors) == np.count_nonzero(diags == 1)  # all 0/1 diagonals
+        projectors.mask = diags.real.T @ diags.real if exact else None
+        for array in projectors + ((projectors.mask,) if exact else ()):
+            array.flags.writeable = False
         spec._embedded[key] = projectors
     return projectors
 
 
 def project(matrices: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i P_i M P_i for each operator M of ``matrices``."""
+    """sum_i P_i M P_i for each operator M of ``matrices``, by the P_i's mask if they carry one."""
+    if getattr(projectors, "mask", None) is not None:
+        return matrices * projectors.mask + 0.0  # + 0.0 maps the -0.0 of -x * 0 to the sum's +0.0
     out = np.zeros_like(matrices)
     for p_full in projectors:
         out += p_full @ matrices @ p_full

@@ -826,6 +826,30 @@ def test_check_of_an_accepted_anti_hermitian_part_gets_a_verdict(tmp_path, capsy
     assert np.array_equal(state, state.conj().T)
 
 
+def test_check_of_an_accepted_eigenvalue_dip_gets_a_verdict(tmp_path, capsys):
+    # A diagonal state whose eight entries with S = 0, E1 = 0 are -0.9e-10,
+    # within TOL.psd_min_eig, the other 24 equal: tracing out E2-E4 sums the
+    # dip eightfold, to -7.2e-10 in the reduced state.  The conditional
+    # blocks are checked at the scale of the state the reduction came from,
+    # and the verdict is that of the state with its dip clipped.
+    def document(dip):
+        diagonal = np.full(32, (1 + 8 * dip) / 24)
+        diagonal[:8] = -dip
+        return {"layout": [["S", 2], ["E1", 2], ["E2", 2], ["E3", 2], ["E4", 2]],
+                "matrix": [[[z.real, z.imag] for z in row] for row in np.diag(diagonal).tolist()]}
+
+    verdicts = []
+    for dip in (0.9e-10, 0.0):
+        path = write_config(tmp_path, "dip.json", document(dip))
+        code, out, err = run_cli(capsys, "check", "--state", path, "--subspace",
+                                 "computational", "--fragment", "E1")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["fragment"] == ["E1"]
+        verdicts.append([report[key] for key in ("qd", "sqd", "bipartite_sbs", "isbs")])
+    assert verdicts[0] == verdicts[1]
+
+
 def _identity_pairs(d, first=(1, 0)):
     """[re, im] rows of the d x d identity, with ``first`` as its (0, 0) entry."""
     rows = [[[1.0 * (i == j), 0] for j in range(d)] for i in range(d)]
@@ -1126,6 +1150,25 @@ def test_cli_runs_never_import_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
+
+_MEMO_PROBE = """
+import json
+import qdarwin.cli
+from qdarwin.protocol import _EXPERIMENTS
+print(json.dumps({name: len(e.spec._embedded) for name, e in _EXPERIMENTS.items()}))
+"""
+
+
+def test_importing_the_cli_embeds_no_projector(tmp_path):
+    # The objectivity operation's projectors and masks are built at the
+    # first projection, not when the package loads: a fresh interpreter
+    # that imports the CLI leaves every preset's memo empty.
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _MEMO_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"SQD": 0, "ISBS": 0}
 
 
 # ---------------------------------------------------------------------------

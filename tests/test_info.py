@@ -567,6 +567,20 @@ def test_reduction_rejects_unequal_dims():
         verify_equal_dimension_reduction(maximally_mixed(lay))
 
 
+def test_reduction_of_an_accepted_eigenvalue_dip_gets_an_answer():
+    # The four entries with S = 0, E1 = 0 of a diagonal four-qubit state dip
+    # to -0.9e-10, within TOL.psd_min_eig; the pair (S, E1) sums them over
+    # E2 and E3 to -3.6e-10, which its blocks' check reads at the scale of
+    # the state.  The answer is that of the state with its dip clipped.
+    lay = qubits("S", "E1", "E2", "E3")
+    answers = []
+    for dip in (0.9e-10, 0.0):
+        diagonal = np.full(16, (1 + 4 * dip) / 12)
+        diagonal[:4] = -dip
+        answers.append(verify_equal_dimension_reduction(DensityOperator(lay, np.diag(diagonal))))
+    assert answers[0] == answers[1]
+
+
 def test_rank2_conditional_block_cannot_be_orthogonal(rng):
     # On qubit environments a rank-2 conditional block overlaps every other
     # block, so the orthogonality requirement must fail for any attempt.

@@ -26,8 +26,10 @@ from qdarwin import (
     prepare_initial_isbs,
     prepare_initial_sqd,
 )
-from qdarwin.objectivity import nonobjectivity_measures
-from qdarwin.protocol import _EXPERIMENTS
+from qdarwin.hilbert import trace_out
+from qdarwin.objectivity import (embedded_projectors, nonobjectivity_measures, project,
+                                 spec_from_basis_vectors)
+from qdarwin.protocol import _EXPERIMENTS, _prepare
 
 from conftest import qubits, random_density, random_subspace_spec
 
@@ -377,3 +379,113 @@ def test_stacked_measure_equals_each_row_alone(framework, custom, data):
         for row, rho in zip(stacked, rows):
             for alone in (nonobjectivity_measure(rho, spec), measure_alone(rho, spec)):
                 assert row.tobytes() == np.float64(alone).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The objectivity operation as a 0/1 mask
+# ---------------------------------------------------------------------------
+
+def projector_sum(matrices, projectors):
+    """sum_i P_i M P_i by two matmuls per projector: the mask path's oracle."""
+    out = np.zeros_like(matrices)
+    for p in projectors:
+        out += p @ matrices @ p
+    return out
+
+
+def all_fragments(spec):
+    names = spec.environment_names
+    return itertools.chain.from_iterable(
+        itertools.combinations(names, k) for k in range(1, len(names) + 1))
+
+
+def hermitian_stack(rng, n, d):
+    """Random Hermitian matrices, about half of whose entries are negative."""
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return g + g.conj().swapaxes(-1, -2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(framework=st.sampled_from(["SQD", "ISBS"]), data=st.data())
+def test_the_mask_gives_the_bytes_of_the_projector_sum(framework, data):
+    # Every embedded P_i of both presets is an exact 0/1 diagonal, so the
+    # operation is M * B + 0.0, bit for bit: on every fragment, on the full
+    # register and on the system-fragment layout of the measure, for prepared
+    # stacks, stacks perturbed off them, and random Hermitian stacks whose
+    # masked negative entries would read -0.0 without the + 0.0.
+    experiment = _EXPERIMENTS[framework]
+    spec, register = experiment.spec, experiment.layout
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    ps = tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
+    prepared = _prepare(framework, data.draw(st.sampled_from(["ideal", "noisy_prep"])),
+                        data.draw(st.floats(0.0, 1.0)),
+                        data.draw(st.sampled_from(["mix_global", "depolarize_local"])), ps)
+    for fragment in all_fragments(spec):
+        sf = register.subset([spec.system_label, *spec.members_of(fragment)])
+        for layout, stack in [(register, prepared),
+                              (sf, trace_out(prepared, register, set(sf.labels)))]:
+            projectors = embedded_projectors(spec, fragment, layout)
+            assert projectors.mask is not None
+            noise = hermitian_stack(rng, len(ps), layout.total_dim)
+            for matrices in (stack, stack + 1e-3 * noise, noise):
+                assert (project(matrices, projectors).tobytes()
+                        == projector_sum(matrices, projectors).tobytes())
+
+
+def bell_parity_spec():
+    """The golden custom-subspace sweep's spec: E1 takes the parity spans of
+    the preset, E2 the Bell spans {Phi+, Psi+} and {Phi-, Psi-}."""
+    s, k = 2 ** -0.5, np.eye(4)
+    return spec_from_basis_vectors(
+        "S", np.eye(2), {"E1": ("E1_1", "E1_2"), "E2": ("E2_1", "E2_2")},
+        {"E1": [[k[0], k[3]], [k[1], k[2]]],
+         "E2": [[s * (k[0] + k[3]), s * (k[1] + k[2])], [s * (k[0] - k[3]), s * (k[1] - k[2])]]})
+
+
+def perturbed_parity_spec(offset):
+    """The parity preset with ``offset`` added to E1's even projector and
+    taken from its odd one: within TOL.projector of a projector pair, with
+    0/1 diagonals only if ``offset`` is off the diagonal."""
+    return ObjectiveSubspaceSpec("S", np.eye(2), {"E1": ("E1_1", "E1_2"), "E2": ("E2_1", "E2_2")},
+                                 {"E1": (EVEN + offset, ODD - offset), "E2": (EVEN, ODD)})
+
+
+_NEAR_UNIT = np.diag([2e-12, 0, 0, 0])  # one diagonal entry at 1 + 2e-12
+_COUPLING = 1e-6 * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("framework, make_spec, masked", [
+    ("SQD", lambda: _EXPERIMENTS["SQD"].spec, {("E1",): True, ("E2",): True, ("E1", "E2"): True}),
+    ("ISBS", lambda: _EXPERIMENTS["ISBS"].spec,
+     {fragment: True for fragment in all_fragments(_EXPERIMENTS["ISBS"].spec)}),
+    ("SQD", bell_parity_spec, {("E1",): True, ("E2",): False, ("E1", "E2"): False}),
+    ("SQD", lambda: perturbed_parity_spec(_NEAR_UNIT),
+     {("E1",): False, ("E2",): True, ("E1", "E2"): False}),
+    ("SQD", lambda: perturbed_parity_spec(_COUPLING),
+     {("E1",): False, ("E2",): True, ("E1", "E2"): False}),
+], ids=["parity2", "computational", "bell-parity", "near-unit-diagonal", "off-diagonal"])
+def test_each_memo_entry_takes_the_mask_only_on_exact_0_1_diagonals(framework, make_spec,
+                                                                     masked):
+    # A (fragment, layout) entry carries a read-only mask B = sum_i diag(P_i)
+    # diag(P_i)^T only when every P_i is an exact 0/1 diagonal; any other
+    # entry, such as a Bell span, a diagonal rounded off 1 or a 0/1 diagonal
+    # with off-diagonal entries, keeps the sum, which a mask built from its
+    # diagonals would not give.
+    spec, register = make_spec(), _EXPERIMENTS[framework].layout
+    rng = np.random.default_rng(7)
+    for fragment, expected in masked.items():
+        sf = register.subset([spec.system_label, *spec.members_of(fragment)])
+        for layout in (register, sf):
+            projectors = embedded_projectors(spec, fragment, layout)
+            assert spec._embedded[(fragment, layout)] is projectors
+            assert (projectors.mask is not None) == expected
+            diags = np.diagonal(np.array(projectors), axis1=1, axis2=2).real
+            if expected:
+                assert not projectors.mask.flags.writeable
+                assert np.array_equal(projectors.mask, diags.T @ diags)
+                assert set(np.unique(projectors.mask)) <= {0.0, 1.0}
+            matrices = hermitian_stack(rng, 3, layout.total_dim)
+            want = projector_sum(matrices, projectors)
+            assert project(matrices, projectors).tobytes() == want.tobytes()
+            if not expected:
+                assert not np.array_equal(matrices * (diags.T @ diags) + 0.0, want)

@@ -41,7 +41,7 @@ from qdarwin import (
     witness_exact,
     witness_monte_carlo,
 )
-from qdarwin import protocol
+from qdarwin import objectivity, protocol
 from qdarwin.objectivity import (computational_spec, embedded_projectors, parity_spec, project,
                                  require_basis_spec)
 from qdarwin.cli import main
@@ -1173,6 +1173,36 @@ def test_run_witnesses_branches_each_stack_once_when_a_later_config_aborts(monke
     with pytest.raises(NonterminatingSampling):
         run_witnesses([ok, aborting])
     assert branched == [("E1",), ("E2",)]
+
+
+@pytest.mark.parametrize("framework, fragment", [
+    ("SQD", ["E1"]), ("SQD", ["E1", "E2"]), ("ISBS", ["E2", "E3"])])
+def test_a_later_run_reuses_the_embedded_projectors_and_masks(framework, fragment, monkeypatch):
+    # The preset spec memoizes the objectivity operation's projectors and
+    # mask per (fragment, layout) for the life of the process, so after one
+    # run the next run on the same fragment embeds no projector and builds
+    # no mask: each sweep of a benchmark process reuses them.  (The SQD
+    # preparation still embeds its two CNOTs once per run.)
+    config = config_from_dict({"framework": framework, "fragment": fragment,
+                               "noise": {"p": 0.3, "mode": "depolarize_local"}})
+    memo = config.spec._embedded
+    run_witnesses([config])
+    entries = dict(memo)
+    ctx = _resolve_context(config)
+    used = [(ctx.fragment, ctx.layout), (ctx.fragment, ctx.layout.subset(ctx.sf_labels))]
+    assert all(entries[key].mask is not None for key in used)
+    calls = collections.Counter()
+    embed = objectivity.embed_operator
+
+    def counted(*args, **kwargs):
+        calls["embed_operator"] += 1
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(objectivity, "embed_operator", counted)
+    run_witnesses([config])
+    assert calls["embed_operator"] == 0
+    assert memo.keys() == entries.keys()
+    assert all(memo[key] is entry for key, entry in entries.items())
 
 
 @pytest.mark.parametrize("name, n_p, n_fragments", [
